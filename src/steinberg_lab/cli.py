@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys as _sys
 
-from . import cochain, sorth, suites, tables
-from .errors import InvalidRank, NotApplicable
-from .rootsys import apply_word, build
+from . import cochain, sorth, suites, tables, tree_oracle
+from .errors import InvalidRank, NotApplicable, read_budget
+from .rootsys import build
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1
@@ -51,9 +52,8 @@ def cmd_sigma_a(args):
         _emit(out, args.format)
         return 0
     res = sorth.is_conjugate_subset_of(system, sa, table)
-    verified = res.status == "yes" and all(
-        system.pos_rep(apply_word(system, res.word, m)) in {system.pos_rep(t) for t in table.members}
-        for m in sa.members
+    verified = res.status == "yes" and sorth.verify_certificate(
+        system, sa.members, res.word, table.members
     )
     out["matches_table"] = verified
     out["certificate_reflections"] = [list(r) for r in res.word]
@@ -67,7 +67,18 @@ def cmd_verify(args):
         _fail_usage("q must be an odd integer >= 3")
     if not _is_prime_power(args.q):
         print(f"warning: q = {args.q} is not a prime power", file=_sys.stderr)
+    try:
+        read_budget(None)
+    except ValueError as exc:
+        _fail_usage(str(exc))
     names = list(suites.SUITES) if args.suite == "all" else [args.suite]
+    if args.radius is not None:
+        if args.radius < 0:
+            _fail_usage("--radius must be nonnegative")
+        if args.suite != "all" and "radius" not in suites.suite_parameters(args.suite):
+            _fail_usage(f"suite {args.suite} takes no --radius")
+        if "tree" in names and args.radius > tree_oracle.MAX_RADIUS:
+            _fail_usage(f"--radius {args.radius} exceeds the tree limit {tree_oracle.MAX_RADIUS}")
     reports = []
     for name in sorted(names):
         try:
@@ -111,6 +122,7 @@ def _sract_rows():
     for fam, rank in suites.SIGN_CALCULUS_TYPES:
         system = build(fam, rank)
         members = tables.sign_basis(system)
+        solved = cochain.solved_character(system)
         for k in range(rank):
             action = cochain.coroot_action(system, members, cochain._coroot_coweight(system, k))
             rows.append(
@@ -118,8 +130,8 @@ def _sract_rows():
                     "type": f"{fam}{rank}",
                     "coroot": k + 1,
                     "action": str(action),
-                    "char_value": cochain.solved_character(system).value(action),
-                    "match": cochain.solved_character(system).value(action) == 1,
+                    "char_value": solved.value(action),
+                    "match": solved.value(action) == 1,
                 }
             )
     return rows
@@ -169,9 +181,9 @@ def _emit_rows(rows, fmt):
         return
     keys = list(rows[0])
     if fmt == "csv":
-        print(",".join(keys))
-        for row in rows:
-            print(",".join(str(row[k]) for k in keys))
+        writer = csv.writer(_sys.stdout, lineterminator="\n")
+        writer.writerow(keys)
+        writer.writerows([row[k] for k in keys] for row in rows)
         return
     # markdown
     print("| " + " | ".join(keys) + " |")

@@ -123,23 +123,16 @@ def _is_neg_simple(sys, root):
 
 
 def _rank_two_b2(sys, beta, alpha):
-    """Do beta and alpha generate an eight-root rank-two subsystem?"""
-    span = []
-    for r in sys.roots:
-        sol = _try_plane(sys, beta, alpha, r)
-        if sol:
-            span.append(r)
-    return len(span) == 8
+    """Do beta and alpha span a rank-two subsystem of type B2 (eight roots)?
 
-
-def _try_plane(sys, u, v, r):
-    from .linalg import solve_exact
-
-    try:
-        sol = solve_exact([list(u), list(v)], [Fraction(c) for c in r])
-    except ValueError:
-        return False
-    return sol is not None
+    <beta, alpha_vee><alpha, beta_vee> is 4 cos^2 of their angle; it is 2
+    only at 45 or 135 degrees, which occur in B2 alone.  The converse relies
+    on the precondition of build_constraints, beta = beta_a + 2 alpha with
+    beta_a a root: in a B2 plane beta and alpha are then neither orthogonal
+    (|beta_a|^2 = |beta|^2 + 4 |alpha|^2 would exceed every root length) nor
+    proportional (beta_a = -beta is no strongly orthogonal partner).
+    """
+    return sys.root_pairing(beta, alpha) * sys.root_pairing(alpha, beta) == 2
 
 
 def build_constraints(sys):

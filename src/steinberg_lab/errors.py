@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the shared budget reader."""
+
+import os
 
 
 class InvalidRank(ValueError):
@@ -43,6 +45,24 @@ class NotApplicable(ValueError):
 
 class BudgetExceeded(RuntimeError):
     """Enumeration would exceed the configured budget."""
+
+
+def read_budget(default):
+    """The STEINBERG_BUDGET cap, or default when it is unset.
+
+    One variable caps two sizes with different defaults: orbit images in
+    sorth and ball chambers in tree_oracle.
+    """
+    raw = os.environ.get("STEINBERG_BUDGET")
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"STEINBERG_BUDGET must be a positive integer, got {raw!r}")
+    return value
 
 
 class CertificateNotFound(RuntimeError):

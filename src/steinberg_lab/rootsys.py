@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .errors import InvalidRank, NotARoot, ProportionalPair
+from .errors import BudgetExceeded, InvalidRank, NotARoot, ProportionalPair
 from .linalg import invert_matrix, solve_exact
 
 Root = tuple
@@ -368,11 +368,8 @@ class RootSystem:
         return tuple(out)
 
     def reflect_root(self, beta, v):
-        """s_beta(v) for a root beta and any lattice vector v."""
-        pair = 2 * self.inner(v, beta) / self.inner(beta, beta)
-        if pair.denominator != 1:
-            raise AssertionError("non-integral reflection pairing")
-        return _sub(v, _scale(int(pair), beta))
+        """s_beta(v) = v - <v, beta_vee> beta for a root beta and any lattice vector v."""
+        return _sub(v, _scale(self.root_pairing(v, beta), beta))
 
     # -- classical quantities ---------------------------------------------
 
@@ -434,11 +431,6 @@ def build(family, rank):
     return RootSystem(RootSystemType(family, rank))
 
 
-def pairing(sys, alpha, xi):
-    """Module-level alias for the coweight pairing."""
-    return sys.pairing(alpha, xi)
-
-
 def strongly_orthogonal(sys, alpha, beta):
     """True iff <alpha, beta_vee> = 0 and alpha + beta is not a root."""
     alpha = sys.check_root(alpha)
@@ -450,47 +442,50 @@ def strongly_orthogonal(sys, alpha, beta):
     return not sys.is_root(_add(alpha, beta))
 
 
-def coxeter_number(sys):
-    return sys.coxeter_number()
+def canonical_set(sys, members):
+    """Canonical hashable image of a set of roots, member signs ignored."""
+    return tuple(sorted(sys.pos_rep(m) for m in members))
 
 
-def extended_simple_set(sys):
-    return sys.extended_simple_set()
+def weyl_orbit(sys, members, budget, target=None):
+    """BFS over the canonical images of a root set under the simple reflections.
 
-
-def canonical_set(sys, members, signs_insensitive=False):
-    """Canonical hashable image of a set of roots."""
-    if signs_insensitive:
-        return tuple(sorted(sys.pos_rep(m) for m in members))
-    return tuple(sorted(members))
-
-
-def weyl_orbit(sys, seed_sets, max_size=200000, signs_insensitive=False):
-    """BFS closure of root sets under the simple reflections.
-
-    Returns (orbit, truncated) where orbit is a set of canonical set-images
-    and truncated reports whether max_size stopped the walk early.
+    Without a target, returns the orbit as a set of canonical images.  With
+    a target (a test on canonical images), returns (image, word) for the
+    first image that passes, tested as it is inserted, or None once the
+    orbit is exhausted; the word lists simple roots whose reflections,
+    applied left to right, carry the set onto that image.  Raises
+    BudgetExceeded when the orbit outgrows the budget.
     """
-    start = set()
-    for s in seed_sets:
-        members = [sys.check_root(m) for m in s]
-        start.add(canonical_set(sys, members, signs_insensitive))
-    seen = set(start)
-    frontier = list(start)
-    truncated = False
+    start = canonical_set(sys, members)
+    if target is not None and target(start):
+        return start, ()
+    parents = {start: None}
+    frontier = [start]
     while frontier:
         nxt = []
         for cur in frontier:
             for i in range(sys.type.rank):
-                img = canonical_set(sys, [sys.simple_reflect(i, m) for m in cur], signs_insensitive)
-                if img not in seen:
-                    if len(seen) >= max_size:
-                        truncated = True
-                        continue
-                    seen.add(img)
-                    nxt.append(img)
+                img = canonical_set(sys, [sys.simple_reflect(i, m) for m in cur])
+                if img in parents:
+                    continue
+                if len(parents) >= budget:
+                    raise BudgetExceeded(
+                        f"orbit in {sys.type} reached {len(parents) + 1} images,"
+                        f" over the budget of {budget}"
+                    )
+                parents[img] = (cur, i)
+                if target is not None and target(img):
+                    word = []
+                    node = img
+                    while parents[node] is not None:
+                        node, idx = parents[node]
+                        word.append(sys.simples[idx])
+                    word.reverse()
+                    return img, tuple(word)
+                nxt.append(img)
         frontier = nxt
-    return seen, truncated
+    return None if target is not None else set(parents)
 
 
 # -- closed subsystems ----------------------------------------------------

@@ -64,7 +64,7 @@ def poincare_bfs(sys, n, budget=2_000_000):
     shells = apartment.chambers_within(base_f, n)
     total = sum(len(s) for s in shells)
     if total > budget:
-        raise BudgetExceeded(f"{total} alcoves exceed the budget")
+        raise BudgetExceeded(f"{total} alcoves exceed the budget of {budget}")
     return [len(s) for s in shells]
 
 

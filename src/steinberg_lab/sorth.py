@@ -2,29 +2,22 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from . import tables
-from .errors import BudgetExceeded, CertificateNotFound, NotApplicable  # noqa: F401 (re-exported)
+from .errors import BudgetExceeded, CertificateNotFound, read_budget
 from .rootsys import (
     _add,
     _neg,
     apply_word,
     canonical_set,
-    classify_subsystem,
     strongly_orthogonal,
     subsystem_components,
-    subsystem_simples,
+    weyl_orbit,
     word_to_dominant,
 )
 
 _DEFAULT_BUDGET = 1_000_000
-
-
-def _budget():
-    raw = os.environ.get("STEINBERG_BUDGET")
-    return int(raw) if raw else _DEFAULT_BUDGET
 
 
 @dataclass(frozen=True)
@@ -101,11 +94,10 @@ def _sigma_rec(sys, roots):
         pos = [r for r in comp if sys.is_positive(r)]
         top = max(pos, key=lambda r: (sum(r), r))
         out.append(top)
-        comp_set = set(comp)
         rest = [
             r
             for r in comp
-            if r != top and r != _neg(top) and strongly_orthogonal(sys, r, top) and r in comp_set
+            if r != top and r != _neg(top) and strongly_orthogonal(sys, r, top)
         ]
         out.extend(_sigma_rec(sys, rest))
     return out
@@ -175,45 +167,10 @@ def _normal_form(sys, members):
     return frozenset(result), tuple(word)
 
 
-def _orbit_search(sys, start_members, target_test, max_size):
-    """BFS over +/- insensitive set images; returns (found_canon, word) or None.
-
-    target_test receives a canonical set image.  Words come back as simple
-    reflection roots applied left to right.
-    """
-    start = canonical_set(sys, start_members, signs_insensitive=True)
-    if target_test(start):
-        return start, ()
-    parents = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for i in range(sys.type.rank):
-                img = canonical_set(
-                    sys, [sys.simple_reflect(i, m) for m in cur], signs_insensitive=True
-                )
-                if img in parents:
-                    continue
-                if len(parents) >= max_size:
-                    raise BudgetExceeded("orbit larger than the configured budget")
-                parents[img] = (cur, i)
-                if target_test(img):
-                    word = []
-                    node = img
-                    while parents[node] is not None:
-                        prev, idx = parents[node]
-                        word.append(sys.simples[idx])
-                        node = prev
-                    word.reverse()
-                    return img, tuple(word)
-                nxt.append(img)
-        frontier = nxt
-    return None
-
-
-def _verify_inclusion(sys, members, word, target_members):
-    target = {sys.pos_rep(t) for t in target_members}
+def verify_certificate(sys, members, word, target):
+    """True iff the reflection word, applied left to right, maps every member
+    into target up to sign."""
+    target = {sys.pos_rep(t) for t in target}
     return all(sys.pos_rep(apply_word(sys, word, m)) in target for m in members)
 
 
@@ -239,7 +196,7 @@ def is_conjugate_subset_of(sys, soset, target, exhaustive=None):
         nf_b, word_b = _normal_form(sys, b)
         if nf_a == nf_b:
             word = tuple(word_a) + tuple(reversed(word_b))
-            if _verify_inclusion(sys, a, word, b):
+            if verify_certificate(sys, a, word, b):
                 return ConjugacyResult("yes", word, "normal form")
     else:
         counts = {v: lengths_b.count(v) for v in set(lengths_b)}
@@ -247,19 +204,20 @@ def is_conjugate_subset_of(sys, soset, target, exhaustive=None):
             counts[v] = counts.get(v, 0) - 1
         if any(c < 0 for c in counts.values()):
             return ConjugacyResult("no", (), "length screen")
+    budget = read_budget(_DEFAULT_BUDGET)
     if exhaustive is None:
-        exhaustive = sys.weyl_order() <= _budget()
+        exhaustive = sys.weyl_order() <= budget
     if exhaustive:
         target_canon_members = {sys.pos_rep(t) for t in b}
 
         def test(canon):
             return set(canon) <= target_canon_members
 
-        found = _orbit_search(sys, a, test, _budget())
+        found = weyl_orbit(sys, a, budget, target=test)
         if found is None:
             return ConjugacyResult("no", (), "orbit exhausted")
         _, word = found
-        if not _verify_inclusion(sys, a, word, b):
+        if not verify_certificate(sys, a, word, b):
             raise AssertionError("orbit certificate failed verification")
         return ConjugacyResult("yes", word, "orbit")
     return ConjugacyResult("unknown", (), "budget")
@@ -282,8 +240,9 @@ def enumerate_so_sets(sys, max_rank=None):
     The empty set is included.  Raises BudgetExceeded when the Weyl group
     is too large for exhaustive orbit closure.
     """
-    if sys.weyl_order() > _budget():
-        raise BudgetExceeded(f"|W| = {sys.weyl_order()} exceeds the budget")
+    budget = read_budget(_DEFAULT_BUDGET)
+    if sys.weyl_order() > budget:
+        raise BudgetExceeded(f"|W({sys.type})| = {sys.weyl_order()} exceeds the budget of {budget}")
     if max_rank is None:
         max_rank = sys.type.rank
     pos = list(sys.positive_roots)
@@ -306,34 +265,15 @@ def enumerate_so_sets(sys, max_rank=None):
     seen_canon = {}
     for clique in cliques:
         members = [pos[i] for i in clique]
-        canon = canonical_set(sys, members, signs_insensitive=True)
+        canon = canonical_set(sys, members)
         if canon in seen_canon:
             continue
-        orbit = _orbit_from(sys, canon)
+        orbit = weyl_orbit(sys, canon, budget)
         rep = min(orbit)
         for img in orbit:
             seen_canon[img] = rep
     reps = sorted(set(seen_canon.values()), key=lambda c: (len(c), c))
     return [so_set(sys, rep) for rep in reps]
-
-
-def _orbit_from(sys, canon):
-    seen = {canon}
-    frontier = [canon]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for i in range(sys.type.rank):
-                img = canonical_set(
-                    sys, [sys.simple_reflect(i, m) for m in cur], signs_insensitive=True
-                )
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-                    if len(seen) > _budget():
-                        raise BudgetExceeded("orbit budget")
-        frontier = nxt
-    return seen
 
 
 def is_maximal_so(sys, members):
@@ -395,11 +335,6 @@ def verify_anismax(sys):
         if satisfies_c1(sys, rep) is None
     )
     return AnismaxReport(str(sys.type), clauses)
-
-
-def tabled_sigma_a(sys):
-    """The tabled representative as an SOSet, in the sign-basis order."""
-    return so_set(sys, tables.sign_basis(sys))
 
 
 def levi_support(sys, members):

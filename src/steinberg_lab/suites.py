@@ -7,12 +7,13 @@ exact (integers or reduced fractions rendered as strings).
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import apartment, cochain, prasad, series, sorth, tables, tree_oracle
-from .rootsys import _neg, apply_word, build, strongly_orthogonal
+from .rootsys import _neg, build, strongly_orthogonal
 
 ACCEPTANCE_TYPES = [
     ("A", 1), ("A", 3), ("A", 5),
@@ -104,11 +105,7 @@ def suite_rootsys():
             True,
             "derived",
         )
-        even = True
-        for alpha in sys.roots:
-            val = 2 * sys.inner(sys.two_rho, alpha) / sys.inner(alpha, alpha)
-            if val.denominator != 1 or int(val) % 2 != 0:
-                even = False
+        even = all(sys.root_pairing(sys.two_rho, alpha) % 2 == 0 for alpha in sys.roots)
         rep.add(
             f"two-rho-even-{fam}{rank}",
             "<2 rho, alpha_vee> is even on every coroot",
@@ -175,9 +172,8 @@ def suite_sorth(trichotomy=True):
             "table",
         )
         res = sorth.is_conjugate_subset_of(sys, sa, table)
-        cert_ok = res.status == "yes" and all(
-            sys.pos_rep(apply_word(sys, res.word, m)) in {sys.pos_rep(t) for t in table.members}
-            for m in sa.members
+        cert_ok = res.status == "yes" and sorth.verify_certificate(
+            sys, sa.members, res.word, table.members
         )
         rep.add(
             f"sigma-table-{fam}{rank}",
@@ -675,11 +671,13 @@ SUITES = {
 }
 
 
+def suite_parameters(name):
+    """The parameters a suite takes, looked up through any wrapper."""
+    return inspect.signature(SUITES[name]).parameters
+
+
 def run_suite(name, q=3, radius=None):
-    if name == "tree":
-        return suite_tree(q=q, radius=radius if radius is not None else 8)
-    if name == "series":
-        return suite_series(q=q, radius=radius if radius is not None else 10)
-    if name == "cochain":
-        return suite_cochain(q=q)
-    return SUITES[name]()
+    """Run one suite, forwarding q and radius (when given) to a suite that takes them."""
+    params = suite_parameters(name)
+    kwargs = {k: v for k, v in (("q", q), ("radius", radius)) if v is not None and k in params}
+    return SUITES[name](**kwargs)

@@ -13,10 +13,6 @@ from .errors import NotApplicable
 from .rootsys import _add, _basis, _neg, _scale, _sub
 
 
-def _amb(sys, vec):
-    return sys.from_ambient(vec)
-
-
 def _eps(sys, i):
     dim = len(sys._ambient_simples[0])
     return _basis(dim, i - 1)
@@ -43,7 +39,8 @@ def sigma_a_table(sys):
     if fam == "A":
         n = (d + 1) // 2
         return [
-            _amb(sys, _add(_neg(_eps(sys, i)), _eps(sys, 2 * n + 1 - i))) for i in range(1, n + 1)
+            sys.from_ambient(_add(_neg(_eps(sys, i)), _eps(sys, 2 * n + 1 - i)))
+            for i in range(1, n + 1)
         ]
     if fam == "B":
         n = d // 2
@@ -51,21 +48,21 @@ def sigma_a_table(sys):
         for i in range(1, n + 1):
             a = _eps(sys, 2 * i - 1)
             b = _eps(sys, 2 * i)
-            out.append(_amb(sys, _sub(_neg(a), b)))
-            out.append(_amb(sys, _sub(b, a)))
+            out.append(sys.from_ambient(_sub(_neg(a), b)))
+            out.append(sys.from_ambient(_sub(b, a)))
         if d % 2 == 1:
-            out.append(_amb(sys, _neg(_eps(sys, d))))
+            out.append(sys.from_ambient(_neg(_eps(sys, d))))
         return out
     if fam == "C":
-        return [_amb(sys, _scale(-2, _eps(sys, i))) for i in range(1, d + 1)]
+        return [sys.from_ambient(_scale(-2, _eps(sys, i))) for i in range(1, d + 1)]
     if fam == "D":
         n = d // 2
         out = []
         for i in range(1, n + 1):
             a = _eps(sys, 2 * i - 1)
             b = _eps(sys, 2 * i)
-            out.append(_amb(sys, _sub(_neg(a), b)))
-            out.append(_amb(sys, _sub(b, a)))
+            out.append(sys.from_ambient(_sub(_neg(a), b)))
+            out.append(sys.from_ambient(_sub(b, a)))
         return out
     if fam == "G":
         return [_neg(sys.highest_root), _combo(sys, {1: -1})]
@@ -119,8 +116,8 @@ def sigma_a_alt_table(sys):
         for i in range(1, n + 1):
             a = _eps(sys, 2 * i)
             b = _eps(sys, 2 * i + 1)
-            out.append(_amb(sys, _sub(_neg(a), b)))
-            out.append(_amb(sys, _sub(b, a)))
+            out.append(sys.from_ambient(_sub(_neg(a), b)))
+            out.append(sys.from_ambient(_sub(b, a)))
         return out
     if fam == "E" and d == 6:
         return [

@@ -13,19 +13,13 @@ apartment runs through vertices 1 and 2 by repeated first children.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BudgetExceeded, NotHarmonicBase, NotInBall
+from .errors import BudgetExceeded, NotHarmonicBase, NotInBall, read_budget
 
-_MAX_RADIUS = 12
+MAX_RADIUS = 12
 _CHAMBER_BUDGET = 3_000_000
-
-
-def _chamber_budget():
-    raw = os.environ.get("STEINBERG_BUDGET")
-    return int(raw) if raw else _CHAMBER_BUDGET
 
 
 def _legendre(a, p):
@@ -190,7 +184,7 @@ class TreeBall:
         """Chamber adjacency lists, materialized; small balls only."""
         ids = list(self.chambers())
         if len(ids) > 100_000:
-            raise BudgetExceeded("explicit graph requested for a large ball")
+            raise BudgetExceeded(f"explicit graph of {len(ids)} chambers, over the limit of 100000")
         idset = set(ids)
         adj = {c: [] for c in ids}
         for w in [0] + ids:
@@ -208,11 +202,12 @@ def build_ball(q, radius):
         raise ValueError("q must be an odd integer >= 3")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if radius > _MAX_RADIUS:
-        raise BudgetExceeded(f"radius {radius} beyond the supported {_MAX_RADIUS}")
+    if radius > MAX_RADIUS:
+        raise BudgetExceeded(f"radius {radius} beyond the supported {MAX_RADIUS}")
     total = 1 + sum(2 * q**n for n in range(1, radius + 1))
-    if total > _chamber_budget():
-        raise BudgetExceeded(f"{total} chambers exceed the budget")
+    budget = read_budget(_CHAMBER_BUDGET)
+    if total > budget:
+        raise BudgetExceeded(f"{total} chambers exceed the budget of {budget}")
     ball = TreeBall(q=q, radius=radius)
     starts = [0, 1]
     # keep one level beyond the chamber ball so every star is addressable

@@ -1,13 +1,22 @@
+import csv
+import functools
+import io
 import json
+import os
 import subprocess
 import sys
 
+import pytest
 
-def run_cli(*args):
+from steinberg_lab import suites
+
+
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "steinberg_lab.cli", *args],
         capture_output=True,
         text=True,
+        env=None if env is None else {**os.environ, **env},
     )
 
 
@@ -76,3 +85,51 @@ def test_tables_eic_markdown():
 def test_warning_for_non_prime_power_q():
     out = run_cli("verify", "series", "--q", "15", "--radius", "4")
     assert "not a prime power" in out.stderr
+
+
+@pytest.mark.parametrize("table", ["--eic", "--sract", "--r1r2"])
+def test_tables_csv_rows_as_wide_as_header(table):
+    out = run_cli("tables", table, "--format", "csv")
+    assert out.returncode == 0
+    header, *rows = list(csv.reader(io.StringIO(out.stdout)))
+    assert rows
+    assert all(len(row) == len(header) for row in rows)
+    assert all(row[-1] == "True" for row in rows)
+
+
+@pytest.mark.parametrize("value", ["lots", "1.5", "0", "-3"])
+def test_verify_bad_budget_exits_2(value):
+    out = run_cli("verify", "prasad", env={"STEINBERG_BUDGET": value})
+    assert out.returncode == 2
+    assert "STEINBERG_BUDGET" in out.stderr
+    assert "suite-crashed" not in out.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["series", "--radius", "-1"],
+        ["tree", "--radius", "13"],
+        ["all", "--radius", "13"],
+        ["prasad", "--radius", "3"],
+    ],
+)
+def test_verify_bad_radius_exits_2(args):
+    out = run_cli("verify", *args)
+    assert out.returncode == 2
+    assert "radius" in out.stderr
+    assert out.stdout == ""
+
+
+def test_run_suite_forwards_radius_to_cochain(monkeypatch):
+    calls = []
+
+    @functools.wraps(suites.suite_cochain)
+    def traced(**kwargs):
+        calls.append(kwargs)
+        return suites.SuiteReport("cochain")
+
+    monkeypatch.setitem(suites.SUITES, "cochain", traced)
+    suites.run_suite("cochain", q=5, radius=2)
+    suites.run_suite("cochain")
+    assert calls == [{"q": 5, "radius": 2}, {"q": 3}]

@@ -27,7 +27,9 @@ from steinberg_lab.errors import (
     NotHarmonicBase,
     UnsupportedPanel,
 )
+from steinberg_lab.linalg import solve_exact
 from steinberg_lab.rootsys import build
+from steinberg_lab.suites import SIGN_CALCULUS_TYPES
 
 
 def test_sign_vector_and_character_basics():
@@ -260,3 +262,29 @@ def test_r1_r2_not_applicable():
         r1_r2(build("B", 3))
     with pytest.raises(NotApplicable):
         r1_r2(build("A", 4))
+
+
+def _b2_by_root_count(sys, beta, alpha):
+    """Reference: the roots in the rational span of beta and alpha number eight."""
+    cols = [list(beta), list(alpha)]
+    try:
+        span = [r for r in sys.roots if solve_exact(cols, [Fraction(c) for c in r]) is not None]
+    except ValueError:  # proportional columns span no plane
+        return False
+    return len(span) == 8
+
+
+def test_rank_two_b2_matches_root_count(monkeypatch):
+    reached = []
+    pairing_test = cochain._rank_two_b2
+
+    def recording(sys, beta, alpha):
+        reached.append((sys, beta, alpha))
+        return pairing_test(sys, beta, alpha)
+
+    monkeypatch.setattr(cochain, "_rank_two_b2", recording)
+    for fam, rank in SIGN_CALCULUS_TYPES:
+        build_constraints(build(fam, rank))
+    assert len(reached) == 34
+    for sys, beta, alpha in reached:
+        assert pairing_test(sys, beta, alpha) == _b2_by_root_count(sys, beta, alpha)

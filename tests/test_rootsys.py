@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from steinberg_lab.errors import InvalidRank, NotARoot, ProportionalPair
+from steinberg_lab.errors import BudgetExceeded, InvalidRank, NotARoot, ProportionalPair
 from steinberg_lab.rootsys import (
     RootSystemType,
     _neg,
@@ -13,6 +13,7 @@ from steinberg_lab.rootsys import (
     strongly_orthogonal,
     weyl_orbit,
 )
+from steinberg_lab.suites import ACCEPTANCE_TYPES, TRICHOTOMY_TYPES
 
 
 def a2():
@@ -131,16 +132,62 @@ def test_two_rho_pairings_even():
 
 def test_weyl_orbit_examples():
     sys = a2()
-    orbit, truncated = weyl_orbit(sys, [[(1, 0)]])
-    assert len(orbit) == 6 and not truncated
-    orbit, truncated = weyl_orbit(sys, [[]])
-    assert orbit == {()} and not truncated
+    # images are sign-insensitive: the six roots of A2 give three images
+    assert weyl_orbit(sys, [(1, 0)], 100) == {((0, 1),), ((1, 0),), ((1, 1),)}
+    assert weyl_orbit(sys, [(-1, -1)], 100) == weyl_orbit(sys, [(1, 0)], 100)
+    assert weyl_orbit(sys, [], 100) == {()}
     b2 = build("B", 2)
     pair = [b2.simples[0], b2.from_ambient([1, 1])]
-    orbit, truncated = weyl_orbit(b2, [pair], signs_insensitive=True)
-    assert len(orbit) == 1 and not truncated
-    orbit, truncated = weyl_orbit(sys, [[(1, 0)]], max_size=3)
-    assert truncated
+    assert len(weyl_orbit(b2, pair, 100)) == 1
+    # an orbit that fits its budget exactly is returned whole
+    assert len(weyl_orbit(sys, [(1, 0)], 3)) == 3
+
+
+def test_weyl_orbit_budget_names_limit_and_size():
+    with pytest.raises(BudgetExceeded, match=r"reached 3 images, over the budget of 2"):
+        weyl_orbit(a2(), [(1, 0)], 2)
+    f4 = build("F", 4)
+    with pytest.raises(BudgetExceeded, match=r"budget of 5\b"):
+        weyl_orbit(f4, [f4.highest_root], 5, target=lambda canon: False)
+
+
+def test_weyl_orbit_of_highest_root_counts_positive_long_roots():
+    for fam, rank in [("A", 2), ("B", 3), ("F", 4), ("G", 2)]:
+        sys = build(fam, rank)
+        long_pos = [r for r in sys.positive_roots if sys.is_long(r)]
+        orbit = weyl_orbit(sys, [sys.highest_root], 10_000)
+        assert orbit == {(r,) for r in long_pos}
+
+
+def test_weyl_orbit_target_mode():
+    sys = build("B", 3)
+    start = [sys.highest_root]
+    assert weyl_orbit(sys, start, 100, target=lambda canon: canon == (sys.highest_root,)) == (
+        (sys.highest_root,),
+        (),
+    )
+    short = sys.simples[2]
+    # a long root never reaches a short one: the orbit is exhausted
+    assert weyl_orbit(sys, start, 100, target=lambda canon: canon == (short,)) is None
+    found, word = weyl_orbit(sys, start, 100, target=lambda canon: canon == (sys.simples[0],))
+    assert found == (sys.simples[0],)
+    assert sys.pos_rep(apply_word(sys, word, sys.highest_root)) == sys.simples[0]
+
+
+def _reference_reflection(sys, beta, v):
+    pair = 2 * sys.inner(v, beta) / sys.inner(beta, beta)
+    return tuple(a - pair * b for a, b in zip(v, beta))
+
+
+def test_reflect_root_matches_reference_reflection():
+    types = sorted({t for t in ACCEPTANCE_TYPES + TRICHOTOMY_TYPES if t[1] <= 4})
+    for fam, rank in types:
+        sys = build(fam, rank)
+        for beta in sys.roots:
+            for v in sys.roots:
+                img = sys.reflect_root(beta, v)
+                assert img == _reference_reflection(sys, beta, v)
+                assert sys.reflect_root(beta, img) == v
 
 
 def test_extended_simple_set():

@@ -4,7 +4,7 @@ import pytest
 
 from steinberg_lab import sorth, tables
 from steinberg_lab.errors import BudgetExceeded, NotApplicable
-from steinberg_lab.rootsys import _neg, apply_word, build, classify_subsystem
+from steinberg_lab.rootsys import _neg, apply_word, build, classify_subsystem, weyl_orbit
 
 
 def _conjugate_ok(sys, a, b):
@@ -108,6 +108,31 @@ def test_conjugacy_identity_and_random_words():
             assert _conjugate_ok(sys, sorth.so_set(sys, moved), table)
 
 
+def test_target_mode_words_pass_certificate():
+    rng = random.Random(11)
+    for fam, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2)]:
+        sys = build(fam, rank)
+        table = tables.sigma_a_table(sys)
+        target = {sys.pos_rep(t) for t in table}
+        for size in range(len(table) + 1):
+            word = [sys.simples[rng.randrange(rank)] for _ in range(5)]
+            moved = [apply_word(sys, word, m) for m in table[:size]]
+            found = weyl_orbit(sys, moved, 10_000, target=lambda canon: set(canon) <= target)
+            assert found is not None
+            assert sorth.verify_certificate(sys, moved, found[1], table)
+            res = sorth.is_conjugate_subset_of(sys, moved, table, exhaustive=True)
+            assert res.status == "yes" and res.method in ("orbit", "normal form")
+            assert sorth.verify_certificate(sys, moved, res.word, table)
+
+
+def test_verify_certificate_rejects_wrong_word():
+    sys = build("B", 2)
+    long_root, short_root = sys.highest_root, sys.simples[1]
+    assert sorth.verify_certificate(sys, [long_root], (), [long_root])
+    assert not sorth.verify_certificate(sys, [long_root], (), [short_root])
+    assert not sorth.verify_certificate(sys, [short_root], (sys.simples[0],), [long_root])
+
+
 def test_subset_conjugacy():
     d4 = build("D", 4)
     table = sorth.so_set(d4, tables.sigma_a_table(d4))
@@ -123,7 +148,7 @@ def test_enumeration_counts():
 
 def test_enumeration_budget(monkeypatch):
     monkeypatch.setenv("STEINBERG_BUDGET", "10")
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=r"1152 exceeds the budget of 10\b"):
         sorth.enumerate_so_sets(build("F", 4))
 
 
