@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from .errors import (
@@ -19,7 +20,7 @@ from .errors import (
     NotTypeA2n,
     UnsupportedSigma,
 )
-from .linalg import nullspace_vector, solve_exact
+from .linalg import LeftInverse, nullspace_vector
 from .rootsys import _neg
 
 E_LEVEL = "E"
@@ -321,8 +322,12 @@ class FacetFunctional:
     members: tuple
     values2: tuple  # 2 f'(beta_i), odd integers
 
+    @cached_property
+    def _inverse(self):
+        return LeftInverse(self.members)
+
     def expansion(self, alpha):
-        sol = solve_exact([list(m) for m in self.members], [Fraction(c) for c in alpha])
+        sol = self._inverse.coordinates(alpha)
         if sol is None:
             raise ValueError(f"{alpha} is not in the span")
         return sol

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 
 def _rref(rows, width):
@@ -72,8 +74,6 @@ def nullspace_vector(vectors):
     rel[f] = Fraction(1)
     for idx, c in enumerate(pivots):
         rel[c] = -rows[idx][f]
-    from math import gcd
-
     denom = 1
     for x in rel:
         denom = denom * x.denominator // gcd(denom, x.denominator)
@@ -96,3 +96,42 @@ def invert_matrix(matrix):
     if len(pivots) != n:
         raise ValueError("matrix is singular")
     return [row[n:] for row in rows]
+
+
+def _scaled_to_integers(rows):
+    """(integer rows, den) with rows == integer rows / den."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+class LeftInverse:
+    """Exact left inverse L = (A^T A)^-1 A^T of the matrix A whose columns
+    are the given vectors, for coordinates over them.
+
+    v lies in the span of the vectors exactly when A L v = v, and then L v
+    are its coordinates.  L and the projection A L are kept as integer
+    matrices over one denominator, so a lookup is integer dot products.
+    Raises ValueError when the vectors are linearly dependent.
+    """
+
+    def __init__(self, vectors):
+        cols, a = _scaled_to_integers(vectors)  # A = cols / a
+        gram = [[sum(map(mul, u, w)) for w in cols] for u in cols]
+        try:
+            inv = invert_matrix(gram)
+        except ValueError:
+            raise ValueError("columns are linearly dependent") from None
+        inv, den = _scaled_to_integers(inv)  # (A^T A)^-1 = a^2 inv / den
+        left = [[sum(map(mul, row, coord)) for coord in zip(*cols)] for row in inv]
+        self._den = den
+        self._left = [[a * x for x in row] for row in left]  # L = _left / den
+        # A L = _proj / den
+        self._proj = [[sum(map(mul, coord, col)) for col in zip(*left)] for coord in zip(*cols)]
+
+    def coordinates(self, v):
+        """Coordinates of v over the vectors, or None when v is off their span."""
+        (w,), scale = _scaled_to_integers([v])
+        for row, c in zip(self._proj, w, strict=True):
+            if sum(map(mul, row, w)) != self._den * c:
+                return None
+        return [Fraction(sum(map(mul, row, w)), self._den * scale) for row in self._left]

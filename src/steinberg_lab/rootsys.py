@@ -3,7 +3,10 @@
 Roots are stored as integer coefficient vectors over the simple roots
 (Bourbaki numbering).  Euclidean data comes from the classical ambient
 realizations, rescaled so that long roots have squared length 2; every
-pairing <alpha, beta_vee> is then an exact integer.
+pairing <alpha, beta_vee> is then an exact integer.  The Gram matrix is
+kept as integers, scaled by its single denominator (1 for A/B/D/E and C2,
+2 for C of rank at least 3 and F4, 3 for G2), so pairings and lengths
+need no rational arithmetic.
 """
 
 from __future__ import annotations
@@ -12,9 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
+from operator import mul
 
 from .errors import BudgetExceeded, InvalidRank, NotARoot, ProportionalPair
-from .linalg import invert_matrix, solve_exact
+from .linalg import LeftInverse, invert_matrix
 
 Root = tuple
 
@@ -76,6 +81,14 @@ def _scale(c, u):
 
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
+
+
+def _pairing_value(two_ab, bb):
+    """<a, b_vee> = 2<a, b> / <b, b> from the two integer Gram products."""
+    q, r = divmod(two_ab, bb)
+    if r:
+        raise AssertionError("non-integral root pairing")
+    return q
 
 
 def _ambient_simples(family, d):
@@ -213,6 +226,8 @@ class RootSystem:
     ----------
     type:  RootSystemType
     roots: all roots as integer tuples over the simple basis, sorted
+    gram: integer Gram matrix of the simple roots, scaled by gram_denominator
+    gram_denominator: 1, 2 or 3; long roots have gram length 2 * gram_denominator
     cartan: C[i][j] = <alpha_j, alpha_i_vee>
     highest_root: the dominant long root
     exponents: exponents of the Weyl group, increasing
@@ -227,10 +242,13 @@ class RootSystem:
         # Rescale so long roots have squared length 2.
         raw = [[_dot(a, b) for b in amb] for a in amb]
         maxlen = max(raw[i][i] for i in range(d))
-        scale = Fraction(2) / maxlen
-        self.gram = tuple(tuple(scale * raw[i][j] for j in range(d)) for i in range(d))
+        scaled = [[Fraction(2) * x / maxlen for x in row] for row in raw]
+        den = lcm(*(x.denominator for row in scaled for x in row))
+        self.gram_denominator = den
+        self.gram = tuple(tuple(int(x * den) for x in row) for row in scaled)
         self.cartan = tuple(
-            tuple(int(2 * self.gram[i][j] / self.gram[i][i]) for j in range(d)) for i in range(d)
+            tuple(_pairing_value(2 * self.gram[i][j], self.gram[i][i]) for j in range(d))
+            for i in range(d)
         )
         self.simples = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
         self.roots = tuple(sorted(self._closure()))
@@ -250,6 +268,7 @@ class RootSystem:
         self.rho = tuple(Fraction(c, 2) for c in two_rho)
         self.two_rho = tuple(two_rho)
         self._cartan_inv = None
+        self._ambient_inv = None
 
     # -- construction -------------------------------------------------
 
@@ -309,21 +328,18 @@ class RootSystem:
 
     # -- exact euclidean data -------------------------------------------
 
+    def _gram_dot(self, u, v):
+        """gram_denominator * <u, v>, an integer for lattice vectors."""
+        return sum(map(mul, u, (sum(map(mul, row, v)) for row in self.gram)))
+
     def inner(self, u, v):
-        total = Fraction(0)
-        for i, a in enumerate(u):
-            if a:
-                row = self.gram[i]
-                for j, b in enumerate(v):
-                    if b:
-                        total += a * b * row[j]
-        return total
+        return Fraction(self._gram_dot(u, v), self.gram_denominator)
 
     def length_sq(self, v):
-        return self.inner(v, v)
+        return Fraction(self._gram_dot(v, v), self.gram_denominator)
 
     def is_long(self, v):
-        return self.length_sq(v) == 2
+        return self._gram_dot(v, v) == 2 * self.gram_denominator
 
     def long_height(self, v):
         """Number of long simple roots in v, counted with multiplicity."""
@@ -335,10 +351,8 @@ class RootSystem:
         hit = self._pairing_cache.get(key)
         if hit is not None:
             return hit
-        val = 2 * self.inner(alpha, beta) / self.inner(beta, beta)
-        if val.denominator != 1:
-            raise AssertionError("non-integral root pairing")
-        val = int(val)
+        g_beta = [sum(map(mul, row, beta)) for row in self.gram]
+        val = _pairing_value(2 * sum(map(mul, alpha, g_beta)), sum(map(mul, beta, g_beta)))
         self._pairing_cache[key] = val
         return val
 
@@ -398,8 +412,9 @@ class RootSystem:
 
     def from_ambient(self, vec):
         """Express an ambient-coordinate vector over the simple roots."""
-        cols = self._ambient_simples
-        sol = solve_exact(list(cols), [Fraction(x) for x in vec])
+        if self._ambient_inv is None:
+            self._ambient_inv = LeftInverse(self._ambient_simples)
+        sol = self._ambient_inv.coordinates(vec)
         if sol is None:
             raise NotARoot(f"{vec} is not in the root lattice span")
         out = []

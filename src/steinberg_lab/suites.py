@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import apartment, cochain, prasad, series, sorth, tables, tree_oracle
+from .linalg import LeftInverse
 from .rootsys import _neg, build, strongly_orthogonal
 
 ACCEPTANCE_TYPES = [
@@ -195,11 +196,9 @@ def suite_sorth(trichotomy=True):
         )
         if len(sa) == rank:
             half_ok = True
-            from .linalg import solve_exact
-
-            cols = [list(m) for m in table.members]
+            inverse = LeftInverse(table.members)
             for alpha in sys.roots:
-                sol = solve_exact(cols, [Fraction(c) for c in alpha])
+                sol = inverse.coordinates(alpha)
                 if sol is None or any((2 * lam).denominator != 1 for lam in sol):
                     half_ok = False
                     break

@@ -64,6 +64,19 @@ def test_verify_prasad_deterministic(tmp_path):
     assert statuses <= {"pass", "skip"}
 
 
+
+@pytest.mark.parametrize("suite", ["rootsys", "prasad", "sorth"])
+def test_verify_reports_identical_across_hash_seeds(tmp_path, suite):
+    # set and dict iteration order follows PYTHONHASHSEED; the report must not
+    reports = []
+    for seed in ("0", "1"):
+        path = tmp_path / f"{suite}-{seed}.json"
+        out = run_cli("verify", suite, "--json", str(path), env={"PYTHONHASHSEED": seed})
+        assert out.returncode == 0, out.stderr
+        reports.append(path.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["reports"][0]["suite"] == suite
+
 def test_tables_r1r2():
     out = run_cli("tables", "--r1r2", "--format", "json")
     assert out.returncode == 0

@@ -1,0 +1,68 @@
+"""The precomputed coordinate map, cross-checked against Gaussian elimination."""
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from steinberg_lab import tables
+from steinberg_lab.apartment import FacetFunctional, facet_functional
+from steinberg_lab.errors import NotARoot
+from steinberg_lab.linalg import LeftInverse, solve_exact
+from steinberg_lab.rootsys import _ambient_all_roots, build
+from steinberg_lab.suites import ACCEPTANCE_TYPES
+
+
+def test_from_ambient_matches_solve_exact_on_plate_roots():
+    for fam, rank in ACCEPTANCE_TYPES:
+        sys = build(fam, rank)
+        for v in _ambient_all_roots(fam, rank):
+            expected = solve_exact(sys._ambient_simples, v)
+            assert all(x.denominator == 1 for x in expected)
+            assert sys.from_ambient(v) == tuple(int(x) for x in expected)
+
+
+def test_from_ambient_rejects_off_span_and_non_integral():
+    with pytest.raises(NotARoot, match="span"):
+        build("A", 2).from_ambient([1, 1, 1])
+    with pytest.raises(NotARoot, match="integral"):
+        build("B", 2).from_ambient([Fraction(1, 2), 0])
+
+
+def test_coordinates_match_solve_exact_on_and_off_the_span():
+    # the A3 simple roots span the sum-zero hyperplane of Q^4
+    cols = build("A", 3)._ambient_simples
+    inverse = LeftInverse(cols)
+    off_span = 0
+    for v in product((-1, Fraction(1, 2), 0, 2), repeat=4):
+        expected = solve_exact(cols, v)
+        assert inverse.coordinates(v) == expected
+        off_span += expected is None
+    assert 0 < off_span < 4**4
+
+
+def test_facet_expansion_matches_solve_exact():
+    for fam, rank in ACCEPTANCE_TYPES:
+        sys = build(fam, rank)
+        full_rank_sets = [sys.simples]
+        if tables.expected_sigma_a_size(sys) == rank:
+            full_rank_sets.append(tuple(tables.sigma_a_table(sys)))
+        for members in full_rank_sets:
+            fn = FacetFunctional(sys, tuple(members), (1,) * rank)
+            for alpha in sys.roots:
+                assert fn.expansion(alpha) == solve_exact(members, alpha)
+
+
+def test_dependent_members_raise_value_error():
+    dependent = [(1, 0, 1), (2, 0, 2)]
+    with pytest.raises(ValueError, match="dependent"):
+        LeftInverse(dependent)
+    with pytest.raises(ValueError, match="dependent"):
+        solve_exact(dependent, (1, 0, 1))
+    b2 = build("B", 2)
+    a = b2.simples[0]
+    neg = tuple(-c for c in a)
+    with pytest.raises(ValueError, match="dependent"):
+        FacetFunctional(b2, (a, neg), (1, 1)).expansion(a)
+    with pytest.raises(ValueError, match="dependent"):
+        facet_functional(b2, [a, neg], {a: Fraction(1, 2), neg: Fraction(1, 2)})

@@ -229,3 +229,75 @@ def test_reflection_words():
 def test_rho_halves_two_rho():
     sys = build("C", 3)
     assert [2 * c for c in sys.rho] == list(sys.two_rho)
+
+
+
+def _ambient_oracle(sys):
+    """<a, b_vee> and squared lengths from ambient coordinates.
+
+    The ratio is scale-invariant and never reads the Gram matrix.
+    """
+    amb = {r: sys.to_ambient(r) for r in sys.roots}
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(amb[a], amb[b]))
+
+    return (lambda a, b: Fraction(2 * dot(a, b), dot(b, b))), (lambda a: dot(a, a))
+
+
+def test_root_pairing_matches_ambient_oracle_small_ranks():
+    types = sorted({t for t in ACCEPTANCE_TYPES + TRICHOTOMY_TYPES if t[1] <= 4})
+    for fam, rank in types:
+        sys = build(fam, rank)
+        pairing, _ = _ambient_oracle(sys)
+        for a in sys.roots:
+            for b in sys.roots:
+                assert sys.root_pairing(a, b) == pairing(a, b)
+
+
+def test_root_pairing_simples_and_highest_match_ambient_oracle():
+    for fam, rank in ACCEPTANCE_TYPES:
+        sys = build(fam, rank)
+        pairing, _ = _ambient_oracle(sys)
+        for b in list(sys.simples) + [sys.highest_root]:
+            for a in sys.roots:
+                assert sys.root_pairing(a, b) == pairing(a, b)
+                assert sys.root_pairing(b, a) == pairing(b, a)
+
+
+def test_is_long_and_cartan_match_ambient():
+    for fam, rank in ACCEPTANCE_TYPES + TRICHOTOMY_TYPES:
+        sys = build(fam, rank)
+        pairing, len_sq = _ambient_oracle(sys)
+        longest = max(len_sq(r) for r in sys.roots)
+        for r in sys.roots:
+            assert sys.is_long(r) == (len_sq(r) == longest)
+            assert sys.length_sq(r) == 2 * len_sq(r) / longest
+        for i, ai in enumerate(sys.simples):
+            for j, aj in enumerate(sys.simples):
+                assert sys.cartan[i][j] == pairing(aj, ai)
+
+
+def test_gram_is_integral_with_family_denominator():
+    # two joined short simple roots pair to -1/2 (C of rank >= 3, F4);
+    # C2 has one short simple root, so its Gram is integral
+    expected = {"A": 1, "B": 1, "C": 2, "D": 1, "E": 1, "F": 2, "G": 3}
+    for fam, rank in ACCEPTANCE_TYPES + TRICHOTOMY_TYPES:
+        sys = build(fam, rank)
+        assert sys.gram_denominator == (1 if (fam, rank) == ("C", 2) else expected[fam])
+        assert all(type(x) is int for row in sys.gram for x in row)
+        _, len_sq = _ambient_oracle(sys)
+        longest = max(len_sq(r) for r in sys.roots)
+        amb = [sys.to_ambient(s) for s in sys.simples]
+        for i, u in enumerate(amb):
+            for j, v in enumerate(amb):
+                # inner keeps its exact Fraction value, long roots at length 2
+                ref = 2 * sum(x * y for x, y in zip(u, v)) / longest
+                assert sys.inner(sys.simples[i], sys.simples[j]) == ref
+                assert sys.gram[i][j] == ref * sys.gram_denominator
+
+
+def test_non_integral_pairing_raises():
+    # (3, 0) is not a root of A2: 2<a1, 3a1> / <3a1, 3a1> = 2/3
+    with pytest.raises(AssertionError, match="non-integral root pairing"):
+        a2().root_pairing((1, 0), (3, 0))
