@@ -77,8 +77,12 @@ def cmd_verify(args):
             _fail_usage("--radius must be nonnegative")
         if args.suite != "all" and "radius" not in suites.suite_parameters(args.suite):
             _fail_usage(f"suite {args.suite} takes no --radius")
-        if "tree" in names and args.radius > tree_oracle.MAX_RADIUS:
-            _fail_usage(f"--radius {args.radius} exceeds the tree limit {tree_oracle.MAX_RADIUS}")
+        if "tree" in names:
+            tree_min = suites.tree_hctest_depths(args.q)[0] + 1
+            if args.radius > tree_oracle.MAX_RADIUS:
+                _fail_usage(f"--radius {args.radius} exceeds the tree limit {tree_oracle.MAX_RADIUS}")
+            if args.radius < tree_min:
+                _fail_usage(f"--radius {args.radius} is below the tree minimum {tree_min} at q={args.q}")
     reports = []
     for name in sorted(names):
         try:

@@ -539,6 +539,16 @@ def suite_series(q=3, radius=10):
 # -- tree ------------------------------------------------------------------------
 
 
+def tree_hctest_depths(q):
+    """(r_inner, panel_depth) of the tree suite's hctest; the radius must exceed r_inner.
+
+    At q = 3 every interior panel is checked against the chambers within 3
+    of the base; above, the balls are wider, so the references stop at 1
+    and the panels at depth 5.
+    """
+    return (3, None) if q <= 3 else (1, 5)
+
+
 def suite_tree(q=3, radius=8):
     rep = SuiteReport("tree")
     ball = tree_oracle.build_ball(q, radius)
@@ -558,11 +568,7 @@ def suite_tree(q=3, radius=8):
         [Fraction(2)] * radius,
         "table",
     )
-    if q <= 3:
-        r_inner, panel_depth = 3, None
-    else:
-        r_inner, panel_depth = 1, 5
-    hc = tree_oracle.verify_hctest(ball, r_inner, panel_depth)
+    hc = tree_oracle.verify_hctest(ball, *tree_hctest_depths(q))
     rep.add(
         f"hctest-q{q}",
         "panel sums of normalized vectors vanish everywhere sampled",

@@ -9,10 +9,18 @@ Vertex ids: 0 is the root; level n >= 1 holds (q+1) q^(n-1) vertices in
 level order, children of earlier parents first.  Every vertex v >= 1 names
 the chamber {v, parent(v)}.  The base chamber is vertex 1; the embedded
 apartment runs through vertices 1 and 2 by repeated first children.
+
+The panel checks walk the interior panels level by level (`panel_levels`).
+The hctest makes one distance sweep per reference chamber (`_sweep`); the
+extension and Iwahori checks read each star chamber's depth-one subtree off
+its id and sum a panel as one integer over a power of q.  `chamber_distance`
+and the per-chamber value functions are the definitions tests compare with.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -54,8 +62,8 @@ class TreeBall:
         return 1 if n == 0 else (self.q + 1) * self.q ** (n - 1)
 
     def depth(self, v):
-        from bisect import bisect_right
-
+        if v < 0:
+            raise NotInBall(f"vertex {v} is not a vertex id (ids start at 0)")
         n = bisect_right(self.starts, v) - 1
         if n >= len(self.starts) - 1:
             raise NotInBall(f"vertex {v} beyond the constructed ball")
@@ -142,21 +150,25 @@ class TreeBall:
             return self.children(0)
         return [w] + self.children(w)
 
-    def interior_panels(self, max_depth=None):
-        """Vertices whose full star lies inside the ball.
+    def panel_levels(self, max_depth=None):
+        """Vertices whose full star lies inside the ball, as (depth, first, stop) ranges.
 
         These are all vertices of depth < radius plus, at depth radius, the
         ones under vertex 1 (whose child chambers sit at distance radius).
+        Every range begins its level, so the children of a range are the
+        first ids of the next level.
         """
-        top = self.radius - 1
-        if max_depth is not None:
-            top = min(top, max_depth)
-        yield 0
-        for n in range(1, top + 1):
-            yield from range(self.starts[n], self.starts[n + 1])
-        if max_depth is None or max_depth >= self.radius:
-            n = self.radius
-            yield from range(self.starts[n], self.starts[n] + self.qpow[n - 1])
+        r, s = self.radius, self.starts
+        top = r - 1 if max_depth is None else min(r - 1, max_depth)
+        levels = [(n, s[n], s[n + 1]) for n in range(top + 1)]
+        if r and (max_depth is None or max_depth >= r):
+            levels.append((r, s[r], s[r] + self.qpow[r - 1]))
+        return levels
+
+    def interior_panels(self, max_depth=None):
+        """The vertices of `panel_levels`, one by one."""
+        for _, first, stop in self.panel_levels(max_depth):
+            yield from range(first, stop)
 
     def axis_chamber(self, offset):
         """Apartment chamber at the given signed offset from the base."""
@@ -167,16 +179,6 @@ class TreeBall:
         for _ in range(steps):
             v = self.children(v)[0]
         return v
-
-    def in_subtree(self, x, v):
-        """Is vertex x in the subtree rooted at v (inclusive)?  O(1)."""
-        if v == 0:
-            return True
-        dv_ = self.depth(v)
-        dx = self.depth(x)
-        if dx < dv_:
-            return False
-        return (x - self.starts[dx]) // self.qpow[dx - dv_] == v - self.starts[dv_]
 
     # -- explicit cross-check graph ----------------------------------------
 
@@ -220,6 +222,8 @@ def build_ball(q, radius):
 
 def tree_distance(ball, c1, c2):
     for c in (c1, c2):
+        if c < 1:
+            raise NotInBall(f"{c} names no chamber (vertex 0 is the root, chambers start at 1)")
         if ball.base_distance(c) > ball.radius:
             raise NotInBall(f"chamber {c} outside the ball")
     return ball.chamber_distance(c1, c2)
@@ -241,57 +245,88 @@ class HctestReport:
     failures: int
 
 
+def _sweep(ball, ref, levels):
+    """Yield the star distances to the chamber ref of every panel in levels.
+
+    levels are (depth, first, stop) ranges of consecutive depths from 0,
+    each beginning its level, as `panel_levels` gives them.  One pass over
+    the panels, level by level.  D[x] is the distance from
+    vertex x to the nearer endpoint of ref, filled for each level of
+    children from their parents: one more than the parent, except on the
+    path from the root to ref, where it is one less down to 0 at
+    parent(ref), and 0 at ref.  A star chamber c other than ref is then at
+    distance min(D[c], D[parent(c)]) + 1.  Stars come in the order of
+    `panel_chambers`.
+    """
+    q, starts = ball.q, ball.starts
+    m = ball.depth(ref)
+    on_path = {}
+    v = ref
+    for k in range(m, 0, -1):
+        on_path[k] = v
+        v = ball.parent(v)
+    D = [m - 1]
+    for n, first, stop in levels:
+        D.extend([d + 1 for d in D[first:stop] for _ in range(q + 1 if n == 0 else q)])
+        v = on_path.get(n + 1)
+        if v is not None and v < len(D):
+            D[v] = max(m - 2 - n, 0)
+        if n == 0:
+            yield [0 if c == ref else min(D[c], D[0]) + 1 for c in range(1, q + 2)]
+            continue
+        up, down = starts[n - 1], starts[n + 1]
+        for i in range(stop - first):
+            w = first + i
+            dw, dp = D[w], D[0 if n == 1 else up + i // q]
+            c0 = down + i * q
+            star = [(dw if dw < dp else dp) + 1]
+            star += [(dc if dc < dw else dw) + 1 for dc in D[c0 : c0 + q]]
+            if w == ref:
+                star[0] = 0
+            elif c0 <= ref < c0 + q:
+                star[1 + ref - c0] = 0
+            yield star
+
+
 def star_distances(ball, w, ref):
     """Distances from every chamber of the panel star of w to the chamber ref.
 
-    One ancestor walk for the panel vertex, then O(1) per star chamber via
-    subtree tests; agrees with chamber_distance (cross-checked in tests).
-
-    Shift rules in a rooted tree, for a vertex u and targets x, parent(x):
-    dv(u, parent(x)) = dv(u, x) + 1 iff u lies in the subtree of x;
-    dv(parent(u), x) = dv(u, x) + 1 iff x lies in the subtree of u;
-    dv(child c of u, x) = dv(u, x) - 1 iff x lies in the subtree of c.
+    The reference sweep of `verify_hctest`, cut off at the panel w: it fills
+    nearer-endpoint distances over every vertex up to the level below w,
+    so one call costs as much as the ball there.  Agrees with
+    chamber_distance (cross-checked in tests).
     """
-    a = ref
-    pa = ball.parent(a)
-    dv_w_a = ball.vertex_distance(w, a)
-    dv_w_pa = dv_w_a + 1 if ball.in_subtree(w, a) else dv_w_a - 1
-    out = []
-    for v in ball.panel_chambers(w):
-        if v == a:
-            out.append(0)
-            continue
-        if v == w:
-            dva, dvpa = dv_w_a, dv_w_pa
-            dpa = dv_w_a + 1 if ball.in_subtree(a, w) else dv_w_a - 1
-            dppa = dv_w_pa + 1 if ball.in_subtree(pa, w) else dv_w_pa - 1
-        else:  # v is a child of w, and parent(v) = w
-            dva = dv_w_a - 1 if ball.in_subtree(a, v) else dv_w_a + 1
-            dvpa = dv_w_pa - 1 if ball.in_subtree(pa, v) else dv_w_pa + 1
-            dpa, dppa = dv_w_a, dv_w_pa
-        out.append(min(dva, dvpa, dpa, dppa) + 1)
-    return out
+    n, s = ball.depth(w), ball.starts
+    levels = [(k, s[k], s[k + 1]) for k in range(n)] + [(n, s[n], w + 1)]
+    *_, star = _sweep(ball, ref, levels)
+    return star
+
+
+def _scaled_panel_sum(q, dists):
+    """q^max(dists) times the sum of (-q)^(-d) over dists, an exact integer."""
+    top = max(dists)
+    return sum([(-1) ** d * q ** (top - d) for d in dists])
 
 
 def verify_hctest(ball, r_inner, panel_depth=None):
     """Sum of (-q)^(-d(C, C')) over each panel's chambers, for many C'.
 
     Every sum must vanish exactly; sums are evaluated in scaled integers.
+    The references C' are the chambers within r_inner of the base; each
+    gets one `_sweep` over the interior panels (down to panel_depth).
     """
     if r_inner + 1 > ball.radius:
         raise ValueError("need r_inner + 1 <= radius")
-    refs = [c for c in ball.chambers() if ball.base_distance(c) <= r_inner]
+    # chambers within r_inner of the base lie at depth <= r_inner + 1 <= radius
+    refs = [c for c in range(1, ball.starts[r_inner + 2]) if ball.base_distance(c) <= r_inner]
+    levels = ball.panel_levels(panel_depth)
     q = ball.q
     failures = 0
-    panels = 0
-    for w in ball.interior_panels(max_depth=panel_depth):
-        panels += 1
-        for ref in refs:
-            dists = star_distances(ball, w, ref)
-            top = max(dists)
-            total = sum((-1) ** d * q ** (top - d) for d in dists)
-            if total != 0:
+    for ref in refs:
+        for dists in _sweep(ball, ref, levels):
+            if _scaled_panel_sum(q, dists) != 0:
                 failures += 1
+    panels = sum(stop - first for _, first, stop in levels)
     return HctestReport(q=q, panels_checked=panels, references_checked=len(refs), failures=failures)
 
 
@@ -315,10 +350,20 @@ def legendre_base(ball):
     return values
 
 
-def extend_base(ball, base_values):
-    """Value of the harmonic extension at any chamber of the ball."""
+def _integer_base(base_values):
+    """The base values times their common denominator, as ints.
+
+    Raises NotHarmonicBase unless they sum to zero at the root panel.
+    """
     if sum(base_values.values(), Fraction(0)) != 0:
         raise NotHarmonicBase("base values do not sum to zero at the root panel")
+    den = math.lcm(*(Fraction(v).denominator for v in base_values.values()))
+    return {a: int(Fraction(v) * den) for a, v in base_values.items()}
+
+
+def extend_base(ball, base_values):
+    """Value of the harmonic extension at any chamber of the ball."""
+    _integer_base(base_values)  # raises NotHarmonicBase on an unbalanced base
 
     def value(c):
         a = ball.anc_at_depth_one(c)
@@ -330,6 +375,40 @@ def extend_base(ball, base_values):
     return value
 
 
+def _panel_stars(ball, levels):
+    """Yield the star of every panel in levels as (depth, chamber) pairs.
+
+    Stars come in the order of `panel_chambers`, and the children of a
+    panel are its deepest chambers.
+    """
+    q, s = ball.q, ball.starts
+    for n, first, stop in levels:
+        if n == 0:
+            yield [(1, c) for c in range(1, q + 2)]
+            continue
+        down = s[n + 1]
+        for w in range(first, stop):
+            c0 = down + (w - first) * q
+            yield [(n, w)] + [(n + 1, c) for c in range(c0, c0 + q)]
+
+
+def _extension_terms(ball, b, levels):
+    """Yield, per panel in levels, q^top times the extension on each star chamber.
+
+    A chamber c at depth k has the value b[a] (-q)^(1-k), where a = 1 +
+    (c - starts[k]) // q^(k-1) is its depth-one ancestor and b holds the
+    base values over their common denominator (`_integer_base`).  top is
+    the depth of the panel, one less than that of its children, so every
+    term is an int.
+    """
+    q, s, qpow = ball.q, ball.starts, ball.qpow
+    for star in _panel_stars(ball, levels):
+        top = star[-1][0] - 1
+        yield [
+            b[1 + (c - s[k]) // qpow[k - 1]] * (-1) ** (k - 1) * q ** (top + 1 - k) for k, c in star
+        ]
+
+
 @dataclass
 class ExtensionReport:
     q: int
@@ -339,16 +418,14 @@ class ExtensionReport:
 
 def verify_extension(ball, base_values):
     """Panel sums of the harmonic extension vanish at every interior panel."""
-    value = extend_base(ball, base_values)
-    q = ball.q
-    failures = 0
-    panels = 0
-    for w in ball.interior_panels():
-        panels += 1
-        total = sum(value(c) for c in ball.panel_chambers(w))
-        if total != 0:
-            failures += 1
-    return ExtensionReport(q=q, panels_checked=panels, failures=failures)
+    b = _integer_base(base_values)
+    for a in range(1, ball.q + 2):
+        if a not in b:
+            raise NotInBall(f"chamber {a} does not resolve to the root panel")
+    levels = ball.panel_levels()
+    failures = sum(1 for terms in _extension_terms(ball, b, levels) if sum(terms) != 0)
+    panels = sum(stop - first for _, first, stop in levels)
+    return ExtensionReport(q=ball.q, panels_checked=panels, failures=failures)
 
 
 def iwahori_values(ball):
@@ -361,15 +438,23 @@ def iwahori_values(ball):
     return value
 
 
+def _base_distances(ball, levels):
+    """Yield, per panel in levels, the distance of each star chamber to the base.
+
+    A chamber c at depth k is at distance k - 1 when it lies under vertex 1
+    (c - starts[k] < q^(k-1)) and at distance k otherwise.
+    """
+    s, qpow = ball.starts, ball.qpow
+    for star in _panel_stars(ball, levels):
+        yield [k - 1 if c - s[k] < qpow[k - 1] else k for k, c in star]
+
+
 def verify_iwahori_harmonic(ball, panel_depth=None):
     """Interior panel sums of the base Iwahori vector vanish."""
-    value = iwahori_values(ball)
-    failures = 0
-    panels = 0
-    for w in ball.interior_panels(max_depth=panel_depth):
-        panels += 1
-        if sum(value(c) for c in ball.panel_chambers(w)) != 0:
-            failures += 1
+    levels = ball.panel_levels(panel_depth)
+    sums = (_scaled_panel_sum(ball.q, dists) for dists in _base_distances(ball, levels))
+    failures = sum(1 for total in sums if total != 0)
+    panels = sum(stop - first for _, first, stop in levels)
     return ExtensionReport(q=ball.q, panels_checked=panels, failures=failures)
 
 

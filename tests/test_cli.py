@@ -65,7 +65,7 @@ def test_verify_prasad_deterministic(tmp_path):
 
 
 
-@pytest.mark.parametrize("suite", ["rootsys", "prasad", "sorth"])
+@pytest.mark.parametrize("suite", sorted(suites.SUITES))
 def test_verify_reports_identical_across_hash_seeds(tmp_path, suite):
     # set and dict iteration order follows PYTHONHASHSEED; the report must not
     reports = []
@@ -132,6 +132,30 @@ def test_verify_bad_radius_exits_2(args):
     assert out.returncode == 2
     assert "radius" in out.stderr
     assert out.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args, minimum",
+    [
+        (["tree", "--radius", "0"], 4),
+        (["tree", "--radius", "3"], 4),
+        (["tree", "--q", "5", "--radius", "1"], 2),
+        (["all", "--radius", "2"], 4),
+    ],
+)
+def test_verify_radius_below_tree_minimum_exits_2(args, minimum):
+    # the hctest compares chambers within r_inner of the base, so the ball needs r_inner + 1
+    out = run_cli("verify", *args)
+    assert out.returncode == 2
+    assert f"below the tree minimum {minimum}" in out.stderr
+    assert out.stdout == ""
+
+
+@pytest.mark.parametrize("q, radius", [(3, 4), (5, 2)])
+def test_verify_tree_at_minimum_radius_passes(q, radius):
+    out = run_cli("verify", "tree", "--q", str(q), "--radius", str(radius))
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "all checks passed" in out.stdout
 
 
 def test_run_suite_forwards_radius_to_cochain(monkeypatch):

@@ -51,29 +51,42 @@ def test_not_in_ball():
         T.tree_distance(ball, 1, outside + 10**6)
 
 
+@pytest.mark.parametrize("c", [0, -1, -5])
+def test_ids_below_one_name_no_chamber(c):
+    # vertex 0 is the root and negative ids address nothing
+    ball = T.build_ball(3, 2)
+    with pytest.raises(NotInBall):
+        T.tree_distance(ball, c, 1)
+    with pytest.raises(NotInBall):
+        T.tree_distance(ball, 1, c)
+    if c < 0:
+        with pytest.raises(NotInBall):
+            ball.depth(c)
+
+
+def _bfs(adj, start):
+    dist = {start: 0}
+    dq = deque([start])
+    while dq:
+        v = dq.popleft()
+        for w in adj[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                dq.append(w)
+    return dist
+
+
 def test_distances_match_explicit_bfs():
     ball = T.build_ball(3, 4)
     adj = ball.explicit_adjacency()
-
-    def bfs(start):
-        dist = {start: 0}
-        dq = deque([start])
-        while dq:
-            v = dq.popleft()
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    dq.append(w)
-        return dist
-
-    from_base = bfs(1)
+    from_base = _bfs(adj, 1)
     for c in ball.chambers():
         assert from_base[c] == ball.base_distance(c)
     rng = random.Random(9)
     ids = list(ball.chambers())
     for _ in range(20):
         a = rng.choice(ids)
-        table = bfs(a)
+        table = _bfs(adj, a)
         b = rng.choice(ids)
         assert table[b] == ball.chamber_distance(a, b)
 
@@ -89,6 +102,35 @@ def test_star_distances_agree_with_pairwise():
         assert T.star_distances(ball, w, ref) == [
             ball.chamber_distance(c, ref) for c in ball.panel_chambers(w)
         ]
+
+
+@pytest.mark.parametrize("q, radius", [(3, 4), (5, 3)])
+def test_sweep_agrees_with_pairwise_and_bfs(q, radius):
+    ball = T.build_ball(q, radius)
+    levels = ball.panel_levels()
+    panels = list(ball.interior_panels())
+    ids = list(ball.chambers())
+    for ref in ids:
+        stars = list(T._sweep(ball, ref, levels))
+        assert len(stars) == len(panels)
+        for w, star in zip(panels, stars):
+            assert star == [ball.chamber_distance(c, ref) for c in ball.panel_chambers(w)]
+    adj = ball.explicit_adjacency()
+    rng = random.Random(q * 100 + radius)
+    for ref in rng.sample(ids, 8):
+        table = _bfs(adj, ref)
+        for w, star in zip(panels, T._sweep(ball, ref, levels)):
+            assert star == [table[c] for c in ball.panel_chambers(w)]
+
+
+def test_panel_levels_cut_at_max_depth():
+    ball = T.build_ball(3, 4)
+    assert [n for n, _, _ in ball.panel_levels()] == [0, 1, 2, 3, 4]
+    assert [n for n, _, _ in ball.panel_levels(2)] == [0, 1, 2]
+    # at depth radius only the panels under vertex 1 are interior
+    n, first, stop = ball.panel_levels()[-1]
+    assert (first, stop - first) == (ball.starts[4], 27)
+    assert T.build_ball(3, 0).panel_levels() == []
 
 
 def test_hctest_small():
@@ -127,6 +169,32 @@ def test_extension_harmonic():
     assert report.failures == 0
     iwa = T.verify_iwahori_harmonic(ball)
     assert iwa.failures == 0
+
+
+@pytest.mark.parametrize("q, radius", [(3, 2), (3, 5), (5, 2), (5, 4)])
+def test_integer_panel_sums_match_fraction_sums(q, radius):
+    ball = T.build_ball(q, radius)
+    panels = list(ball.interior_panels())
+    depths = [ball.depth(w) for w in panels]
+    levels = ball.panel_levels()
+    # a balanced base over the common denominator 6 (q - 1), to exercise the scaling
+    others = list(range(3, q + 2))
+    base = {1: Fraction(1, 2), 2: Fraction(-1, 3)}
+    base.update({c: Fraction(-1, 6 * len(others)) for c in others})
+    b = T._integer_base(base)
+    den = 6 * len(others)
+    assert all(Fraction(b[a], den) == base[a] for a in base)
+    value = T.extend_base(ball, base)
+    for w, n, terms in zip(panels, depths, T._extension_terms(ball, b, levels), strict=True):
+        star = ball.panel_chambers(w)
+        assert terms == [value(c) * den * q**n for c in star]
+        assert Fraction(sum(terms), den * q**n) == sum(value(c) for c in star)
+    iwahori = T.iwahori_values(ball)
+    for w, dists in zip(panels, T._base_distances(ball, levels), strict=True):
+        star = ball.panel_chambers(w)
+        assert dists == [ball.base_distance(c) for c in star]
+        total = T._scaled_panel_sum(q, dists)
+        assert Fraction(total, q ** max(dists)) == sum(iwahori(c) for c in star)
 
 
 def test_extension_decay_along_branches():
