@@ -1,9 +1,13 @@
 """The standard apartment at both levels, encoded by half-unit functions.
 
-A chamber stores h(alpha) = 2 f(alpha) for every root alpha, so walls of the
-fine (E) level sit at integer h and walls of the coarse (F) level at even h.
-The gallery metric, translations, reflections and the special chambers of
-type A with even rank all operate on these integer maps.
+A chamber stores h(alpha) = 2 f(alpha) for the positive roots only, so walls
+of the fine (E) level sit at integer h and walls of the coarse (F) level at
+even h.  The level fixes the negative half: h(-a) = ceiling - h(a), with
+ceiling 1 at the fine level and 2 at the coarse level.  A root a bounds a
+facet of the chamber unless h(a) = h(b) + h(a-b) for roots b and a-b; the
+d+1 facet roots give the adjacent chambers.  The gallery metric,
+translations, reflections and the special chambers of type A with even rank
+all operate on these integer tuples.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from operator import add
 
 from .errors import (
     HalfIntegralityViolation,
@@ -28,7 +33,10 @@ F_LEVEL = "F"
 
 
 class Chamber:
-    """An alcove of the apartment at one level; immutable and hashable."""
+    """An alcove of the apartment at one level; immutable and hashable.
+
+    h holds h(alpha) for alpha in system.positive_roots, in that order.
+    """
 
     __slots__ = ("system", "level", "h", "_hash")
 
@@ -36,18 +44,25 @@ class Chamber:
         self.system = system
         self.level = level
         self.h = tuple(h)
-        if len(self.h) != len(system.roots):
-            raise ValueError("h must assign a value to every root")
-        for value, alpha in zip(self.h, system.roots):
-            opp = self.h[system.root_index[_neg(alpha)]]
-            if level == E_LEVEL and value + opp != 1:
-                raise ValueError("not a fine-level chamber: h(a)+h(-a) != 1")
-            if level == F_LEVEL and (value % 2 != 0 or value + opp != 2):
-                raise ValueError("not a coarse-level chamber")
+        if len(self.h) != len(system.positive_roots):
+            raise ValueError("h must assign a value to every positive root")
+        if level == F_LEVEL and any(v % 2 for v in self.h):
+            raise ValueError("not a coarse-level chamber: odd h")
         self._hash = hash((str(system.type), level, self.h))
 
+    @property
+    def ceiling(self):
+        """h(a) + h(-a) for every root a: 1 at the fine level, 2 at the coarse."""
+        return 1 if self.level == E_LEVEL else 2
+
     def value(self, alpha):
-        return self.h[self.system.root_index[tuple(alpha)]]
+        # roots are sorted, so the negatives fill the first half, each at the
+        # mirror index of its opposite
+        i = self.system.root_index[tuple(alpha)]
+        half = len(self.h)
+        if i >= half:
+            return self.h[i - half]
+        return self.ceiling - self.h[half - 1 - i]
 
     def f(self, alpha):
         return Fraction(self.value(alpha), 2)
@@ -67,30 +82,25 @@ class Chamber:
         return f"Chamber({self.system.type}, {self.level}, {self.h})"
 
 
-def _make(system, level, hmap):
-    return Chamber(system, level, tuple(hmap[r] for r in system.roots))
+def _sum_slacks(chamber):
+    """(a+b, h(a) + h(b) - h(a+b)) for every pair of roots whose sum is a root."""
+    h = {r: chamber.value(r) for r in chamber.system.roots}
+    for a, ha in h.items():
+        for b, hb in h.items():
+            s = tuple(map(add, a, b))
+            if s in h:
+                yield s, ha + hb - h[s]
 
 
-def check_concave(system, hmap, ceiling):
-    """Concavity of h/2 plus the level bound h(a)+h(-a) <= ceiling."""
-    for alpha in system.roots:
-        if hmap[alpha] + hmap[_neg(alpha)] < 0:
-            return False
-        if hmap[alpha] + hmap[_neg(alpha)] > ceiling:
-            return False
-    for alpha in system.roots:
-        for beta in system.roots:
-            s = tuple(a + b for a, b in zip(alpha, beta))
-            if system.is_root(s) and hmap[s] > hmap[alpha] + hmap[beta]:
-                return False
-    return True
+def check_concave(chamber):
+    """Concavity of h/2; the level bound h(a)+h(-a) = ceiling holds by construction."""
+    return all(slack >= 0 for _, slack in _sum_slacks(chamber))
 
 
 def base_chambers(system):
     """The reference chambers: h = 0 on positives, 2 (resp. 1) on negatives."""
-    hf = {r: (0 if system.is_positive(r) else 2) for r in system.roots}
-    he = {r: (0 if system.is_positive(r) else 1) for r in system.roots}
-    return _make(system, F_LEVEL, hf), _make(system, E_LEVEL, he)
+    zeros = (0,) * len(system.positive_roots)
+    return Chamber(system, F_LEVEL, zeros), Chamber(system, E_LEVEL, zeros)
 
 
 def distance(c1, c2):
@@ -99,11 +109,7 @@ def distance(c1, c2):
         raise LevelMismatch("chambers from different systems")
     if c1.level != c2.level:
         raise LevelMismatch("chambers at different levels")
-    sys = c1.system
-    total = 0
-    for i, r in enumerate(sys.roots):
-        if sys.is_positive(r):
-            total += abs(c1.h[i] - c2.h[i])
+    total = sum(abs(a - b) for a, b in zip(c1.h, c2.h))
     return total if c1.level == E_LEVEL else total // 2
 
 
@@ -115,21 +121,20 @@ def containing_f_chamber(chamber):
     """
     if chamber.level != E_LEVEL:
         raise LevelMismatch("expected a fine-level chamber")
-    sys = chamber.system
-    hmap = {r: (v if v % 2 == 0 else v + 1) for r, v in zip(sys.roots, chamber.h)}
-    return _make(sys, F_LEVEL, hmap)
+    return Chamber(chamber.system, F_LEVEL, (v + v % 2 for v in chamber.h))
 
 
 def translate(chamber, xi):
     """Translate by an integral coweight: h(alpha) += 2 <alpha, xi>."""
     sys = chamber.system
-    hmap = {}
-    for i, r in enumerate(sys.roots):
-        shift = sys.pairing(r, [Fraction(x) for x in xi])
+    xi = [Fraction(x) for x in xi]
+    h = []
+    for v, r in zip(chamber.h, sys.positive_roots):
+        shift = sys.pairing(r, xi)
         if shift.denominator != 1:
             raise ValueError("coweight must pair integrally with all roots")
-        hmap[r] = chamber.h[i] + 2 * int(shift)
-    return _make(sys, chamber.level, hmap)
+        h.append(v + 2 * int(shift))
+    return Chamber(sys, chamber.level, h)
 
 
 def reflect(chamber, wall):
@@ -142,28 +147,27 @@ def reflect(chamber, wall):
     alpha = sys.check_root(alpha)
     if chamber.level == F_LEVEL and c % 2 != 0:
         raise NotAWall("coarse-level walls sit at even half-units")
-    hmap = {}
-    for r in sys.roots:
-        img = sys.reflect_root(alpha, r)
-        hmap[r] = chamber.value(img) + c * sys.root_pairing(r, alpha)
-    return _make(sys, chamber.level, hmap)
+    h = (
+        chamber.value(sys.reflect_root(alpha, r)) + c * sys.root_pairing(r, alpha)
+        for r in sys.positive_roots
+    )
+    return Chamber(sys, chamber.level, h)
 
 
 def wall_neighbors(chamber):
     """The adjacent chambers, keyed by the facet root (extended simple set)."""
-    out = {}
-    seen = set()
-    for r in chamber.system.roots:
-        cand = reflect(chamber, (r, chamber.value(r)))
-        if cand != chamber and distance(chamber, cand) == 1 and cand not in seen:
-            seen.add(cand)
-            out[r] = cand
-    return out
+    return {r: reflect(chamber, (r, chamber.value(r))) for r in extended_simple_roots(chamber)}
 
 
 def extended_simple_roots(chamber):
-    """The d+1 facet roots of the chamber."""
-    return sorted(wall_neighbors(chamber))
+    """The d+1 facet roots of the chamber, sorted.
+
+    A root a is a facet root unless h(a) = h(b) + h(a-b) for some root b
+    with a-b a root: then the wall of a meets the chamber's closure only
+    where the walls of b and a-b do.
+    """
+    tight = {s for s, slack in _sum_slacks(chamber) if slack == 0}
+    return [r for r in chamber.system.roots if r not in tight]
 
 
 def chambers_within(c0, radius):
@@ -201,15 +205,11 @@ def e_chambers_in_f_chamber(cf):
     if cf.level != F_LEVEL:
         raise LevelMismatch("expected a coarse-level chamber")
     sys = cf.system
-    pos = [r for r in sys.roots if sys.is_positive(r)]
     found = []
-    for choice in product((0, 1), repeat=len(pos)):
-        hmap = {}
-        for r, drop in zip(pos, choice):
-            hmap[r] = cf.value(r) - drop
-            hmap[_neg(r)] = 1 - hmap[r]
-        if check_concave(sys, hmap, 1):
-            found.append(_make(sys, E_LEVEL, hmap))
+    for choice in product((0, 1), repeat=len(cf.h)):
+        ce = Chamber(sys, E_LEVEL, (v - drop for v, drop in zip(cf.h, choice)))
+        if check_concave(ce):
+            found.append(ce)
     if len(found) != 2 ** sys.type.rank:
         raise AssertionError(f"expected {2 ** sys.type.rank} fine chambers, got {len(found)}")
     return sorted(found, key=lambda ch: ch.h)
@@ -234,43 +234,24 @@ def central_chamber_sigma(sys):
     """Closed-form central chamber of the base coarse chamber of A_{2n}.
 
     Builds the interleaving permutation sigma (even slots to 1..n, odd slots
-    to n+1..2n+1) and reads off f on every root from the slot parities.
+    to n+1..2n+1) and reads off f from the slot parities: for slots i < j,
+    2 f(eps_sigma(i) - eps_sigma(j)) = i%2 - j%2, and the opposite root adds
+    the fine ceiling 1.
     """
     if not (sys.type.family == "A" and sys.type.rank % 2 == 0):
         raise NotTypeA2n(str(sys.type))
-    d = sys.type.rank
-    n = d // 2
-    m = d + 1
-    sigma = {}
-    for i in range(1, m + 1):
-        if i % 2 == 0:
-            sigma[i] = i // 2
-        else:
-            sigma[i] = n + (i - 1) // 2 + 1
-    # root eps_k - eps_l over the simple basis: alpha_k + ... + alpha_{l-1}
-    def root_eps(k, l):
-        v = [0] * d
-        if k < l:
-            for t in range(k, l):
-                v[t - 1] += 1
-        else:
-            for t in range(l, k):
-                v[t - 1] -= 1
-        return tuple(v)
+    n = sys.type.rank // 2
 
-    hmap = {}
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            if i % 2 == j % 2:
-                f2 = 0
-            elif i % 2 == 0:
-                f2 = -1
-            else:
-                f2 = 1
-            r = root_eps(sigma[i], sigma[j])
-            hmap[r] = f2
-            hmap[_neg(r)] = 1 - f2
-    return _make(sys, E_LEVEL, hmap)
+    def slot(k):  # sigma^-1(k)
+        return 2 * k if k <= n else 2 * (k - n) - 1
+
+    h = []
+    for r in sys.positive_roots:
+        # r = eps_k - eps_l = alpha_k + ... + alpha_{l-1}
+        k = r.index(1) + 1
+        i, j = slot(k), slot(k + sum(r))
+        h.append((i > j) + i % 2 - j % 2)
+    return Chamber(sys, E_LEVEL, h)
 
 
 def canonical_sigma_chamber(sys, sigma_members):
@@ -296,15 +277,9 @@ def canonical_sigma_chamber(sys, sigma_members):
         weight = sys.long_height
     else:
         weight = sys.height
-    hmap = {}
-    for r in sys.roots:
-        if sys.is_positive(r):
-            hmap[r] = -weight(r)
-        else:
-            hmap[r] = weight(_neg(r)) + 1
-    if not check_concave(sys, hmap, 1):
+    chamber = Chamber(sys, E_LEVEL, (-weight(r) for r in sys.positive_roots))
+    if not check_concave(chamber):
         raise AssertionError("canonical chamber candidate is not concave")
-    chamber = _make(sys, E_LEVEL, hmap)
     for m in sigma_members:
         if chamber.value(m) % 2 != 0:
             raise AssertionError("canonical chamber must be integral on the set")

@@ -8,7 +8,7 @@ import json
 import sys as _sys
 
 from . import cochain, sorth, suites, tables, tree_oracle
-from .errors import InvalidRank, NotApplicable, read_budget
+from .errors import BudgetExceeded, InvalidRank, NotApplicable, read_budget
 from .rootsys import build
 
 USAGE_ERROR = 2
@@ -77,12 +77,17 @@ def cmd_verify(args):
             _fail_usage("--radius must be nonnegative")
         if args.suite != "all" and "radius" not in suites.suite_parameters(args.suite):
             _fail_usage(f"suite {args.suite} takes no --radius")
-        if "tree" in names:
-            tree_min = suites.tree_hctest_depths(args.q)[0] + 1
-            if args.radius > tree_oracle.MAX_RADIUS:
-                _fail_usage(f"--radius {args.radius} exceeds the tree limit {tree_oracle.MAX_RADIUS}")
-            if args.radius < tree_min:
-                _fail_usage(f"--radius {args.radius} is below the tree minimum {tree_min} at q={args.q}")
+    if "tree" in names:
+        radius = args.radius
+        if radius is None:
+            radius = suites.suite_parameters("tree")["radius"].default
+        tree_min = suites.tree_hctest_depths(args.q)[0] + 1
+        if radius < tree_min:
+            _fail_usage(f"--radius {radius} is below the tree minimum {tree_min} at q={args.q}")
+        try:
+            tree_oracle.build_ball(args.q, radius)  # O(radius): sizes the ball, enumerates nothing
+        except BudgetExceeded as exc:
+            _fail_usage(f"tree ball at q={args.q}, radius {radius}: {exc}")
     reports = []
     for name in sorted(names):
         try:

@@ -317,8 +317,9 @@ def nearest_resolver(base_chambers_list):
     """Resolver picking the unique nearest chamber of the base set."""
 
     def resolve(c):
-        dists = sorted((apartment.distance(c, b), b.h) for b in base_chambers_list)
-        best = [b for b in base_chambers_list if apartment.distance(c, b) == dists[0][0]]
+        dists = [apartment.distance(c, b) for b in base_chambers_list]
+        nearest = min(dists)
+        best = [b for b, d in zip(base_chambers_list, dists) if d == nearest]
         if len(best) != 1:
             raise NotHarmonicBase("no unique closure chamber; facet star ambiguous")
         return best[0]

@@ -6,6 +6,7 @@ from steinberg_lab import apartment, tables
 from steinberg_lab.apartment import (
     E_LEVEL,
     F_LEVEL,
+    Chamber,
     FacetFunctional,
     base_chambers,
     canonical_sigma_chamber,
@@ -28,7 +29,7 @@ from steinberg_lab.errors import (
     NotTypeA2n,
     UnsupportedSigma,
 )
-from steinberg_lab.rootsys import build
+from steinberg_lab.rootsys import _neg, build
 
 
 def test_base_chambers_a1():
@@ -161,6 +162,68 @@ def test_extended_simple_roots_of_base():
     sys = build("A", 2)
     _, ce = base_chambers(sys)
     assert extended_simple_roots(ce) == sorted(sys.extended_simple_set())
+
+
+FACET_BALLS = [
+    ("A", 1, 3),
+    ("A", 2, 3),
+    ("B", 2, 3),
+    ("C", 2, 3),
+    ("G", 2, 3),
+    ("A", 3, 2),
+    ("B", 3, 2),
+    ("C", 3, 2),
+    ("D", 4, 1),
+    ("F", 4, 1),
+]
+
+
+def _ball(fam, rank, radius, level):
+    sys = build(fam, rank)
+    cf, ce = base_chambers(sys)
+    c0 = ce if level == E_LEVEL else cf
+    return sys, [c for shell in chambers_within(c0, radius) for c in shell]
+
+
+@pytest.mark.parametrize("level", [E_LEVEL, F_LEVEL])
+@pytest.mark.parametrize("fam, rank, radius", FACET_BALLS)
+def test_facet_roots_match_reflect_every_root(fam, rank, radius, level):
+    # the definition: a facet root's wall leads to a chamber at distance 1
+    sys, ball = _ball(fam, rank, radius, level)
+    for ch in ball:
+        oracle = {}
+        for r in sys.roots:
+            other = reflect(ch, (r, ch.value(r)))
+            if distance(ch, other) == 1:
+                oracle[r] = other
+        assert len(oracle) == rank + 1
+        assert extended_simple_roots(ch) == sorted(oracle)
+        assert wall_neighbors(ch) == oracle
+
+
+@pytest.mark.parametrize("level", [E_LEVEL, F_LEVEL])
+@pytest.mark.parametrize("fam, rank, radius", FACET_BALLS)
+def test_positive_half_encoding(fam, rank, radius, level):
+    sys, ball = _ball(fam, rank, radius, level)
+    ceiling = 1 if level == E_LEVEL else 2
+    for ch in ball:
+        assert len(ch.h) == len(sys.positive_roots)
+        assert ch.ceiling == ceiling
+        for a in sys.roots:
+            assert ch.value(a) + ch.value(_neg(a)) == ceiling
+
+
+def test_chamber_rejects_bad_tuples():
+    sys = build("A", 2)
+    with pytest.raises(ValueError):
+        Chamber(sys, E_LEVEL, (0, 0, 0, 1, 1, 1))  # one value per root
+    with pytest.raises(ValueError):
+        Chamber(sys, F_LEVEL, (0, 0))
+    with pytest.raises(ValueError):
+        Chamber(sys, F_LEVEL, (0, 1, 0))  # odd at the coarse level
+    # positive roots in order: (0, 1), (1, 0), (1, 1)
+    ch = Chamber(sys, E_LEVEL, (0, 1, 0))
+    assert (ch.value((1, 0)), ch.value((-1, 0)), ch.value((0, -1))) == (1, 0, 1)
 
 
 def test_canonical_chamber_a1():

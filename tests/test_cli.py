@@ -151,6 +151,21 @@ def test_verify_radius_below_tree_minimum_exits_2(args, minimum):
     assert out.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args, env, count, budget",
+    [
+        (["--q", "5", "--radius", "9"], None, 4882811, 3000000),
+        (["--q", "7"], None, 13451201, 3000000),
+        (["--radius", "4"], {"STEINBERG_BUDGET": "100"}, 241, 100),
+    ],
+)
+def test_verify_tree_over_chamber_budget_exits_2(args, env, count, budget):
+    out = run_cli("verify", "tree", *args, env=env)
+    assert out.returncode == 2
+    assert f"{count} chambers exceed the budget of {budget}" in out.stderr
+    assert out.stdout == ""
+
+
 @pytest.mark.parametrize("q, radius", [(3, 4), (5, 2)])
 def test_verify_tree_at_minimum_radius_passes(q, radius):
     out = run_cli("verify", "tree", "--q", str(q), "--radius", str(radius))
