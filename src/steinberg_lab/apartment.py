@@ -21,6 +21,7 @@ from operator import add
 from .errors import (
     HalfIntegralityViolation,
     LevelMismatch,
+    NotApplicable,
     NotAWall,
     NotTypeA2n,
     UnsupportedSigma,
@@ -265,7 +266,7 @@ def canonical_sigma_chamber(sys, sigma_members):
 
     try:
         expected = tables.sign_basis(sys)
-    except Exception as exc:  # A with even rank
+    except NotApplicable as exc:  # A with even rank
         raise UnsupportedSigma(str(exc))
     if {sys.pos_rep(m) for m in sigma_members} != {sys.pos_rep(m) for m in expected}:
         raise UnsupportedSigma("set is not the tabled representative")

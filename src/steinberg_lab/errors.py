@@ -65,10 +65,6 @@ def read_budget(default):
     return value
 
 
-class CertificateNotFound(RuntimeError):
-    """Exhaustive search finished without producing a conjugating word."""
-
-
 class AmbiguousConstraints(ValueError):
     """Sign-character constraints do not span; carries the unspanned quotient."""
 

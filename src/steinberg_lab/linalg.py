@@ -128,10 +128,16 @@ class LeftInverse:
         # A L = _proj / den
         self._proj = [[sum(map(mul, coord, col)) for col in zip(*left)] for coord in zip(*cols)]
 
-    def coordinates(self, v):
-        """Coordinates of v over the vectors, or None when v is off their span."""
+    def numerators(self, v):
+        """(integer numerators, common denominator) of the coordinates of v
+        over the vectors, or None when v is off their span."""
         (w,), scale = _scaled_to_integers([v])
         for row, c in zip(self._proj, w, strict=True):
             if sum(map(mul, row, w)) != self._den * c:
                 return None
-        return [Fraction(sum(map(mul, row, w)), self._den * scale) for row in self._left]
+        return [sum(map(mul, row, w)) for row in self._left], self._den * scale
+
+    def coordinates(self, v):
+        """Coordinates of v over the vectors, or None when v is off their span."""
+        found = self.numerators(v)
+        return None if found is None else [Fraction(n, found[1]) for n in found[0]]

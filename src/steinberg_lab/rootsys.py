@@ -58,9 +58,7 @@ class RootSystemType:
 
 
 def _basis(dim, i):
-    v = [Fraction(0)] * dim
-    v[i] = Fraction(1)
-    return tuple(v)
+    return tuple(int(j == i) for j in range(dim))
 
 
 def _add(u, v):
@@ -269,6 +267,7 @@ class RootSystem:
         self.two_rho = tuple(two_rho)
         self._cartan_inv = None
         self._ambient_inv = None
+        self._ambient_roots = None
 
     # -- construction -------------------------------------------------
 
@@ -392,6 +391,7 @@ class RootSystem:
         return 1 + sum(self.highest_root)
 
     def extended_simple_set(self):
+        """Simple roots and the lowest root; the oracle for the base chamber's facet roots."""
         return list(self.simples) + [_neg(self.highest_root)]
 
     def weyl_order(self):
@@ -414,15 +414,13 @@ class RootSystem:
         """Express an ambient-coordinate vector over the simple roots."""
         if self._ambient_inv is None:
             self._ambient_inv = LeftInverse(self._ambient_simples)
-        sol = self._ambient_inv.coordinates(vec)
-        if sol is None:
+        found = self._ambient_inv.numerators(vec)
+        if found is None:
             raise NotARoot(f"{vec} is not in the root lattice span")
-        out = []
-        for x in sol:
-            if x.denominator != 1:
-                raise NotARoot(f"{vec} is not an integral lattice vector")
-            out.append(int(x))
-        return tuple(out)
+        nums, den = found
+        if any(n % den for n in nums):
+            raise NotARoot(f"{vec} is not an integral lattice vector")
+        return tuple(n // den for n in nums)
 
     def to_ambient(self, root):
         dim = len(self._ambient_simples[0])
@@ -433,8 +431,11 @@ class RootSystem:
         return tuple(total)
 
     def ambient_root_table(self):
-        """Roots enumerated straight from the classical plate descriptions."""
-        return sorted(self.from_ambient(v) for v in _ambient_all_roots(self.type.family, self.type.rank))
+        """Sorted roots from the classical plate descriptions; a fresh list, built once."""
+        if self._ambient_roots is None:
+            plates = _ambient_all_roots(self.type.family, self.type.rank)
+            self._ambient_roots = tuple(sorted(map(self.from_ambient, plates)))
+        return list(self._ambient_roots)
 
     def __repr__(self):
         return f"RootSystem({self.type})"
@@ -506,10 +507,28 @@ def weyl_orbit(sys, members, budget, target=None):
 # -- closed subsystems ----------------------------------------------------
 
 
+def support_components(sys, support):
+    """Components of the Dynkin diagram on a set of simple-root indices, each
+    sorted, by smallest index: the components of the parabolic subsystem."""
+    comps = []
+    for i in support:
+        linked = [c for c in comps if any(sys.cartan[i][j] for j in c)]
+        merged = sorted([i] + [j for c in linked for j in c])
+        comps = [c for c in comps if c not in linked] + [merged]
+    return sorted(comps)
+
+
+def parabolic_roots(sys, support):
+    """Roots supported on a set of simple-root indices, sorted."""
+    outside = [i for i in range(sys.type.rank) if i not in support]
+    return [r for r in sys.roots if not any(r[i] for i in outside)]
+
+
 def subsystem_components(sys, roots):
     """Split a symmetric set of roots into irreducible components.
 
-    Components are sorted by their lexicographically smallest member.
+    Components are sorted by their lexicographically smallest member.  The
+    pairwise test oracle for support_components; classify_subsystem uses it.
     """
     roots = sorted(roots)
     index = {r: i for i, r in enumerate(roots)}
@@ -538,7 +557,7 @@ def subsystem_components(sys, roots):
 
 
 def subsystem_simples(sys, roots):
-    """Indecomposable positive members of a closed symmetric subset."""
+    """Indecomposable positive members of a closed symmetric subset; a test oracle."""
     pos = [r for r in roots if sys.is_positive(r)]
     pos_set = set(pos)
     simples = []
@@ -594,6 +613,7 @@ def classify_subsystem(sys, roots):
 
     Returns a sorted list of (family, rank) pairs, canonicalized so that
     coincidences use the earliest family letter (D3 reports as A3, C2 as B2).
+    A test oracle: it names the types of so_complement output.
     """
     out = []
     for comp in subsystem_components(sys, roots):
@@ -621,14 +641,13 @@ def classify_subsystem(sys, roots):
 # -- dominance walks -------------------------------------------------------
 
 
-def word_to_dominant(sys, sub_roots, root):
-    """Reflections (as roots of the subsystem) taking root to the dominant
-    representative of its length class inside the closed subsystem.
+def word_to_dominant(sys, simples, root):
+    """Reflections (simple roots of a subsystem, tried in the given order)
+    taking root to the dominant representative of its length class there.
 
     Returns (dominant, word); applying s_{word[0]}, s_{word[1]}, ... to root,
     in that order, yields dominant.
     """
-    simples = subsystem_simples(sys, sub_roots)
     cur = root
     word = []
     moved = True
@@ -648,24 +667,3 @@ def apply_word(sys, word, v):
     for beta in word:
         v = sys.reflect_root(beta, v)
     return v
-
-
-def expand_to_simple_word(sys, beta):
-    """Express s_beta as a word in simple reflections (list of indices)."""
-    beta = sys.check_root(beta)
-    cur = sys.pos_rep(beta)
-    conj = []
-    while cur not in sys.simples:
-        for i, s in enumerate(sys.simples):
-            if cur != s and sys.root_pairing(cur, s) > 0:
-                nxt = sys.simple_reflect(i, cur)
-                if sys.is_positive(nxt):
-                    conj.append(i)
-                    cur = nxt
-                    break
-        else:
-            raise AssertionError("dominance walk stuck")
-    i0 = sys.simples.index(cur)
-    # s_beta = w^-1 s_{i0} w with w the recorded conjugating word; applied
-    # left to right that reads conj, i0, conj reversed
-    return conj + [i0] + list(reversed(conj))

@@ -5,14 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import tables
-from .errors import BudgetExceeded, CertificateNotFound, read_budget
+from .errors import BudgetExceeded, read_budget
 from .rootsys import (
     _add,
     _neg,
     apply_word,
     canonical_set,
+    parabolic_roots,
     strongly_orthogonal,
-    subsystem_components,
+    support_components,
     weyl_orbit,
     word_to_dominant,
 )
@@ -80,26 +81,26 @@ def sigma_a(sys):
 
     Takes the highest root of each irreducible component, then recurses on
     the strongly-orthogonal complement inside that component.  Components
-    are processed in lexicographic order of their smallest member.
+    are processed in lexicographic order of their smallest member.  This is
+    Kostant's cascade; every subsystem reached is parabolic (an index set).
     """
-    members = _sigma_rec(sys, list(sys.roots))
+    members = _sigma_rec(sys, range(sys.type.rank))
     return so_set(sys, members)
 
 
-def _sigma_rec(sys, roots):
-    if not roots:
-        return []
+def _orthogonal_simples(sys, comp, dom):
+    """Indices in comp orthogonal to dom; if dom is dominant, they support its orthogonal roots."""
+    return [i for i in comp if sys.root_pairing(sys.simples[i], dom) == 0]
+
+
+def _sigma_rec(sys, support):
     out = []
-    for comp in subsystem_components(sys, roots):
-        pos = [r for r in comp if sys.is_positive(r)]
-        top = max(pos, key=lambda r: (sum(r), r))
+    for comp in support_components(sys, support):
+        top = max(parabolic_roots(sys, comp), key=lambda r: (sum(r), r))
         out.append(top)
-        rest = [
-            r
-            for r in comp
-            if r != top and r != _neg(top) and strongly_orthogonal(sys, r, top)
-        ]
-        out.extend(_sigma_rec(sys, rest))
+        # top is long in comp, so the roots orthogonal to it are strongly
+        # orthogonal to it: |alpha + top|^2 would exceed the longest length
+        out.extend(_sigma_rec(sys, _orthogonal_simples(sys, comp, top)))
     return out
 
 
@@ -138,32 +139,36 @@ def _normal_form(sys, members):
     word = []
     result = []
 
-    def rec(sub_roots, items):
-        if not items:
-            return
-        comps = subsystem_components(sys, sub_roots)
-        for comp in comps:
-            comp_set = set(comp)
-            local = [m for m in items if m in comp_set or _neg(m) in comp_set]
+    def rec(support, items):
+        for comp in support_components(sys, support):
+            outside = [i for i in range(sys.type.rank) if i not in comp]
+            local = [m for m in items if not any(m[i] for i in outside)]
             if not local:
                 continue
             longs = [m for m in local if sys.length_sq(m) == max(sys.length_sq(x) for x in local)]
             target = max(longs)
-            dom, w = word_to_dominant(sys, comp, target)
+            # simples in descending index order, as the certificate words expect
+            dom, w = word_to_dominant(sys, [sys.simples[i] for i in reversed(comp)], target)
             word.extend(w)
             imgs = [sys.pos_rep(apply_word(sys, w, m)) for m in local]
             result.append(dom)
             rest_items = [m for m in imgs if m != dom]
-            rest_roots = [
-                r
-                for r in comp
-                if r != dom and r != _neg(dom) and strongly_orthogonal(sys, r, dom)
-            ]
+            if not rest_items:
+                continue
+            rest = _orthogonal_simples(sys, comp, dom)
+            if not sys.is_long(dom):
+                # Items remain after a short dominant root only with two strongly
+                # orthogonal short members: C_n, n >= 4, leaving the parabolic C_{n-2}
+                # (in B_n the remainder D_{n-1} of e_1 is not parabolic; none remain)
+                roots = [r for r in parabolic_roots(sys, rest) if strongly_orthogonal(sys, r, dom)]
+                rest = levi_support(sys, roots)
+                if roots != parabolic_roots(sys, rest):
+                    raise AssertionError("remainder of a short dominant root is not parabolic")
             # reflections inside this component fix the other components,
             # so the recursion can run per component independently
-            rec(rest_roots, rest_items)
+            rec(rest, rest_items)
 
-    rec(list(sys.roots), [sys.pos_rep(m) for m in members])
+    rec(range(sys.type.rank), [sys.pos_rep(m) for m in members])
     return frozenset(result), tuple(word)
 
 
@@ -221,13 +226,6 @@ def is_conjugate_subset_of(sys, soset, target, exhaustive=None):
             raise AssertionError("orbit certificate failed verification")
         return ConjugacyResult("yes", word, "orbit")
     return ConjugacyResult("unknown", (), "budget")
-
-
-def require_conjugate(sys, soset, target):
-    res = is_conjugate_subset_of(sys, soset, target)
-    if res.status != "yes":
-        raise CertificateNotFound(f"no conjugating word found ({res.method})")
-    return res
 
 
 # -- enumeration -----------------------------------------------------------

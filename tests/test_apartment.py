@@ -257,6 +257,19 @@ def test_canonical_chamber_rejects_other_sets():
     )
 
 
+def test_canonical_chamber_propagates_unexpected_errors(monkeypatch):
+    with pytest.raises(UnsupportedSigma):  # no sign basis in type A of even rank
+        canonical_sigma_chamber(build("A", 4), [])
+
+    def broken(sys):
+        raise KeyError("unexpected")
+
+    monkeypatch.setattr(tables, "sign_basis", broken)
+    sys = build("A", 3)
+    with pytest.raises(KeyError):
+        canonical_sigma_chamber(sys, tables.sigma_a_table(sys))
+
+
 def test_facet_functional_examples():
     a1 = build("A", 1)
     m = tables.sigma_a_table(a1)

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from steinberg_lab import suites
+from steinberg_lab import cli, suites
+from steinberg_lab.errors import HalfIntegralityViolation
 
 
 def run_cli(*args, env=None):
@@ -185,3 +186,26 @@ def test_run_suite_forwards_radius_to_cochain(monkeypatch):
     suites.run_suite("cochain", q=5, radius=2)
     suites.run_suite("cochain")
     assert calls == [{"q": 5, "radius": 2}, {"q": 3}]
+
+
+@pytest.mark.parametrize(
+    "error, failing",
+    [
+        (HalfIntegralityViolation("not half-integral"), "facet-functional-"),
+        (RuntimeError("unexpected"), "suite-crashed"),
+    ],
+)
+def test_facet_functional_check_catches_only_half_integrality(monkeypatch, tmp_path, error, failing):
+    def broken(*args):
+        raise error
+
+    monkeypatch.setattr(suites.apartment, "facet_functional", broken)
+    path = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["verify", "apartment", "--json", str(path)])
+    assert exit_info.value.code == 1
+    checks = json.loads(path.read_text())["reports"][0]["checks"]
+    failed = [c for c in checks if c["status"] == "fail"]
+    assert failed and all(c["id"].startswith(failing) for c in failed)
+    if failing == "suite-crashed":
+        assert failed[0]["description"] == "RuntimeError: unexpected"

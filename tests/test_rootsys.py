@@ -2,13 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+from steinberg_lab import rootsys
 from steinberg_lab.errors import BudgetExceeded, InvalidRank, NotARoot, ProportionalPair
 from steinberg_lab.rootsys import (
+    RootSystem,
     RootSystemType,
+    parabolic_roots,
+    subsystem_components,
+    support_components,
     _neg,
     build,
     classify_subsystem,
-    expand_to_simple_word,
     apply_word,
     strongly_orthogonal,
     weyl_orbit,
@@ -41,6 +45,28 @@ def test_closure_matches_plates():
     for fam, rank in [("A", 4), ("B", 3), ("C", 3), ("D", 5), ("G", 2), ("F", 4), ("E", 6)]:
         sys = build(fam, rank)
         assert list(sys.roots) == sys.ambient_root_table()
+
+
+def test_plate_table_is_integer_and_built_once(monkeypatch):
+    for fam, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]:
+        assert all(type(x) is int for v in rootsys._ambient_all_roots(fam, rank) for x in v)
+    sys = RootSystem(RootSystemType("F", 4))
+    table = sys.ambient_root_table()
+    assert all(type(c) is int for r in table for c in r)
+    monkeypatch.setattr(rootsys, "_ambient_all_roots", None)  # a second build would fail
+    table.clear()  # callers get a fresh list, not the stored one
+    assert sys.ambient_root_table() == list(sys.roots)
+
+
+@pytest.mark.parametrize("fam, rank", [("A", 4), ("B", 3), ("C", 4), ("D", 5), ("E", 6), ("F", 4), ("G", 2)])
+def test_support_components_match_pairwise_on_every_subset(fam, rank):
+    sys = build(fam, rank)
+    for bits in range(1 << rank):
+        support = [i for i in range(rank) if bits >> i & 1]
+        roots = parabolic_roots(sys, support)
+        assert roots == [r for r in sys.roots if all(r[i] == 0 or i in support for i in range(rank))]
+        split = [parabolic_roots(sys, comp) for comp in support_components(sys, support)]
+        assert split == subsystem_components(sys, roots)
 
 
 def test_cartan_entries():
@@ -211,19 +237,6 @@ def test_classify_subsystem_canonical_names():
     # D3 inside D5 reports as A3
     sub = [r for r in d5.roots if all(c == 0 for c in r[:2])]
     assert classify_subsystem(d5, sub) == [("A", 3)]
-
-
-def test_reflection_words():
-    for fam, rank in [("B", 3), ("G", 2), ("D", 4)]:
-        sys = build(fam, rank)
-        for beta in list(sys.roots)[::5]:
-            word = expand_to_simple_word(sys, beta)
-            # the word realizes the reflection in beta
-            for v in sys.roots:
-                img = v
-                for i in word:
-                    img = sys.simple_reflect(i, img)
-                assert img == sys.reflect_root(beta, v)
 
 
 def test_rho_halves_two_rho():

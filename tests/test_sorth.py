@@ -4,7 +4,20 @@ import pytest
 
 from steinberg_lab import sorth, tables
 from steinberg_lab.errors import BudgetExceeded, NotApplicable
-from steinberg_lab.rootsys import _neg, apply_word, build, classify_subsystem, weyl_orbit
+from steinberg_lab.rootsys import (
+    _neg,
+    apply_word,
+    build,
+    classify_subsystem,
+    parabolic_roots,
+    strongly_orthogonal,
+    subsystem_components,
+    subsystem_simples,
+    support_components,
+    weyl_orbit,
+    word_to_dominant,
+)
+from steinberg_lab.suites import ACCEPTANCE_TYPES, TRICHOTOMY_TYPES
 
 
 def _conjugate_ok(sys, a, b):
@@ -91,8 +104,6 @@ def test_conjugacy_invariant_screen():
     table = sorth.so_set(b2, tables.sigma_a_table(b2))
     res = sorth.is_conjugate_subset_of(b2, short, table)
     assert res.status == "no"
-    with pytest.raises(sorth.CertificateNotFound):
-        sorth.require_conjugate(b2, short, table)
 
 
 def test_conjugacy_identity_and_random_words():
@@ -211,3 +222,90 @@ def test_sign_basis_matches_table_class():
         basis = sorth.so_set(sys, tables.sign_basis(sys))
         table = sorth.so_set(sys, tables.sigma_a_table(sys))
         assert _conjugate_ok(sys, basis, table)
+
+
+def _pairwise_sigma(sys, roots):
+    """The highest-root recursion on root lists, split by pairwise pairings."""
+    out = []
+    for comp in subsystem_components(sys, roots):
+        top = max((r for r in comp if sys.is_positive(r)), key=lambda r: (sum(r), r))
+        rest = [r for r in comp if r not in (top, _neg(top)) and strongly_orthogonal(sys, r, top)]
+        out += [top] + _pairwise_sigma(sys, rest)
+    return out
+
+
+def test_cascade_split_matches_pairwise_components(monkeypatch):
+    calls = []
+
+    def recording(sys, support):
+        calls.append((sys.type.family, sys.type.rank, tuple(support)))
+        return support_components(sys, support)
+
+    monkeypatch.setattr(sorth, "support_components", recording)
+    for fam, rank in sorted(set(ACCEPTANCE_TYPES) | set(TRICHOTOMY_TYPES)):
+        sys = build(fam, rank)
+        sa = sorth.sigma_a(sys)
+        assert list(sa.members) == _pairwise_sigma(sys, sys.roots)
+        if not tables.is_a2n(sys):
+            assert _conjugate_ok(sys, sa, sorth.so_set(sys, tables.sigma_a_table(sys)))
+    for fam, rank in TRICHOTOMY_TYPES:
+        assert sorth.verify_anismax(build(fam, rank)).ok
+    assert len(calls) == 290 and len(set(calls)) == 75  # recursion calls, distinct supports
+    for fam, rank, support in set(calls):
+        sys = build(fam, rank)
+        split = [parabolic_roots(sys, comp) for comp in support_components(sys, support)]
+        assert split == subsystem_components(sys, parabolic_roots(sys, support))
+
+
+def _pairwise_normal_form(sys, members):
+    """The normal-form recursion on root lists, split by pairwise pairings."""
+    word, result = [], []
+
+    def rec(sub_roots, items):
+        if not items:
+            return
+        for comp in subsystem_components(sys, sub_roots):
+            local = [m for m in items if m in comp]
+            if not local:
+                continue
+            longest = max(sys.length_sq(m) for m in local)
+            target = max(m for m in local if sys.length_sq(m) == longest)
+            dom, w = word_to_dominant(sys, subsystem_simples(sys, comp), target)
+            word.extend(w)
+            result.append(dom)
+            imgs = [sys.pos_rep(apply_word(sys, w, m)) for m in local]
+            rest = [r for r in comp if r not in (dom, _neg(dom)) and strongly_orthogonal(sys, r, dom)]
+            rec(rest, [m for m in imgs if m != dom])
+
+    rec(sys.roots, [sys.pos_rep(m) for m in members])
+    return frozenset(result), tuple(word)
+
+
+@pytest.mark.parametrize("fam, rank", [("B", 3), ("B", 4), ("B", 5), ("C", 4), ("C", 5), ("F", 4)])
+def test_normal_form_certified_and_weyl_invariant(fam, rank):
+    sys = build(fam, rank)
+    rng = random.Random(rank)
+    for rep in sorth.enumerate_so_sets(sys):
+        nf, word = sorth._normal_form(sys, rep.members)
+        assert (nf, word) == _pairwise_normal_form(sys, rep.members)
+        assert sorth.verify_certificate(sys, rep.members, word, nf)
+        moved_word = [sys.simples[rng.randrange(rank)] for _ in range(8)]
+        moved = [apply_word(sys, moved_word, m) for m in rep.members]
+        assert sorth._normal_form(sys, moved)[0] == nf
+
+
+def test_normal_form_two_short_members_in_c4(monkeypatch):
+    c4 = build("C", 4)
+    members = [c4.from_ambient([1, 1, 0, 0]), c4.from_ambient([0, 0, 1, -1])]
+    remainders = []
+
+    def recording(sys, support):
+        remainders.append(tuple(support))
+        return parabolic_roots(sys, support)
+
+    monkeypatch.setattr(sorth, "parabolic_roots", recording)
+    nf, word = sorth._normal_form(c4, members)
+    # the short dominant root e1 + e2 leaves the parabolic C2 on e3, e4
+    assert (0, 2, 3) in remainders and (2, 3) in remainders
+    assert nf == {c4.from_ambient([1, 1, 0, 0]), c4.from_ambient([0, 0, 1, 1])}
+    assert sorth.verify_certificate(c4, members, word, nf)
