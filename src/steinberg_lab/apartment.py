@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from operator import add
+from operator import add, mul
 
 from .errors import (
     HalfIntegralityViolation,
@@ -115,7 +115,7 @@ def distance(c1, c2):
 
 
 def containing_f_chamber(chamber):
-    """The coarse chamber whose closure contains the given fine chamber.
+    """The coarse chamber whose closure contains the given fine chamber; a test oracle.
 
     Per root, the coarse bound is the smallest even half-unit at or above
     the fine bound; exactly one of h(a), h(-a) is odd, so the sums stay 2.
@@ -128,7 +128,6 @@ def containing_f_chamber(chamber):
 def translate(chamber, xi):
     """Translate by an integral coweight: h(alpha) += 2 <alpha, xi>."""
     sys = chamber.system
-    xi = [Fraction(x) for x in xi]
     h = []
     for v, r in zip(chamber.h, sys.positive_roots):
         shift = sys.pairing(r, xi)
@@ -272,9 +271,8 @@ def canonical_sigma_chamber(sys, sigma_members):
         raise UnsupportedSigma("set is not the tabled representative")
     # integrality on the set holds for the tabled signs, so evaluate there
     sigma_members = expected
-    lengths = {sys.length_sq(m) for m in sigma_members}
     simply_laced = all(sys.is_long(s) for s in sys.simples)
-    if not simply_laced and lengths == {2}:
+    if not simply_laced and all(sys.is_long(m) for m in sigma_members):
         weight = sys.long_height
     else:
         weight = sys.height
@@ -302,25 +300,16 @@ class FacetFunctional:
     def _inverse(self):
         return LeftInverse(self.members)
 
-    def expansion(self, alpha):
-        sol = self._inverse.coordinates(alpha)
-        if sol is None:
-            raise ValueError(f"{alpha} is not in the span")
-        return sol
-
     def value2(self, alpha):
         """2 f'(alpha); raises HalfIntegralityViolation if not an integer."""
         alpha = self.system.check_root(alpha)
-        coeffs = self.expansion(alpha)
-        for lam in coeffs:
-            if (2 * lam).denominator != 1:
-                raise HalfIntegralityViolation(
-                    f"expansion coefficient {lam} of {alpha} is not half-integral"
-                )
-        total = sum(lam * v for lam, v in zip(coeffs, self.values2))
-        if total.denominator != 1:
-            raise HalfIntegralityViolation(f"functional value {total}/2 at {alpha}")
-        return int(total)
+        doubled = self._inverse.doubled(alpha)
+        if doubled is None:
+            raise HalfIntegralityViolation(f"{alpha} does not expand in half-integers")
+        v2, odd = divmod(sum(map(mul, doubled, self.values2)), 2)
+        if odd:
+            raise HalfIntegralityViolation(f"functional value at {alpha} is not a half-integer")
+        return v2
 
 
 def facet_functional(sys, members, values):

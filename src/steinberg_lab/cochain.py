@@ -110,10 +110,10 @@ def coroot_action(sys, sigma_members, xi):
     """Sign vector of a coweight: bit j is the parity of <beta_j, xi>."""
     bits = 0
     for j, beta in enumerate(sigma_members):
-        val = sys.pairing(beta, [Fraction(x) for x in xi])
+        val = sys.pairing(beta, xi)
         if val.denominator != 1:
             raise NonIntegralPairing(f"<{beta}, xi> = {val}")
-        if int(val) % 2:
+        if val % 2:
             bits |= 1 << j
     return SignVector(bits, len(sigma_members))
 
@@ -175,9 +175,7 @@ def build_constraints(sys):
 
 
 def _coroot_coweight(sys, k):
-    coeffs = [Fraction(0)] * sys.type.rank
-    coeffs[k] = Fraction(1)
-    return tuple(coeffs)
+    return tuple(int(j == k) for j in range(sys.type.rank))
 
 
 def solve_character(r, constraints):
@@ -311,20 +309,6 @@ def extend_by_harmonicity(base_values, resolver, q, chambers, d_panel_groups=())
         if base is None:
             base = c0
     return Cochain(values=values, base=base, q=q, retraction_invariant=True)
-
-
-def nearest_resolver(base_chambers_list):
-    """Resolver picking the unique nearest chamber of the base set."""
-
-    def resolve(c):
-        dists = [apartment.distance(c, b) for b in base_chambers_list]
-        nearest = min(dists)
-        best = [b for b, d in zip(base_chambers_list, dists) if d == nearest]
-        if len(best) != 1:
-            raise NotHarmonicBase("no unique closure chamber; facet star ambiguous")
-        return best[0]
-
-    return resolve
 
 
 # -- class values and wall ratios ---------------------------------------------

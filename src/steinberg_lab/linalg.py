@@ -137,7 +137,20 @@ class LeftInverse:
                 return None
         return [sum(map(mul, row, w)) for row in self._left], self._den * scale
 
+    def doubled(self, v):
+        """Twice the coordinates of v over the vectors, as ints; None when v is
+        off their span or some coordinate is not a half-integer.  The one
+        half-integrality test."""
+        found = self.numerators(v)
+        if found is None:
+            return None
+        nums, den = found
+        if any(2 * n % den for n in nums):
+            return None
+        return [2 * n // den for n in nums]
+
     def coordinates(self, v):
-        """Coordinates of v over the vectors, or None when v is off their span."""
+        """Coordinates of v over the vectors as Fractions, or None when v is off
+        their span; the view that tests compare with solve_exact."""
         found = self.numerators(v)
         return None if found is None else [Fraction(n, found[1]) for n in found[0]]

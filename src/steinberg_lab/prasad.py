@@ -8,25 +8,24 @@ a sign read off an integer pairing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NonIntegralPairing
 from .rootsys import build
 
 
 def prasad_trivial(sys):
-    """True iff every coefficient of rho over the simple roots is an integer."""
-    return all(c.denominator == 1 for c in sys.rho)
+    """True iff rho lies in the root lattice: every 2 rho coefficient is even."""
+    return not any(c % 2 for c in sys.two_rho)
 
 
 def two_rho_pairing(sys, xi):
-    """<2 rho, xi> for a rational coweight over the simple coroots."""
-    total = Fraction(0)
-    for j, x in enumerate(xi):
-        if x:
-            row = sys.cartan[j]
-            total += Fraction(x) * sum(m * row[k] for k, m in enumerate(sys.two_rho))
-    return total
+    """<2 rho, xi> for a coweight over the simple coroots.
+
+    <rho, alpha_vee> = 1 for every simple root alpha (Bourbaki, Lie VI 1.10,
+    Prop. 29), so <2 rho, xi> is twice the sum of the coordinates of xi: an
+    int for an integral coweight, a Fraction only when xi holds one.
+    """
+    return 2 * sum(xi)
 
 
 def chi_on_torus(sys, xi, nonsquare):

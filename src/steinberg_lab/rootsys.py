@@ -229,7 +229,7 @@ class RootSystem:
     cartan: C[i][j] = <alpha_j, alpha_i_vee>
     highest_root: the dominant long root
     exponents: exponents of the Weyl group, increasing
-    rho: half-sum of the positive roots over the simple basis (Fractions)
+    two_rho: sum of the positive roots over the simple basis (integers)
     """
 
     def __init__(self, type_: RootSystemType):
@@ -263,7 +263,6 @@ class RootSystem:
         for r in self.positive_roots:
             for i, c in enumerate(r):
                 two_rho[i] += c
-        self.rho = tuple(Fraction(c, 2) for c in two_rho)
         self.two_rho = tuple(two_rho)
         self._cartan_inv = None
         self._ambient_inv = None
@@ -332,10 +331,9 @@ class RootSystem:
         return sum(map(mul, u, (sum(map(mul, row, v)) for row in self.gram)))
 
     def inner(self, u, v):
+        """<u, v> as a Fraction; a test oracle for the integer pairings, and
+        the hook that perfbench's tracer wraps by name."""
         return Fraction(self._gram_dot(u, v), self.gram_denominator)
-
-    def length_sq(self, v):
-        return Fraction(self._gram_dot(v, v), self.gram_denominator)
 
     def is_long(self, v):
         return self._gram_dot(v, v) == 2 * self.gram_denominator
@@ -356,13 +354,10 @@ class RootSystem:
         return val
 
     def pairing(self, alpha, xi):
-        """<alpha, xi> for a root and a rational coweight over the simple coroots."""
+        """<alpha, xi> for a root and a coweight over the simple coroots: an int
+        for an integral coweight, a Fraction only when xi holds one."""
         alpha = self.check_root(alpha)
-        total = Fraction(0)
-        for j, x in enumerate(xi):
-            if x:
-                total += x * sum(m * self.cartan[j][k] for k, m in enumerate(alpha))
-        return total
+        return sum(x * sum(map(mul, row, alpha)) for x, row in zip(xi, self.cartan, strict=True) if x)
 
     def fundamental_coweight(self, i):
         """Coweight xi with <alpha_j, xi> = delta_ij, over the simple coroots."""
@@ -423,6 +418,7 @@ class RootSystem:
         return tuple(n // den for n in nums)
 
     def to_ambient(self, root):
+        """Ambient coordinates of a root, as Fractions; a test oracle."""
         dim = len(self._ambient_simples[0])
         total = [Fraction(0)] * dim
         for c, s in zip(root, self._ambient_simples):

@@ -145,8 +145,7 @@ def _normal_form(sys, members):
             local = [m for m in items if not any(m[i] for i in outside)]
             if not local:
                 continue
-            longs = [m for m in local if sys.length_sq(m) == max(sys.length_sq(x) for x in local)]
-            target = max(longs)
+            target = max([m for m in local if sys.is_long(m)] or local)
             # simples in descending index order, as the certificate words expect
             dom, w = word_to_dominant(sys, [sys.simples[i] for i in reversed(comp)], target)
             word.extend(w)
@@ -192,8 +191,9 @@ def is_conjugate_subset_of(sys, soset, target, exhaustive=None):
     b = [sys.check_root(m) for m in (target.members if isinstance(target, SOSet) else target)]
     if len(a) > len(b):
         return ConjugacyResult("no", (), "size screen")
-    lengths_a = sorted(sys.length_sq(m) for m in a)
-    lengths_b = sorted(sys.length_sq(m) for m in b)
+    # an irreducible system has at most two root lengths, so is_long names the length
+    lengths_a = sorted(map(sys.is_long, a))
+    lengths_b = sorted(map(sys.is_long, b))
     if len(a) == len(b):
         if lengths_a != lengths_b:
             return ConjugacyResult("no", (), "length screen")
@@ -231,7 +231,7 @@ def is_conjugate_subset_of(sys, soset, target, exhaustive=None):
 # -- enumeration -----------------------------------------------------------
 
 
-def enumerate_so_sets(sys, max_rank=None):
+def enumerate_so_sets(sys):
     """Representatives of the W-conjugacy classes of strongly-orthogonal sets.
 
     Signs are treated as free (every class has an all-positive member).
@@ -241,8 +241,6 @@ def enumerate_so_sets(sys, max_rank=None):
     budget = read_budget(_DEFAULT_BUDGET)
     if sys.weyl_order() > budget:
         raise BudgetExceeded(f"|W({sys.type})| = {sys.weyl_order()} exceeds the budget of {budget}")
-    if max_rank is None:
-        max_rank = sys.type.rank
     pos = list(sys.positive_roots)
     n = len(pos)
     so = [[False] * n for _ in range(n)]
@@ -255,9 +253,8 @@ def enumerate_so_sets(sys, max_rank=None):
     def grow(prefix, candidates):
         for idx, c in enumerate(candidates):
             nxt = prefix + (c,)
-            if len(nxt) <= max_rank:
-                cliques.append(nxt)
-                grow(nxt, [d for d in candidates[idx + 1 :] if so[c][d]])
+            cliques.append(nxt)
+            grow(nxt, [d for d in candidates[idx + 1 :] if so[c][d]])
 
     grow((), list(range(n)))
     seen_canon = {}

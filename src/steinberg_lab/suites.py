@@ -160,7 +160,7 @@ def suite_rootsys():
 # -- strongly orthogonal sets --------------------------------------------------
 
 
-def suite_sorth(trichotomy=True):
+def suite_sorth():
     rep = SuiteReport("sorth")
     for fam, rank in ACCEPTANCE_TYPES:
         sys = build(fam, rank)
@@ -196,17 +196,11 @@ def suite_sorth(trichotomy=True):
             "table",
         )
         if len(sa) == rank:
-            half_ok = True
             inverse = LeftInverse(table.members)
-            for alpha in sys.roots:
-                sol = inverse.coordinates(alpha)
-                if sol is None or any((2 * lam).denominator != 1 for lam in sol):
-                    half_ok = False
-                    break
             rep.add(
                 f"half-integral-expansion-{fam}{rank}",
                 "every root expands over the full-rank set in half-integers",
-                half_ok,
+                all(inverse.doubled(a) is not None for a in sys.roots),
                 True,
                 "table",
             )
@@ -228,45 +222,44 @@ def suite_sorth(trichotomy=True):
             True,
             "table",
         )
-    if trichotomy:
-        for fam, rank in TRICHOTOMY_TYPES:
-            sys = build(fam, rank)
-            report = sorth.verify_anismax(sys)
-            rep.add(
-                f"trichotomy-{fam}{rank}",
-                "every class is (C1)-witnessed or embeds in the maximal set",
-                report.ok,
-                True,
-                "table",
-            )
-        for fam, rank in TRICHOTOMY_TYPES:
-            sys = build(fam, rank)
-            two_short_ok = True
-            for rep_set in sorth.enumerate_so_sets(sys):
-                shorts = [m for m in rep_set.members if not sys.is_long(m)]
-                if len(shorts) >= 2 and not (fam == "C" and rank >= 4):
-                    two_short_ok = False
-            rep.add(
-                f"two-short-{fam}{rank}",
-                "two short members force type C of rank at least 4",
-                two_short_ok,
-                True,
-                "table",
-            )
+    for fam, rank in TRICHOTOMY_TYPES:
+        sys = build(fam, rank)
+        report = sorth.verify_anismax(sys)
+        rep.add(
+            f"trichotomy-{fam}{rank}",
+            "every class is (C1)-witnessed or embeds in the maximal set",
+            report.ok,
+            True,
+            "table",
+        )
+    for fam, rank in TRICHOTOMY_TYPES:
+        sys = build(fam, rank)
+        two_short_ok = True
+        for rep_set in sorth.enumerate_so_sets(sys):
+            shorts = [m for m in rep_set.members if not sys.is_long(m)]
+            if len(shorts) >= 2 and not (fam == "C" and rank >= 4):
+                two_short_ok = False
+        rep.add(
+            f"two-short-{fam}{rank}",
+            "two short members force type C of rank at least 4",
+            two_short_ok,
+            True,
+            "table",
+        )
     return rep
 
 
 # -- apartment ------------------------------------------------------------------
 
 
-def suite_apartment(translations=100, seed=20240817):
+def suite_apartment(seed=20240817):
     rep = SuiteReport("apartment")
     rng = random.Random(seed)
     for fam, rank in [("A", 2), ("C", 2), ("G", 2)]:
         sys = build(fam, rank)
         cf, ce = apartment.base_chambers(sys)
         ok = True
-        for _ in range(translations):
+        for _ in range(100):
             xi = [rng.randint(-3, 3) for _ in range(rank)]
             de = apartment.distance(ce, apartment.translate(ce, xi))
             df = apartment.distance(cf, apartment.translate(cf, xi))
@@ -502,13 +495,10 @@ def suite_series(q=3, radius=10):
         )
     lam = series.lambda_a2n_partial(1, q, min(radius, 12))
     top = len(lam.partial_sums) - 1
-    certified = all(
-        abs(lam.partial_sums[r] - 1) <= lam.tail_bounds[r] for r in range(6, top + 1)
-    )
     rep.add(
         f"lambda-A2-q{q}",
         "partial sums stay within the exact tail bound of 1",
-        certified,
+        set(range(6, top + 1)) <= set(lam.certified_radii()),
         True,
         "table",
     )

@@ -1,5 +1,6 @@
 import csv
 import functools
+import hashlib
 import io
 import json
 import os
@@ -65,6 +66,18 @@ def test_verify_prasad_deterministic(tmp_path):
     assert statuses <= {"pass", "skip"}
 
 
+# sha256 of each suite's default `verify --json` report; a change to any
+# check, value or formatting shows up here
+REPORT_SHA256 = {
+    "apartment": "a12445b4eb4dc280e28c92f1f34c0f635e9f4ef845848dcc4651ea54741d1288",
+    "cochain": "73845e9e2554959f131accb51c07086e8c1371b9e30914fd8e7509b377f8c944",
+    "prasad": "18327d14c151d21111815c01008c5dad59e910a91fb5f812bef3d4f434ad709d",
+    "rootsys": "18f28d62ece438ab3e0d95308cbc3d92ea2023ca7543d344d922a2f3c228e1e3",
+    "series": "0464f8882d0c0b045c49c5321af728b5af12190b1383b3cfb8ce175ab5302adc",
+    "sorth": "ba5ee37cdd3e551166fa68be63ce77b712bd1798a076bacce9ee689536d3cd6e",
+    "tree": "44563172a2676701fd462ec5dfd62c4a3d55e3f739788d9620406056c7c01f4f",
+}
+
 
 @pytest.mark.parametrize("suite", sorted(suites.SUITES))
 def test_verify_reports_identical_across_hash_seeds(tmp_path, suite):
@@ -77,6 +90,7 @@ def test_verify_reports_identical_across_hash_seeds(tmp_path, suite):
         reports.append(path.read_bytes())
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["reports"][0]["suite"] == suite
+    assert hashlib.sha256(reports[0]).hexdigest() == REPORT_SHA256[suite]
 
 def test_tables_r1r2():
     out = run_cli("tables", "--r1r2", "--format", "json")

@@ -12,7 +12,6 @@ from steinberg_lab.cochain import (
     eic_character,
     extend_by_harmonicity,
     iwahori_vector,
-    nearest_resolver,
     panel_sum,
     r1_r2,
     sign_vector,
@@ -227,14 +226,6 @@ def test_extension_rejects_bad_panel_groups():
         extend_by_harmonicity(
             {ce: Fraction(1)}, lambda c: ce, 3, [ce], d_panel_groups=[[Fraction(1), Fraction(1)]]
         )
-
-
-def test_nearest_resolver():
-    sys = build("A", 1)
-    _, ce = apartment.base_chambers(sys)
-    left = apartment.reflect(ce, ((1,), 0))
-    resolver = nearest_resolver([ce])
-    assert resolver(left) == ce
 
 
 def test_a2n_class_values():

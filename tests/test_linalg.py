@@ -7,7 +7,7 @@ import pytest
 
 from steinberg_lab import tables
 from steinberg_lab.apartment import FacetFunctional, facet_functional
-from steinberg_lab.errors import NotARoot
+from steinberg_lab.errors import HalfIntegralityViolation, NotARoot
 from steinberg_lab.linalg import LeftInverse, solve_exact
 from steinberg_lab.rootsys import _ambient_all_roots, build
 from steinberg_lab.suites import ACCEPTANCE_TYPES
@@ -37,6 +37,8 @@ def test_coordinates_match_solve_exact_on_and_off_the_span():
     for v in product((-1, Fraction(1, 2), 0, 2), repeat=4):
         expected = solve_exact(cols, v)
         assert inverse.coordinates(v) == expected
+        half = expected is not None and all((2 * x).denominator == 1 for x in expected)
+        assert inverse.doubled(v) == ([int(2 * x) for x in expected] if half else None)
         off_span += expected is None
     assert 0 < off_span < 4**4
 
@@ -48,9 +50,25 @@ def test_facet_expansion_matches_solve_exact():
         if tables.expected_sigma_a_size(sys) == rank:
             full_rank_sets.append(tuple(tables.sigma_a_table(sys)))
         for members in full_rank_sets:
-            fn = FacetFunctional(sys, tuple(members), (1,) * rank)
+            inverse = LeftInverse(members)
             for alpha in sys.roots:
-                assert fn.expansion(alpha) == solve_exact(members, alpha)
+                coords = inverse.coordinates(alpha)
+                assert coords == solve_exact(members, alpha)
+                doubled = inverse.doubled(alpha)
+                assert all(type(x) is int for x in doubled)
+                assert doubled == [2 * c for c in coords]
+
+
+def test_doubled_rejects_thirds_in_g2():
+    # over {(0,1), (3,1)} the short simple root is (-1/3) (0,1) + (1/3) (3,1)
+    g2 = build("G", 2)
+    members = [(0, 1), (3, 1)]
+    inverse = LeftInverse(members)
+    assert inverse.coordinates((1, 0)) == [Fraction(-1, 3), Fraction(1, 3)]
+    assert inverse.doubled((1, 0)) is None
+    assert inverse.doubled((0, 1)) == [2, 0]
+    with pytest.raises(HalfIntegralityViolation):
+        facet_functional(g2, members, {m: Fraction(1, 2) for m in members})
 
 
 def test_dependent_members_raise_value_error():
@@ -63,6 +81,6 @@ def test_dependent_members_raise_value_error():
     a = b2.simples[0]
     neg = tuple(-c for c in a)
     with pytest.raises(ValueError, match="dependent"):
-        FacetFunctional(b2, (a, neg), (1, 1)).expansion(a)
+        FacetFunctional(b2, (a, neg), (1, 1)).value2(a)
     with pytest.raises(ValueError, match="dependent"):
         facet_functional(b2, [a, neg], {a: Fraction(1, 2), neg: Fraction(1, 2)})

@@ -5,6 +5,7 @@ import pytest
 from steinberg_lab import prasad, tables
 from steinberg_lab.errors import NonIntegralPairing
 from steinberg_lab.rootsys import build
+from steinberg_lab.suites import ACCEPTANCE_TYPES
 
 
 def test_triviality_examples():
@@ -33,6 +34,15 @@ def test_chi_on_torus_e7():
     assert prasad.two_rho_pairing(sys, xi) == 3
     assert prasad.chi_on_torus(sys, xi, nonsquare=True) == -1
     assert prasad.chi_on_torus(sys, xi, nonsquare=False) == 1
+
+
+def test_two_rho_pairs_to_two_with_every_simple_coroot():
+    for fam, rank in ACCEPTANCE_TYPES + [("A", 2), ("A", 4)]:
+        sys = build(fam, rank)
+        assert all(sys.root_pairing(sys.two_rho, s) == 2 for s in sys.simples)
+        for xi in tables.chi_test_coweights(sys):
+            expected = sum(x * sys.root_pairing(sys.two_rho, s) for x, s in zip(xi, sys.simples))
+            assert prasad.two_rho_pairing(sys, xi) == expected
 
 
 def test_chi_on_simple_coroots_is_trivial():

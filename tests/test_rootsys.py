@@ -1,8 +1,9 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
-from steinberg_lab import rootsys
+from steinberg_lab import rootsys, tables
 from steinberg_lab.errors import BudgetExceeded, InvalidRank, NotARoot, ProportionalPair
 from steinberg_lab.rootsys import (
     RootSystem,
@@ -17,7 +18,7 @@ from steinberg_lab.rootsys import (
     strongly_orthogonal,
     weyl_orbit,
 )
-from steinberg_lab.suites import ACCEPTANCE_TYPES, TRICHOTOMY_TYPES
+from steinberg_lab.suites import ACCEPTANCE_TYPES, SIGN_CALCULUS_TYPES, TRICHOTOMY_TYPES
 
 
 def a2():
@@ -87,6 +88,25 @@ def test_pairing_with_coweights():
     assert sys.pairing(a1, [Fraction(0), Fraction(1)]) == -1
     with pytest.raises(NotARoot):
         sys.pairing((5, 5), [Fraction(1), Fraction(0)])
+    assert type(sys.pairing(a1, [1, 0])) is int
+    with pytest.raises(ValueError):
+        sys.pairing(a1, [1, 0, 0])
+
+
+def test_pairing_is_int_on_integral_coweights_and_matches_inner():
+    for fam, rank in sorted(set(ACCEPTANCE_TYPES) | set(SIGN_CALCULUS_TYPES)):
+        sys = build(fam, rank)
+        units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+        chi = tables.chi_test_coweights(sys)
+        for alpha in sys.roots:
+            # <alpha, alpha_j_vee> = 2 <alpha, alpha_j> / <alpha_j, alpha_j>, in Fractions
+            coroots = [2 * sys.inner(alpha, s) / sys.inner(s, s) for s in sys.simples]
+            for xi in units:
+                val = sys.pairing(alpha, xi)
+                assert type(val) is int
+                assert val == sum(map(mul, xi, coroots))
+            for xi in chi:
+                assert sys.pairing(alpha, xi) == sum(map(mul, xi, coroots))
 
 
 def test_fundamental_coweights():
@@ -239,12 +259,6 @@ def test_classify_subsystem_canonical_names():
     assert classify_subsystem(d5, sub) == [("A", 3)]
 
 
-def test_rho_halves_two_rho():
-    sys = build("C", 3)
-    assert [2 * c for c in sys.rho] == list(sys.two_rho)
-
-
-
 def _ambient_oracle(sys):
     """<a, b_vee> and squared lengths from ambient coordinates.
 
@@ -285,7 +299,7 @@ def test_is_long_and_cartan_match_ambient():
         longest = max(len_sq(r) for r in sys.roots)
         for r in sys.roots:
             assert sys.is_long(r) == (len_sq(r) == longest)
-            assert sys.length_sq(r) == 2 * len_sq(r) / longest
+            assert sys.inner(r, r) == 2 * len_sq(r) / longest
         for i, ai in enumerate(sys.simples):
             for j, aj in enumerate(sys.simples):
                 assert sys.cartan[i][j] == pairing(aj, ai)

@@ -103,7 +103,10 @@ def test_conjugacy_invariant_screen():
     short = sorth.so_set(b2, [b2.from_ambient([1, 0])])
     table = sorth.so_set(b2, tables.sigma_a_table(b2))
     res = sorth.is_conjugate_subset_of(b2, short, table)
-    assert res.status == "no"
+    assert (res.status, res.method) == ("no", "length screen")
+    long_ = [b2.from_ambient([1, 1])]
+    res = sorth.is_conjugate_subset_of(b2, short, long_)
+    assert (res.status, res.method) == ("no", "length screen")
 
 
 def test_conjugacy_identity_and_random_words():
@@ -268,8 +271,8 @@ def _pairwise_normal_form(sys, members):
             local = [m for m in items if m in comp]
             if not local:
                 continue
-            longest = max(sys.length_sq(m) for m in local)
-            target = max(m for m in local if sys.length_sq(m) == longest)
+            longest = max(sys.inner(m, m) for m in local)
+            target = max(m for m in local if sys.inner(m, m) == longest)
             dom, w = word_to_dominant(sys, subsystem_simples(sys, comp), target)
             word.extend(w)
             result.append(dom)
