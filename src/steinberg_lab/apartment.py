@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import gcd
 from operator import add, mul
 
 from .errors import (
@@ -26,7 +27,7 @@ from .errors import (
     NotTypeA2n,
     UnsupportedSigma,
 )
-from .linalg import LeftInverse, nullspace_vector
+from .linalg import LeftInverse
 from .rootsys import _neg
 
 E_LEVEL = "E"
@@ -192,9 +193,14 @@ def affine_relation(chamber):
     Returns (roots, coefficients) with sum_i coeff_i * root_i = 0.
     """
     ext = extended_simple_roots(chamber)
-    rel = nullspace_vector([list(r) for r in ext])
-    if any(c <= 0 for c in rel):
-        rel = [-c for c in rel]
+    # every mark is nonzero, so the other d facet roots are a basis
+    found = LeftInverse(ext[1:]).numerators(ext[0])
+    if found is None:
+        raise AssertionError("facet roots are not affinely related")
+    nums, den = found
+    rel = [den, *(-n for n in nums)]
+    g = gcd(*rel)
+    rel = [c // g for c in rel]
     if any(c <= 0 for c in rel):
         raise AssertionError("facet relation is not positive")
     return ext, rel

@@ -1,4 +1,9 @@
-"""Small exact linear algebra helpers over Fraction."""
+"""Exact coordinates over a set of vectors, by integer elimination.
+
+`LeftInverse` is the one solver the program uses.  `solve_exact`, a
+Fraction row reduction, is kept as the independent oracle that tests
+compare it with.
+"""
 
 from __future__ import annotations
 
@@ -38,7 +43,7 @@ def solve_exact(columns, rhs):
 
     Returns the coefficient list, or None when the system is inconsistent.
     Requires the columns to be linearly independent (unique solution on the
-    span); raises ValueError otherwise.
+    span); raises ValueError otherwise.  The test oracle for LeftInverse.
     """
     n = len(rhs)
     k = len(columns)
@@ -56,48 +61,6 @@ def solve_exact(columns, rhs):
     return sol
 
 
-def nullspace_vector(vectors):
-    """One nonzero rational relation among the given vectors.
-
-    The vectors must have a nullspace of dimension exactly one; the relation
-    is scaled to coprime integers with positive first nonzero entry.
-    """
-    k = len(vectors)
-    n = len(vectors[0])
-    rows = [[Fraction(vectors[j][i]) for j in range(k)] for i in range(n)]
-    pivots = _rref(rows, k)
-    free = [c for c in range(k) if c not in pivots]
-    if len(free) != 1:
-        raise ValueError("nullspace is not one-dimensional")
-    f = free[0]
-    rel = [Fraction(0)] * k
-    rel[f] = Fraction(1)
-    for idx, c in enumerate(pivots):
-        rel[c] = -rows[idx][f]
-    denom = 1
-    for x in rel:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in rel]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return ints
-
-
-def invert_matrix(matrix):
-    """Exact inverse of a square rational matrix."""
-    n = len(matrix)
-    rows = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    pivots = _rref(rows, n)
-    if len(pivots) != n:
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in rows]
-
-
 def _scaled_to_integers(rows):
     """(integer rows, den) with rows == integer rows / den."""
     den = lcm(*(x.denominator for row in rows for x in row))
@@ -105,36 +68,47 @@ def _scaled_to_integers(rows):
 
 
 class LeftInverse:
-    """Exact left inverse L = (A^T A)^-1 A^T of the matrix A whose columns
-    are the given vectors, for coordinates over them.
+    """Coordinates over linearly independent vectors, from one fraction-free
+    Gauss-Jordan elimination.
 
-    v lies in the span of the vectors exactly when A L v = v, and then L v
-    are its coordinates.  L and the projection A L are kept as integer
-    matrices over one denominator, so a lookup is integer dot products.
-    Raises ValueError when the vectors are linearly dependent.
+    With A the matrix whose columns are the vectors scaled to integers,
+    eliminating [A | I] (each row divided by its gcd after each step) gives
+    an integer E with E A = [D; 0], D diagonal.  v lies in the span exactly
+    when the rows of E below D vanish on v, and then (E v) / D are its
+    coordinates, kept over one common denominator so a lookup is integer
+    dot products.  Raises ValueError when the vectors are linearly dependent.
     """
 
     def __init__(self, vectors):
         cols, a = _scaled_to_integers(vectors)  # A = cols / a
-        gram = [[sum(map(mul, u, w)) for w in cols] for u in cols]
-        try:
-            inv = invert_matrix(gram)
-        except ValueError:
-            raise ValueError("columns are linearly dependent") from None
-        inv, den = _scaled_to_integers(inv)  # (A^T A)^-1 = a^2 inv / den
-        left = [[sum(map(mul, row, coord)) for coord in zip(*cols)] for row in inv]
-        self._den = den
-        self._left = [[a * x for x in row] for row in left]  # L = _left / den
-        # A L = _proj / den
-        self._proj = [[sum(map(mul, coord, col)) for col in zip(*left)] for coord in zip(*cols)]
+        k, n = len(cols), len(cols[0])
+        rows = [[*coord, *(int(i == j) for j in range(n))] for i, coord in enumerate(zip(*cols))]
+        for c in range(k):
+            p = next((i for i in range(c, n) if rows[i][c]), None)
+            if p is None:
+                raise ValueError("columns are linearly dependent")
+            rows[c], rows[p] = rows[p], rows[c]
+            pivot = rows[c]
+            for i, row in enumerate(rows):
+                f = row[c]
+                if f and i != c:
+                    row = [pivot[c] * x - f * y for x, y in zip(row, pivot)]
+                    g = gcd(*row)
+                    rows[i] = [x // g for x in row]
+        # coordinate j of v is a (E_j v) / D_j = (a den / D_j) (E_j v) / den
+        self._den = lcm(*(rows[j][j] for j in range(k)))
+        self._left = [[a * self._den // rows[j][j] * x for x in rows[j][k:]] for j in range(k)]
+        self._null = [row[k:] for row in rows[k:]]  # E_j v = 0 for j >= k on the span
+        self._dim = n
 
     def numerators(self, v):
         """(integer numerators, common denominator) of the coordinates of v
         over the vectors, or None when v is off their span."""
         (w,), scale = _scaled_to_integers([v])
-        for row, c in zip(self._proj, w, strict=True):
-            if sum(map(mul, row, w)) != self._den * c:
-                return None
+        if len(w) != self._dim:
+            raise ValueError(f"expected a vector of length {self._dim}, got {len(w)}")
+        if any(sum(map(mul, row, w)) for row in self._null):
+            return None
         return [sum(map(mul, row, w)) for row in self._left], self._den * scale
 
     def doubled(self, v):

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import lcm
 from operator import mul
 
 from .errors import BudgetExceeded, InvalidRank, NotARoot, ProportionalPair
-from .linalg import LeftInverse, invert_matrix
+from .linalg import LeftInverse
 
 Root = tuple
 
@@ -264,9 +264,6 @@ class RootSystem:
             for i, c in enumerate(r):
                 two_rho[i] += c
         self.two_rho = tuple(two_rho)
-        self._cartan_inv = None
-        self._ambient_inv = None
-        self._ambient_roots = None
 
     # -- construction -------------------------------------------------
 
@@ -359,13 +356,15 @@ class RootSystem:
         alpha = self.check_root(alpha)
         return sum(x * sum(map(mul, row, alpha)) for x, row in zip(xi, self.cartan, strict=True) if x)
 
+    @cached_property
+    def _cartan_inv(self):
+        return LeftInverse(self.cartan)
+
     def fundamental_coweight(self, i):
         """Coweight xi with <alpha_j, xi> = delta_ij, over the simple coroots."""
-        if self._cartan_inv is None:
-            self._cartan_inv = invert_matrix([list(row) for row in self.cartan])
-        # <alpha_j, sum_k x_k alpha_k_vee> = sum_k x_k C[k][j], so x solves
-        # C^T x = e_i, i.e. x is the i-th row of the inverse of C
-        return tuple(self._cartan_inv[i][j] for j in range(self.type.rank))
+        # <alpha_j, sum_k x_k alpha_k_vee> = sum_k x_k C[k][j], so x holds the
+        # coordinates of e_i over the rows of C
+        return tuple(self._cartan_inv.coordinates([int(i == j) for j in range(self.type.rank)]))
 
     # -- reflections -----------------------------------------------------
 
@@ -405,10 +404,12 @@ class RootSystem:
 
     # -- ambient translation -----------------------------------------------
 
+    @cached_property
+    def _ambient_inv(self):
+        return LeftInverse(self._ambient_simples)
+
     def from_ambient(self, vec):
         """Express an ambient-coordinate vector over the simple roots."""
-        if self._ambient_inv is None:
-            self._ambient_inv = LeftInverse(self._ambient_simples)
         found = self._ambient_inv.numerators(vec)
         if found is None:
             raise NotARoot(f"{vec} is not in the root lattice span")
@@ -426,11 +427,13 @@ class RootSystem:
                 total[i] += c * s[i]
         return tuple(total)
 
+    @cached_property
+    def _ambient_roots(self):
+        plates = _ambient_all_roots(self.type.family, self.type.rank)
+        return tuple(sorted(map(self.from_ambient, plates)))
+
     def ambient_root_table(self):
         """Sorted roots from the classical plate descriptions; a fresh list, built once."""
-        if self._ambient_roots is None:
-            plates = _ambient_all_roots(self.type.family, self.type.rank)
-            self._ambient_roots = tuple(sorted(map(self.from_ambient, plates)))
         return list(self._ambient_roots)
 
     def __repr__(self):

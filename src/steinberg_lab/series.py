@@ -14,6 +14,8 @@ from . import apartment, tables
 from .errors import BudgetExceeded, DomainError, NotApplicable
 from .rootsys import build
 
+_ALCOVE_BUDGET = 2_000_000
+
 
 def _poly_mul(a, b, n):
     out = [0] * (n + 1)
@@ -58,13 +60,13 @@ def poincare_closed(sys, n):
     return coeffs
 
 
-def poincare_bfs(sys, n, budget=2_000_000):
+def poincare_bfs(sys, n):
     """Alcove counts by gallery distance, from a coarse-level ball."""
     base_f, _ = apartment.base_chambers(sys)
     shells = apartment.chambers_within(base_f, n)
     total = sum(len(s) for s in shells)
-    if total > budget:
-        raise BudgetExceeded(f"{total} alcoves exceed the budget of {budget}")
+    if total > _ALCOVE_BUDGET:
+        raise BudgetExceeded(f"{total} alcoves exceed the budget of {_ALCOVE_BUDGET}")
     return [len(s) for s in shells]
 
 

@@ -30,6 +30,7 @@ from steinberg_lab.errors import (
     UnsupportedSigma,
 )
 from steinberg_lab.rootsys import _neg, build
+from steinberg_lab.suites import ACCEPTANCE_TYPES
 
 
 def test_base_chambers_a1():
@@ -310,13 +311,23 @@ def test_full_rank_facet_functionals_half_integral():
 
 
 def test_affine_relation_identity():
+    # at the base chamber the facet roots sort as -theta, alpha_d, ..., alpha_1
+    # and the relation is the marks: 1 on -theta, the highest root's coefficients
+    for fam, rank in ACCEPTANCE_TYPES:
+        sys = build(fam, rank)
+        _, ce = base_chambers(sys)
+        ext, rel = apartment.affine_relation(ce)
+        assert ext == [_neg(sys.highest_root), *reversed(sys.simples)]
+        assert rel == [1, *reversed(sys.highest_root)]
     for fam, rank in [("A", 2), ("G", 2), ("B", 2)]:
         sys = build(fam, rank)
+        marks = sorted([1, *sys.highest_root])
         _, ce = base_chambers(sys)
         for shell in chambers_within(ce, 2):
             for ch in shell:
                 ext, rel = apartment.affine_relation(ch)
                 assert sum(c * ch.value(r) for c, r in zip(rel, ext)) == 1
+                assert sorted(rel) == marks
 
 
 def test_triangle_inequality_sampled():

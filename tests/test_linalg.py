@@ -30,17 +30,28 @@ def test_from_ambient_rejects_off_span_and_non_integral():
 
 
 def test_coordinates_match_solve_exact_on_and_off_the_span():
-    # the A3 simple roots span the sum-zero hyperplane of Q^4
-    cols = build("A", 3)._ambient_simples
-    inverse = LeftInverse(cols)
-    off_span = 0
-    for v in product((-1, Fraction(1, 2), 0, 2), repeat=4):
-        expected = solve_exact(cols, v)
-        assert inverse.coordinates(v) == expected
-        half = expected is not None and all((2 * x).denominator == 1 for x in expected)
-        assert inverse.doubled(v) == ([int(2 * x) for x in expected] if half else None)
-        off_span += expected is None
-    assert 0 < off_span < 4**4
+    # the A3 simple roots span the sum-zero hyperplane of Q^4; the F4 ones,
+    # with a column of halves, span Q^4; the E6 ones span the 6-space of Q^8
+    # that holds 72 of the 240 E8 roots
+    grid = list(product((-1, Fraction(1, 2), 0, 2), repeat=4))
+    cases = [
+        (build("A", 3)._ambient_simples, grid),
+        (build("F", 4)._ambient_simples, grid),
+        (build("E", 6)._ambient_simples, _ambient_all_roots("E", 8)),
+    ]
+    off_span = []
+    for cols, inputs in cases:
+        inverse = LeftInverse(cols)
+        off = 0
+        for v in inputs:
+            expected = solve_exact(cols, v)
+            assert inverse.coordinates(v) == expected
+            half = expected is not None and all((2 * x).denominator == 1 for x in expected)
+            assert inverse.doubled(v) == ([int(2 * x) for x in expected] if half else None)
+            off += expected is None
+        off_span.append(off)
+    assert 0 < off_span[0] < 4**4
+    assert off_span[1:] == [0, 240 - 72]
 
 
 def test_facet_expansion_matches_solve_exact():

@@ -110,10 +110,11 @@ def test_pairing_is_int_on_integral_coweights_and_matches_inner():
 
 
 def test_fundamental_coweights():
-    for fam, rank in [("A", 3), ("B", 3), ("G", 2)]:
+    for fam, rank in sorted(set(ACCEPTANCE_TYPES) | set(SIGN_CALCULUS_TYPES)):
         sys = build(fam, rank)
         for i in range(rank):
             xi = sys.fundamental_coweight(i)
+            assert all(type(x) is Fraction for x in xi)
             for j, s in enumerate(sys.simples):
                 assert sys.pairing(s, xi) == (1 if i == j else 0)
 
