@@ -3,9 +3,10 @@
 A chamber stores h(alpha) = 2 f(alpha) for the positive roots only, so walls
 of the fine (E) level sit at integer h and walls of the coarse (F) level at
 even h.  The level fixes the negative half: h(-a) = ceiling - h(a), with
-ceiling 1 at the fine level and 2 at the coarse level.  A root a bounds a
-facet of the chamber unless h(a) = h(b) + h(a-b) for roots b and a-b; the
-d+1 facet roots give the adjacent chambers.  The gallery metric,
+ceiling 1 at the fine level and 2 at the coarse level.  A vector is a
+chamber iff 0 <= h(a) + h(b) - h(a+b) <= ceiling for positive a, b, a+b
+(Shi 1987).  Crossing the wall of a root a raises h(a) by the ceiling, so
+the d+1 facet roots are the raises that pass; the gallery metric,
 translations, reflections and the special chambers of type A with even rank
 all operate on these integer tuples.
 """
@@ -17,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd
-from operator import add, mul
+from operator import mul
 
 from .errors import (
     HalfIntegralityViolation,
@@ -84,19 +85,11 @@ class Chamber:
         return f"Chamber({self.system.type}, {self.level}, {self.h})"
 
 
-def _sum_slacks(chamber):
-    """(a+b, h(a) + h(b) - h(a+b)) for every pair of roots whose sum is a root."""
-    h = {r: chamber.value(r) for r in chamber.system.roots}
-    for a, ha in h.items():
-        for b, hb in h.items():
-            s = tuple(map(add, a, b))
-            if s in h:
-                yield s, ha + hb - h[s]
-
-
 def check_concave(chamber):
-    """Concavity of h/2; the level bound h(a)+h(-a) = ceiling holds by construction."""
-    return all(slack >= 0 for _, slack in _sum_slacks(chamber))
+    """Shi's alcove test on the positive sum triples; h(-a) = ceiling - h(a) turns
+    every other sign and order pattern of a root sum into one of its two bounds."""
+    h, top = chamber.h, chamber.ceiling
+    return all(0 <= h[i] + h[j] - h[k] <= top for i, j, k in chamber.system.positive_sum_triples)
 
 
 def base_chambers(system):
@@ -156,19 +149,27 @@ def reflect(chamber, wall):
 
 
 def wall_neighbors(chamber):
-    """The adjacent chambers, keyed by the facet root (extended simple set)."""
-    return {r: reflect(chamber, (r, chamber.value(r))) for r in extended_simple_roots(chamber)}
+    """The adjacent chambers, keyed by the facet roots (extended simple set) in root order.
+
+    Crossing the wall of r raises h(r) by the ceiling and keeps every other
+    value, so r is a facet root exactly when the raised vector is concave.
+    """
+    sys, h, top = chamber.system, chamber.h, chamber.ceiling
+    half = len(h)
+    out = {}
+    for i, r in enumerate(sys.roots):
+        # negatives fill the first half of the sorted roots, at the mirror
+        # index of their opposites; raising h(-a) lowers h(a)
+        p, step = (i - half, top) if i >= half else (half - 1 - i, -top)
+        other = Chamber(sys, chamber.level, h[:p] + (h[p] + step,) + h[p + 1 :])
+        if check_concave(other):
+            out[r] = other
+    return out
 
 
 def extended_simple_roots(chamber):
-    """The d+1 facet roots of the chamber, sorted.
-
-    A root a is a facet root unless h(a) = h(b) + h(a-b) for some root b
-    with a-b a root: then the wall of a meets the chamber's closure only
-    where the walls of b and a-b do.
-    """
-    tight = {s for s, slack in _sum_slacks(chamber) if slack == 0}
-    return [r for r in chamber.system.roots if r not in tight]
+    """The d+1 facet roots of the chamber, sorted."""
+    return sorted(wall_neighbors(chamber))
 
 
 def chambers_within(c0, radius):

@@ -248,9 +248,6 @@ class Cochain:
     def __getitem__(self, chamber):
         return self.values.get(chamber, Fraction(0))
 
-    def __contains__(self, chamber):
-        return chamber in self.values
-
 
 def iwahori_vector(c0, q, radius):
     """The normalized vector C -> (-q)^(-d(C0, C)) within the given radius."""
@@ -283,17 +280,12 @@ def panel_sum(panel, f):
     return f[near] + f.q * f[far]
 
 
-def extend_by_harmonicity(base_values, resolver, q, chambers, d_panel_groups=()):
+def extend_by_harmonicity(base_values, resolver, q, chambers):
     """Extend values around a facet outward by the factor (-1/q) per step.
 
     base_values maps the chambers around the facet to rationals; resolver
-    maps any chamber to its unique closure chamber among them.  Optional
-    d_panel_groups lists, per panel of the facet star, the full multiset of
-    values over the q+1 building chambers; each must sum to zero.
+    maps any chamber to its unique closure chamber among them.
     """
-    for group in d_panel_groups:
-        if sum(group, Fraction(0)) != 0:
-            raise NotHarmonicBase(f"facet panel with nonzero sum {sum(group, Fraction(0))}")
     values = {}
     base = None
     for c in chambers:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 from operator import mul
 
@@ -365,6 +365,15 @@ class RootSystem:
         # <alpha_j, sum_k x_k alpha_k_vee> = sum_k x_k C[k][j], so x holds the
         # coordinates of e_i over the rows of C
         return tuple(self._cartan_inv.coordinates([int(i == j) for j in range(self.type.rank)]))
+
+    @cached_property
+    def positive_sum_triples(self):
+        """Index triples (i, j, k), i < j, with positive roots i + j = k; a sum
+        sorts after both summands, so also j < k."""
+        pos = self.positive_roots
+        index = {r: k for k, r in enumerate(pos)}
+        sums = ((i, j, _add(pos[i], pos[j])) for i, j in combinations(range(len(pos)), 2))
+        return tuple((i, j, index[s]) for i, j, s in sums if s in index)
 
     # -- reflections -----------------------------------------------------
 

@@ -129,62 +129,29 @@ def sigma_a_alt_table(sys):
     return None
 
 
+# positions in sigma_a_table of each sign-basis member, where they differ
+_SIGN_ORDER = {
+    "G2": (1, 0),
+    "F4": (0, 3, 2, 1),
+    "E7": (0, 3, 4, 1, 5, 2, 6),
+    "E8": (0, 4, 5, 1, 6, 2, 7, 3),
+}
+
+
 def sign_basis(sys):
     """The ordered basis (beta_1 ... beta_r) used by the sign calculus.
 
     The order matters: bit i of every sign vector refers to beta_i.  Types
-    with an alternative table use it (indices shifted for odd D); the rest
-    use the first table, reordered as in the uniqueness argument.
+    with an alternative table use it (odd A, odd D, E6); the rest use the
+    first table, reordered as in the uniqueness argument.
     """
-    fam, d = sys.type.family, sys.type.rank
     if is_a2n(sys):
         raise NotApplicable("no sign basis in type A of even rank")
-    if fam == "A":
-        return sigma_a_alt_table(sys)
-    if fam in ("B", "C"):
-        return sigma_a_table(sys)
-    if fam == "D":
-        if d % 2 == 0:
-            return sigma_a_table(sys)
-        return sigma_a_alt_table(sys)
-    if fam == "G":
-        return [_combo(sys, {1: -1}), _neg(sys.highest_root)]
-    if fam == "F":
-        return [
-            _neg(sys.highest_root),
-            _combo(sys, {2: -1}),
-            _combo(sys, {2: -1, 3: -2}),
-            _combo(sys, {2: -1, 3: -2, 4: -2}),
-        ]
-    if fam == "E" and d == 6:
-        return [
-            _combo(sys, {2: -1, 3: -1, 4: -2, 5: -1}),
-            _combo(sys, {2: -1}),
-            _combo(sys, {3: -1}),
-            _combo(sys, {5: -1}),
-        ]
-    if fam == "E" and d == 7:
-        return [
-            _neg(sys.highest_root),
-            _combo(sys, {2: -1}),
-            _combo(sys, {3: -1}),
-            _combo(sys, {2: -1, 3: -1, 4: -2, 5: -2, 6: -2, 7: -1}),
-            _combo(sys, {5: -1}),
-            _combo(sys, {2: -1, 3: -1, 4: -2, 5: -1}),
-            _combo(sys, {7: -1}),
-        ]
-    if fam == "E" and d == 8:
-        return [
-            _neg(sys.highest_root),
-            _combo(sys, {2: -1}),
-            _combo(sys, {3: -1}),
-            _combo(sys, {1: -2, 2: -2, 3: -3, 4: -4, 5: -3, 6: -2, 7: -1}),
-            _combo(sys, {5: -1}),
-            _combo(sys, {2: -1, 3: -1, 4: -2, 5: -2, 6: -2, 7: -1}),
-            _combo(sys, {7: -1}),
-            _combo(sys, {2: -1, 3: -1, 4: -2, 5: -1}),
-        ]
-    raise NotApplicable(str(sys.type))
+    alt = sigma_a_alt_table(sys)
+    if alt is not None:
+        return alt
+    table = sigma_a_table(sys)
+    return [table[i] for i in _SIGN_ORDER.get(str(sys.type), range(len(table)))]
 
 
 def expected_sigma_a_size(sys):

@@ -11,10 +11,11 @@ the chamber {v, parent(v)}.  The base chamber is vertex 1; the embedded
 apartment runs through vertices 1 and 2 by repeated first children.
 
 The panel checks walk the interior panels level by level (`panel_levels`).
-The hctest makes one distance sweep per reference chamber (`_sweep`); the
-extension and Iwahori checks read each star chamber's depth-one subtree off
-its id and sum a panel as one integer over a power of q.  `chamber_distance`
-and the per-chamber value functions are the definitions tests compare with.
+The hctest makes one distance sweep per reference chamber (`_sweep`), and
+the Iwahori check one with the base chamber as the reference; the extension
+check reads each star chamber's depth-one subtree off its id.  Each panel
+sums as one integer over a power of q.  `chamber_distance` and the
+per-chamber value functions are the definitions tests compare with.
 """
 
 from __future__ import annotations
@@ -438,21 +439,11 @@ def iwahori_values(ball):
     return value
 
 
-def _base_distances(ball, levels):
-    """Yield, per panel in levels, the distance of each star chamber to the base.
-
-    A chamber c at depth k is at distance k - 1 when it lies under vertex 1
-    (c - starts[k] < q^(k-1)) and at distance k otherwise.
-    """
-    s, qpow = ball.starts, ball.qpow
-    for star in _panel_stars(ball, levels):
-        yield [k - 1 if c - s[k] < qpow[k - 1] else k for k, c in star]
-
-
 def verify_iwahori_harmonic(ball, panel_depth=None):
-    """Interior panel sums of the base Iwahori vector vanish."""
+    """Interior panel sums of the base Iwahori vector vanish: the hctest sweep
+    with the base chamber as the reference."""
     levels = ball.panel_levels(panel_depth)
-    sums = (_scaled_panel_sum(ball.q, dists) for dists in _base_distances(ball, levels))
+    sums = (_scaled_panel_sum(ball.q, dists) for dists in _sweep(ball, 1, levels))
     failures = sum(1 for total in sums if total != 0)
     panels = sum(stop - first for _, first, stop in levels)
     return ExtensionReport(q=ball.q, panels_checked=panels, failures=failures)

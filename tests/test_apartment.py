@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,6 +14,7 @@ from steinberg_lab.apartment import (
     central_chamber,
     central_chamber_sigma,
     chambers_within,
+    check_concave,
     distance,
     e_chambers_in_f_chamber,
     extended_simple_roots,
@@ -176,6 +178,7 @@ FACET_BALLS = [
     ("C", 3, 2),
     ("D", 4, 1),
     ("F", 4, 1),
+    ("E", 6, 1),
 ]
 
 
@@ -212,6 +215,40 @@ def test_positive_half_encoding(fam, rank, radius, level):
         assert ch.ceiling == ceiling
         for a in sys.roots:
             assert ch.value(a) + ch.value(_neg(a)) == ceiling
+
+
+def _concave_oracle(ch):
+    # the definition: h(a) + h(b) >= h(a+b) for every pair of roots, of any
+    # signs, whose sum is a root
+    h = {r: ch.value(r) for r in ch.system.roots}
+    for a in h:
+        for b in h:
+            s = tuple(x + y for x, y in zip(a, b))
+            if s in h and h[a] + h[b] < h[s]:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("level", [E_LEVEL, F_LEVEL])
+@pytest.mark.parametrize("fam, rank, radius", FACET_BALLS)
+def test_check_concave_on_balls_matches_all_root_pairs(fam, rank, radius, level):
+    _, ball = _ball(fam, rank, radius, level)
+    for ch in ball:
+        assert check_concave(ch) and _concave_oracle(ch)
+
+
+@pytest.mark.parametrize("fam, rank", [("A", 2), ("A", 3), ("B", 2), ("G", 2)])
+def test_check_concave_on_drop_patterns_matches_all_root_pairs(fam, rank):
+    # every way of lowering the base coarse chamber by 0 or 1 on each
+    # positive root: the 2^rank fine chambers inside it, and non-chambers
+    sys = build(fam, rank)
+    cf, _ = base_chambers(sys)
+    answers = []
+    for drop in product((0, 1), repeat=len(cf.h)):
+        ch = Chamber(sys, E_LEVEL, (v - d for v, d in zip(cf.h, drop)))
+        answers.append(check_concave(ch))
+        assert answers[-1] == _concave_oracle(ch)
+    assert answers.count(True) == 2**rank and False in answers
 
 
 def test_chamber_rejects_bad_tuples():

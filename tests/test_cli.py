@@ -77,6 +77,9 @@ REPORT_SHA256 = {
     "sorth": "ba5ee37cdd3e551166fa68be63ce77b712bd1798a076bacce9ee689536d3cd6e",
     "tree": "44563172a2676701fd462ec5dfd62c4a3d55e3f739788d9620406056c7c01f4f",
 }
+# the one non-default report of the chambers benchmark workload: radius 12
+# makes the lambda-tail check non-vacuous (236 central_chamber calls)
+SERIES_Q5_R12_SHA256 = "23c31e62f3eb630a8bd45fa29f1e0fb7f07b457fdb440d3caa2115012b492a9f"
 
 
 @pytest.mark.parametrize("suite", sorted(suites.SUITES))
@@ -91,6 +94,14 @@ def test_verify_reports_identical_across_hash_seeds(tmp_path, suite):
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["reports"][0]["suite"] == suite
     assert hashlib.sha256(reports[0]).hexdigest() == REPORT_SHA256[suite]
+
+
+def test_verify_series_q5_radius12_report_digest(tmp_path):
+    path = tmp_path / "series.json"
+    out = run_cli("verify", "series", "--q", "5", "--radius", "12", "--json", str(path))
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SERIES_Q5_R12_SHA256
+
 
 def test_tables_r1r2():
     out = run_cli("tables", "--r1r2", "--format", "json")

@@ -23,7 +23,6 @@ from steinberg_lab.errors import (
     InconsistentConstraints,
     NonIntegralPairing,
     NotApplicable,
-    NotHarmonicBase,
     UnsupportedPanel,
 )
 from steinberg_lab.linalg import solve_exact
@@ -217,15 +216,6 @@ def test_extension_zero_base():
     ball = [c for shell in apartment.chambers_within(ce, 3) for c in shell]
     ext = extend_by_harmonicity({ce: Fraction(0)}, lambda c: ce, 3, ball)
     assert all(v == 0 for v in ext.values.values())
-
-
-def test_extension_rejects_bad_panel_groups():
-    sys = build("A", 1)
-    _, ce = apartment.base_chambers(sys)
-    with pytest.raises(NotHarmonicBase):
-        extend_by_harmonicity(
-            {ce: Fraction(1)}, lambda c: ce, 3, [ce], d_panel_groups=[[Fraction(1), Fraction(1)]]
-        )
 
 
 def test_a2n_class_values():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 from operator import mul
 
 import pytest
@@ -235,6 +236,28 @@ def test_reflect_root_matches_reference_reflection():
                 img = sys.reflect_root(beta, v)
                 assert img == _reference_reflection(sys, beta, v)
                 assert sys.reflect_root(beta, img) == v
+
+
+@pytest.mark.parametrize("fam, rank", ACCEPTANCE_TYPES)
+def test_positive_sum_triples_match_a_scan_of_all_root_pairs(fam, rank):
+    sys = build(fam, rank)
+    pos = {r: i for i, r in enumerate(sys.positive_roots)}
+    scan = set()
+    for a in sys.roots:
+        for b in sys.roots:
+            s = tuple(x + y for x, y in zip(a, b))
+            if a in pos and b in pos and pos[a] < pos[b] and s in pos:
+                scan.add((pos[a], pos[b], pos[s]))
+    triples = sys.positive_sum_triples
+    assert len(triples) == len(scan) and set(triples) == scan
+    assert all(i < j < k for i, j, k in triples)
+    assert sys.positive_sum_triples is triples  # built once
+
+
+def test_positive_sum_triples_count_in_type_a():
+    # (e_i - e_j) + (e_j - e_k) for i < j < k
+    for n in range(1, 9):
+        assert len(build("A", n).positive_sum_triples) == comb(n + 1, 3)
 
 
 def test_extended_simple_set():

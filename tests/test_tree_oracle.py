@@ -190,7 +190,7 @@ def test_integer_panel_sums_match_fraction_sums(q, radius):
         assert terms == [value(c) * den * q**n for c in star]
         assert Fraction(sum(terms), den * q**n) == sum(value(c) for c in star)
     iwahori = T.iwahori_values(ball)
-    for w, dists in zip(panels, T._base_distances(ball, levels), strict=True):
+    for w, dists in zip(panels, T._sweep(ball, 1, levels), strict=True):
         star = ball.panel_chambers(w)
         assert dists == [ball.base_distance(c) for c in star]
         total = T._scaled_panel_sum(q, dists)
