@@ -51,7 +51,7 @@ class Chamber:
             raise ValueError("h must assign a value to every positive root")
         if level == F_LEVEL and any(v % 2 for v in self.h):
             raise ValueError("not a coarse-level chamber: odd h")
-        self._hash = hash((str(system.type), level, self.h))
+        self._hash = hash((system.type, level, self.h))
 
     @property
     def ceiling(self):

@@ -548,7 +548,7 @@ def suite_tree(q=3, radius=8):
         [1] + [2 * q**n for n in range(1, radius + 1)],
         "derived",
     )
-    sums = tree_oracle.shell_abs_sums(ball)
+    sums = tree_oracle.shell_abs_sums(q, counts)
     rep.add(
         f"shell-sums-q{q}",
         "per-shell absolute sums of the base vector are constant at 2",

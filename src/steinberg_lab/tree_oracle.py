@@ -11,16 +11,19 @@ the chamber {v, parent(v)}.  The base chamber is vertex 1; the embedded
 apartment runs through vertices 1 and 2 by repeated first children.
 
 The panel checks walk the interior panels level by level (`panel_levels`).
-The hctest makes one distance sweep per reference chamber (`_sweep`), and
-the Iwahori check one with the base chamber as the reference; the extension
-check reads each star chamber's depth-one subtree off its id.  Each panel
-sums as one integer over a power of q.  `chamber_distance` and the
-per-chamber value functions are the definitions tests compare with.
+Each reference chamber gets one table of chamber distances
+(`_chamber_distances`), mapped through a power table to exact scaled ints;
+the Iwahori check is the base chamber's table, and the extension check
+lays its values out as one block per depth-one subtree.  A level of panels
+then sums as q strided slices of the level below (`_panel_failures`).
+`chamber_distance` and the per-chamber value functions are the
+definitions tests compare with.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -246,67 +249,83 @@ class HctestReport:
     failures: int
 
 
-def _sweep(ball, ref, levels):
-    """Yield the star distances to the chamber ref of every panel in levels.
+def _chamber_distances(ball, ref, levels):
+    """E[v] = the distance from chamber v to the chamber ref, for every
+    chamber in the stars of levels (ranges as `panel_levels` gives them).
 
-    levels are (depth, first, stop) ranges of consecutive depths from 0,
-    each beginning its level, as `panel_levels` gives them.  One pass over
-    the panels, level by level.  D[x] is the distance from
-    vertex x to the nearer endpoint of ref, filled for each level of
-    children from their parents: one more than the parent, except on the
-    path from the root to ref, where it is one less down to 0 at
-    parent(ref), and 0 at ref.  A star chamber c other than ref is then at
-    distance min(D[c], D[parent(c)]) + 1.  Stars come in the order of
-    `panel_chambers`.
+    A chamber is one step further from ref than its parent chamber, except
+    where the path from the root to ref enters vertex v at depth n + 1:
+    v and its siblings share the path vertex at depth n, so the siblings
+    sit at m - n and v at m - n - 1 (m = depth(ref)), which is 0 at ref.
+    E[0] = m - 1 is a dummy for the root, whose q + 1 children are
+    mutually adjacent.
     """
-    q, starts = ball.q, ball.starts
+    q, s = ball.q, ball.starts
     m = ball.depth(ref)
-    on_path = {}
-    v = ref
-    for k in range(m, 0, -1):
-        on_path[k] = v
-        v = ball.parent(v)
-    D = [m - 1]
+    E = [m - 1]
     for n, first, stop in levels:
-        D.extend([d + 1 for d in D[first:stop] for _ in range(q + 1 if n == 0 else q)])
-        v = on_path.get(n + 1)
-        if v is not None and v < len(D):
-            D[v] = max(m - 2 - n, 0)
+        width, down = (q + 1 if n == 0 else q), len(E)
+        grown = [e + 1 for e in E[first:stop]]
+        E += [0] * (width * len(grown))
+        for j in range(width):
+            E[down + j :: width] = grown
+        if n < m:
+            v = s[n + 1] + (ref - s[m]) // ball.qpow[m - n - 1]
+            if v < len(E):
+                block = v - (v - down) % width
+                E[block : block + width] = [m - n] * width
+                E[v] = m - n - 1
+    return E
+
+
+def _panel_failures(ball, levels, X):
+    """How many panels in levels have a nonzero sum of X over their star.
+
+    A panel w at depth n >= 1 has the star w plus its q children, which
+    sit at stride q in the next level; so a level of panels sums as its
+    own slice of X plus q strided slices of the level below.
+    """
+    q, s = ball.q, ball.starts
+    failures = 0
+    for n, first, stop in levels:
         if n == 0:
-            yield [0 if c == ref else min(D[c], D[0]) + 1 for c in range(1, q + 2)]
+            failures += sum(X[1 : q + 2]) != 0
             continue
-        up, down = starts[n - 1], starts[n + 1]
-        for i in range(stop - first):
-            w = first + i
-            dw, dp = D[w], D[0 if n == 1 else up + i // q]
-            c0 = down + i * q
-            star = [(dw if dw < dp else dp) + 1]
-            star += [(dc if dc < dw else dw) + 1 for dc in D[c0 : c0 + q]]
-            if w == ref:
-                star[0] = 0
-            elif c0 <= ref < c0 + q:
-                star[1 + ref - c0] = 0
-            yield star
+        down = s[n + 1]
+        end = down + q * (stop - first)
+        sums = X[first:stop]
+        for j in range(q):
+            sums = list(map(operator.add, sums, X[down + j : end : q]))
+        failures += len(sums) - sums.count(0)
+    return failures
+
+
+def _reference_failures(ball, refs, levels):
+    """Panel failures of (-q)^(-d(C, ref)), summed over the refs.
+
+    Scaled by q^top, top the depth of the deepest reference plus that of
+    the deepest star chamber, every term is an int: no distance reaches top.
+    """
+    q = ball.q
+    top = ball.depth(max(refs)) + len(levels)
+    power = [(-1) ** d * q ** (top - d) for d in range(top + 1)].__getitem__
+    return sum(
+        _panel_failures(ball, levels, list(map(power, _chamber_distances(ball, ref, levels))))
+        for ref in refs
+    )
 
 
 def star_distances(ball, w, ref):
     """Distances from every chamber of the panel star of w to the chamber ref.
 
-    The reference sweep of `verify_hctest`, cut off at the panel w: it fills
-    nearer-endpoint distances over every vertex up to the level below w,
-    so one call costs as much as the ball there.  Agrees with
+    Reads the distance table of `verify_hctest`, built down to the children
+    of w, so one call costs as much as the ball there.  Agrees with
     chamber_distance (cross-checked in tests).
     """
     n, s = ball.depth(w), ball.starts
     levels = [(k, s[k], s[k + 1]) for k in range(n)] + [(n, s[n], w + 1)]
-    *_, star = _sweep(ball, ref, levels)
-    return star
-
-
-def _scaled_panel_sum(q, dists):
-    """q^max(dists) times the sum of (-q)^(-d) over dists, an exact integer."""
-    top = max(dists)
-    return sum([(-1) ** d * q ** (top - d) for d in dists])
+    E = _chamber_distances(ball, ref, levels)
+    return [E[c] for c in ball.panel_chambers(w)]
 
 
 def verify_hctest(ball, r_inner, panel_depth=None):
@@ -314,21 +333,18 @@ def verify_hctest(ball, r_inner, panel_depth=None):
 
     Every sum must vanish exactly; sums are evaluated in scaled integers.
     The references C' are the chambers within r_inner of the base; each
-    gets one `_sweep` over the interior panels (down to panel_depth).
+    gets one distance table over the interior panels (down to panel_depth).
     """
     if r_inner + 1 > ball.radius:
         raise ValueError("need r_inner + 1 <= radius")
     # chambers within r_inner of the base lie at depth <= r_inner + 1 <= radius
     refs = [c for c in range(1, ball.starts[r_inner + 2]) if ball.base_distance(c) <= r_inner]
     levels = ball.panel_levels(panel_depth)
-    q = ball.q
-    failures = 0
-    for ref in refs:
-        for dists in _sweep(ball, ref, levels):
-            if _scaled_panel_sum(q, dists) != 0:
-                failures += 1
+    failures = _reference_failures(ball, refs, levels)
     panels = sum(stop - first for _, first, stop in levels)
-    return HctestReport(q=q, panels_checked=panels, references_checked=len(refs), failures=failures)
+    return HctestReport(
+        q=ball.q, panels_checked=panels, references_checked=len(refs), failures=failures
+    )
 
 
 def legendre_base(ball):
@@ -376,45 +392,28 @@ def extend_base(ball, base_values):
     return value
 
 
-def _panel_stars(ball, levels):
-    """Yield the star of every panel in levels as (depth, chamber) pairs.
-
-    Stars come in the order of `panel_chambers`, and the children of a
-    panel are its deepest chambers.
-    """
-    q, s = ball.q, ball.starts
-    for n, first, stop in levels:
-        if n == 0:
-            yield [(1, c) for c in range(1, q + 2)]
-            continue
-        down = s[n + 1]
-        for w in range(first, stop):
-            c0 = down + (w - first) * q
-            yield [(n, w)] + [(n + 1, c) for c in range(c0, c0 + q)]
-
-
-def _extension_terms(ball, b, levels):
-    """Yield, per panel in levels, q^top times the extension on each star chamber.
-
-    A chamber c at depth k has the value b[a] (-q)^(1-k), where a = 1 +
-    (c - starts[k]) // q^(k-1) is its depth-one ancestor and b holds the
-    base values over their common denominator (`_integer_base`).  top is
-    the depth of the panel, one less than that of its children, so every
-    term is an int.
-    """
-    q, s, qpow = ball.q, ball.starts, ball.qpow
-    for star in _panel_stars(ball, levels):
-        top = star[-1][0] - 1
-        yield [
-            b[1 + (c - s[k]) // qpow[k - 1]] * (-1) ** (k - 1) * q ** (top + 1 - k) for k, c in star
-        ]
-
-
 @dataclass
 class ExtensionReport:
     q: int
     panels_checked: int
     failures: int
+
+
+def _extension_values(ball, b, depth):
+    """q^(depth-1) times the harmonic extension of the integer base b, over
+    every vertex id of depth <= depth (the root, no chamber, gets 0).
+
+    A chamber at depth k under the depth-one chamber a has the value
+    b[a] (-q)^(1-k).  Depth-one subtrees fill contiguous blocks of q^(k-1)
+    ids on each level, so a level is q + 1 repeated blocks.
+    """
+    q = ball.q
+    X = [0]
+    for k in range(1, depth + 1):
+        scale = (-1) ** (k - 1) * q ** (depth - k)
+        for a in range(1, q + 2):
+            X += [b[a] * scale] * q ** (k - 1)
+    return X
 
 
 def verify_extension(ball, base_values):
@@ -424,7 +423,8 @@ def verify_extension(ball, base_values):
         if a not in b:
             raise NotInBall(f"chamber {a} does not resolve to the root panel")
     levels = ball.panel_levels()
-    failures = sum(1 for terms in _extension_terms(ball, b, levels) if sum(terms) != 0)
+    X = _extension_values(ball, b, len(levels))
+    failures = _panel_failures(ball, levels, X)
     panels = sum(stop - first for _, first, stop in levels)
     return ExtensionReport(q=ball.q, panels_checked=panels, failures=failures)
 
@@ -440,16 +440,15 @@ def iwahori_values(ball):
 
 
 def verify_iwahori_harmonic(ball, panel_depth=None):
-    """Interior panel sums of the base Iwahori vector vanish: the hctest sweep
-    with the base chamber as the reference."""
+    """Interior panel sums of the base Iwahori vector vanish: the hctest
+    panel sums with the base chamber as the only reference."""
     levels = ball.panel_levels(panel_depth)
-    sums = (_scaled_panel_sum(ball.q, dists) for dists in _sweep(ball, 1, levels))
-    failures = sum(1 for total in sums if total != 0)
+    failures = _reference_failures(ball, [1], levels)
     panels = sum(stop - first for _, first, stop in levels)
     return ExtensionReport(q=ball.q, panels_checked=panels, failures=failures)
 
 
-def shell_abs_sums(ball):
-    """Per-shell sums of |base Iwahori values|; constant 2 beyond the base."""
-    counts = chamber_count_by_distance(ball)
-    return [Fraction(c, ball.q**n) for n, c in enumerate(counts)]
+def shell_abs_sums(q, counts):
+    """Per-shell sums of |base Iwahori values| from the shell counts
+    (`chamber_count_by_distance`); constant 2 beyond the base."""
+    return [Fraction(c, q**n) for n, c in enumerate(counts)]

@@ -180,7 +180,7 @@ def test_criterion_12_tree_oracle(q):
     ok = tree_oracle.chamber_count_by_distance(ball) == [1] + [
         2 * q**n for n in range(1, 9)
     ]
-    sums = tree_oracle.shell_abs_sums(ball)
+    sums = tree_oracle.shell_abs_sums(q, tree_oracle.chamber_count_by_distance(ball))
     ok = ok and all(s == 2 for s in sums[1:])
     if q == 3:
         hc = tree_oracle.verify_hctest(ball, 3)

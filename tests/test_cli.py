@@ -80,6 +80,9 @@ REPORT_SHA256 = {
 # the one non-default report of the chambers benchmark workload: radius 12
 # makes the lambda-tail check non-vacuous (236 central_chamber calls)
 SERIES_Q5_R12_SHA256 = "23c31e62f3eb630a8bd45fa29f1e0fb7f07b457fdb440d3caa2115012b492a9f"
+# the q > 3 branch of the tree suite (r_inner 1, panel depth 5), which the
+# default q = 3 report does not reach; the tree benchmark workload runs it
+TREE_Q5_R6_SHA256 = "a198abd0ed63aaf81049c944b8ea30089b8316caa1b90f10dfc3f36c850a2626"
 
 
 @pytest.mark.parametrize("suite", sorted(suites.SUITES))
@@ -101,6 +104,13 @@ def test_verify_series_q5_radius12_report_digest(tmp_path):
     out = run_cli("verify", "series", "--q", "5", "--radius", "12", "--json", str(path))
     assert out.returncode == 0, out.stderr
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SERIES_Q5_R12_SHA256
+
+
+def test_verify_tree_q5_radius6_report_digest(tmp_path):
+    path = tmp_path / "tree.json"
+    out = run_cli("verify", "tree", "--q", "5", "--radius", "6", "--json", str(path))
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TREE_Q5_R6_SHA256
 
 
 def test_tables_r1r2():

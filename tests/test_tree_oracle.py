@@ -105,22 +105,40 @@ def test_star_distances_agree_with_pairwise():
 
 
 @pytest.mark.parametrize("q, radius", [(3, 4), (5, 3)])
-def test_sweep_agrees_with_pairwise_and_bfs(q, radius):
+def test_chamber_distances_agree_with_pairwise_and_bfs(q, radius):
     ball = T.build_ball(q, radius)
     levels = ball.panel_levels()
-    panels = list(ball.interior_panels())
+    star_chambers = sorted({c for w in ball.interior_panels() for c in ball.panel_chambers(w)})
     ids = list(ball.chambers())
     for ref in ids:
-        stars = list(T._sweep(ball, ref, levels))
-        assert len(stars) == len(panels)
-        for w, star in zip(panels, stars):
-            assert star == [ball.chamber_distance(c, ref) for c in ball.panel_chambers(w)]
+        E = T._chamber_distances(ball, ref, levels)
+        assert all(E[c] == ball.chamber_distance(c, ref) for c in star_chambers)
     adj = ball.explicit_adjacency()
     rng = random.Random(q * 100 + radius)
     for ref in rng.sample(ids, 8):
         table = _bfs(adj, ref)
-        for w, star in zip(panels, T._sweep(ball, ref, levels)):
-            assert star == [table[c] for c in ball.panel_chambers(w)]
+        E = T._chamber_distances(ball, ref, levels)
+        assert all(E[c] == table[c] for c in star_chambers)
+
+
+@pytest.mark.parametrize("q, radius, r_inner", [(3, 5, 2), (5, 4, 1)])
+def test_strided_panel_sums_match_pairwise_star_sums(q, radius, r_inner):
+    # A star has one chamber at some distance d and q at d + 1, so adding
+    # 1 at odd and -q at even distances keeps a panel sum 0 exactly when d
+    # is even: the counts compared mix vanishing and failing panels.
+    ball = T.build_ball(q, radius)
+    levels = ball.panel_levels()
+    refs = [c for c in ball.chambers() if ball.base_distance(c) <= r_inner]
+    top = ball.depth(max(refs)) + len(levels)
+    P = [(-1) ** d * q ** (top - d) + (1 if d % 2 else -q) for d in range(top + 1)]
+    stars = [ball.panel_chambers(w) for w in ball.interior_panels()]
+    total = 0
+    for ref in refs:
+        X = [P[e] for e in T._chamber_distances(ball, ref, levels)]
+        pairwise = sum(1 for star in stars if sum(P[ball.chamber_distance(c, ref)] for c in star))
+        assert T._panel_failures(ball, levels, X) == pairwise
+        total += pairwise
+    assert 0 < total < len(refs) * len(stars)
 
 
 def test_panel_levels_cut_at_max_depth():
@@ -174,9 +192,9 @@ def test_extension_harmonic():
 @pytest.mark.parametrize("q, radius", [(3, 2), (3, 5), (5, 2), (5, 4)])
 def test_integer_panel_sums_match_fraction_sums(q, radius):
     ball = T.build_ball(q, radius)
-    panels = list(ball.interior_panels())
-    depths = [ball.depth(w) for w in panels]
     levels = ball.panel_levels()
+    depth = len(levels)
+    stars = [ball.panel_chambers(w) for w in ball.interior_panels()]
     # a balanced base over the common denominator 6 (q - 1), to exercise the scaling
     others = list(range(3, q + 2))
     base = {1: Fraction(1, 2), 2: Fraction(-1, 3)}
@@ -185,16 +203,19 @@ def test_integer_panel_sums_match_fraction_sums(q, radius):
     den = 6 * len(others)
     assert all(Fraction(b[a], den) == base[a] for a in base)
     value = T.extend_base(ball, base)
-    for w, n, terms in zip(panels, depths, T._extension_terms(ball, b, levels), strict=True):
-        star = ball.panel_chambers(w)
-        assert terms == [value(c) * den * q**n for c in star]
-        assert Fraction(sum(terms), den * q**n) == sum(value(c) for c in star)
+    X = T._extension_values(ball, b, depth)
+    scale = den * q ** (depth - 1)
+    for star in stars:
+        assert [X[c] for c in star] == [value(c) * scale for c in star]
+        assert Fraction(sum(X[c] for c in star), scale) == sum(value(c) for c in star)
+    # the Iwahori check is the hctest with the base chamber as its one reference
     iwahori = T.iwahori_values(ball)
-    for w, dists in zip(panels, T._sweep(ball, 1, levels), strict=True):
-        star = ball.panel_chambers(w)
-        assert dists == [ball.base_distance(c) for c in star]
-        total = T._scaled_panel_sum(q, dists)
-        assert Fraction(total, q ** max(dists)) == sum(iwahori(c) for c in star)
+    top = 1 + depth
+    E = T._chamber_distances(ball, 1, levels)
+    for star in stars:
+        terms = [(-1) ** E[c] * q ** (top - E[c]) for c in star]
+        assert terms == [iwahori(c) * q**top for c in star]
+        assert Fraction(sum(terms), q**top) == sum(iwahori(c) for c in star)
 
 
 def test_extension_decay_along_branches():
@@ -222,7 +243,7 @@ def test_zero_base_extends_to_zero():
 
 def test_shell_abs_sums_constant():
     ball = T.build_ball(3, 6)
-    sums = T.shell_abs_sums(ball)
+    sums = T.shell_abs_sums(ball.q, T.chamber_count_by_distance(ball))
     assert sums[0] == 1
     assert all(s == 2 for s in sums[1:])
     # the total over all chambers grows linearly with the radius: summing the
