@@ -21,8 +21,6 @@ from operator import mul
 from .errors import BudgetExceeded, InvalidRank, NotARoot, ProportionalPair
 from .linalg import LeftInverse
 
-Root = tuple
-
 _RANK_BOUNDS = {
     "A": (1, None),
     "B": (2, None),
@@ -268,17 +266,14 @@ class RootSystem:
     # -- construction -------------------------------------------------
 
     def _closure(self):
-        frontier = set(self.simples)
-        seen = set(frontier) | {_neg(r) for r in frontier}
+        # The orbit of the simple roots under the simple reflections is every
+        # root: each root is W-conjugate to a simple root, and s_i(alpha_i) =
+        # -alpha_i brings in the negatives (Bourbaki, Lie VI, 1.5).
+        rank = range(self.type.rank)
+        seen = frontier = set(self.simples)
         while frontier:
-            nxt = set()
-            for r in frontier:
-                for i in range(self.type.rank):
-                    for img in (self.simple_reflect(i, r), _neg(self.simple_reflect(i, r))):
-                        if img not in seen:
-                            seen.add(img)
-                            nxt.add(img)
-            frontier = nxt
+            frontier = {self.simple_reflect(i, r) for r in frontier for i in rank} - seen
+            seen |= frontier
         return seen
 
     def _exponents(self):

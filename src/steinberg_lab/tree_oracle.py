@@ -9,6 +9,9 @@ Vertex ids: 0 is the root; level n >= 1 holds (q+1) q^(n-1) vertices in
 level order, children of earlier parents first.  Every vertex v >= 1 names
 the chamber {v, parent(v)}.  The base chamber is vertex 1; the embedded
 apartment runs through vertices 1 and 2 by repeated first children.
+The chambers within r of the base are the ids 1 up to the q^r chambers
+under vertex 1 at depth r + 1, which begin their level, so a ball is one
+id range (`TreeBall.chambers`).
 
 The panel checks walk the interior panels level by level (`panel_levels`).
 Each reference chamber gets one table of chamber distances
@@ -16,6 +19,7 @@ Each reference chamber gets one table of chamber distances
 the Iwahori check is the base chamber's table, and the extension check
 lays its values out as one block per depth-one subtree.  A level of panels
 then sums as q strided slices of the level below (`_panel_failures`).
+The shell counts count the base chamber's table over the ball's range.
 `chamber_distance` and the per-chamber value functions are the
 definitions tests compare with.
 """
@@ -130,23 +134,16 @@ class TreeBall:
         )
         return m + 1
 
-    def base_distance(self, c):
-        """Distance to the base chamber (vertex 1), in O(depth)."""
-        if c == 1:
-            return 0
-        n = self.depth(c)
-        return n - 1 if self.anc_at_depth_one(c) == 1 else n
-
-    def chambers(self):
-        """All chamber ids in the ball, level by level.
+    def chambers(self, radius=None):
+        """The ids of the chambers within radius (at most the ball's, its
+        default) of the base, as one range.
 
         Depth n <= radius is entirely inside; at depth radius + 1 only the
-        chambers under vertex 1 (distance exactly radius) belong.
+        q^radius chambers under vertex 1 (distance exactly radius) belong,
+        and they begin their level.
         """
-        for n in range(1, self.radius + 1):
-            yield from range(self.starts[n], self.starts[n + 1])
-        n = self.radius + 1
-        yield from range(self.starts[n], self.starts[n] + self.qpow[n - 1])
+        r = self.radius if radius is None else radius
+        return range(1, self.starts[r + 1] + self.qpow[r])
 
     def panel_chambers(self, w):
         """The q+1 chambers incident to the panel (vertex) w."""
@@ -188,13 +185,12 @@ class TreeBall:
 
     def explicit_adjacency(self):
         """Chamber adjacency lists, materialized; small balls only."""
-        ids = list(self.chambers())
+        ids = self.chambers()
         if len(ids) > 100_000:
             raise BudgetExceeded(f"explicit graph of {len(ids)} chambers, over the limit of 100000")
-        idset = set(ids)
         adj = {c: [] for c in ids}
-        for w in [0] + ids:
-            star = [c for c in self.panel_chambers(w) if c in idset]
+        for w in [0, *ids]:
+            star = [c for c in self.panel_chambers(w) if c in ids]
             for i, a in enumerate(star):
                 for b in star[i + 1 :]:
                     adj[a].append(b)
@@ -225,20 +221,26 @@ def build_ball(q, radius):
 
 
 def tree_distance(ball, c1, c2):
+    inside = ball.chambers()
     for c in (c1, c2):
         if c < 1:
             raise NotInBall(f"{c} names no chamber (vertex 0 is the root, chambers start at 1)")
-        if ball.base_distance(c) > ball.radius:
-            raise NotInBall(f"chamber {c} outside the ball")
+        if c not in inside:
+            raise NotInBall(
+                f"chamber {c} outside the ball of radius {ball.radius}"
+                f" (chamber ids {inside.start} to {inside.stop - 1})"
+            )
     return ball.chamber_distance(c1, c2)
 
 
 def chamber_count_by_distance(ball):
-    """Exact shell counts, by enumeration."""
-    counts = [0] * (ball.radius + 1)
-    for c in ball.chambers():
-        counts[ball.base_distance(c)] += 1
-    return counts
+    """Exact shell counts: the base chamber's distance table, counted over
+    the ball's ids (E[0], the root's dummy, is no chamber)."""
+    inside = ball.chambers()
+    # at radius 0 no panel is interior, but the root's star still holds the base
+    E = _chamber_distances(ball, 1, ball.panel_levels() or [(0, 0, 1)])
+    shells = E[inside.start : inside.stop]
+    return [shells.count(d) for d in range(ball.radius + 1)]
 
 
 @dataclass
@@ -300,19 +302,23 @@ def _panel_failures(ball, levels, X):
     return failures
 
 
-def _reference_failures(ball, refs, levels):
-    """Panel failures of (-q)^(-d(C, ref)), summed over the refs.
+def _hctest(ball, refs, panel_depth):
+    """Panel failures of (-q)^(-d(C, ref)) over the interior panels (down
+    to panel_depth), summed over the refs, as a report.
 
     Scaled by q^top, top the depth of the deepest reference plus that of
     the deepest star chamber, every term is an int: no distance reaches top.
     """
     q = ball.q
+    levels = ball.panel_levels(panel_depth)
     top = ball.depth(max(refs)) + len(levels)
     power = [(-1) ** d * q ** (top - d) for d in range(top + 1)].__getitem__
-    return sum(
+    failures = sum(
         _panel_failures(ball, levels, list(map(power, _chamber_distances(ball, ref, levels))))
         for ref in refs
     )
+    panels = sum(stop - first for _, first, stop in levels)
+    return HctestReport(q=q, panels_checked=panels, references_checked=len(refs), failures=failures)
 
 
 def star_distances(ball, w, ref):
@@ -337,14 +343,7 @@ def verify_hctest(ball, r_inner, panel_depth=None):
     """
     if r_inner + 1 > ball.radius:
         raise ValueError("need r_inner + 1 <= radius")
-    # chambers within r_inner of the base lie at depth <= r_inner + 1 <= radius
-    refs = [c for c in range(1, ball.starts[r_inner + 2]) if ball.base_distance(c) <= r_inner]
-    levels = ball.panel_levels(panel_depth)
-    failures = _reference_failures(ball, refs, levels)
-    panels = sum(stop - first for _, first, stop in levels)
-    return HctestReport(
-        q=ball.q, panels_checked=panels, references_checked=len(refs), failures=failures
-    )
+    return _hctest(ball, ball.chambers(r_inner), panel_depth)
 
 
 def legendre_base(ball):
@@ -433,7 +432,7 @@ def iwahori_values(ball):
     """The normalized base-chamber vector as a value function."""
 
     def value(c):
-        d = ball.base_distance(c)
+        d = ball.chamber_distance(1, c)
         return Fraction((-1) ** d, ball.q**d)
 
     return value
@@ -442,10 +441,7 @@ def iwahori_values(ball):
 def verify_iwahori_harmonic(ball, panel_depth=None):
     """Interior panel sums of the base Iwahori vector vanish: the hctest
     panel sums with the base chamber as the only reference."""
-    levels = ball.panel_levels(panel_depth)
-    failures = _reference_failures(ball, [1], levels)
-    panels = sum(stop - first for _, first, stop in levels)
-    return ExtensionReport(q=ball.q, panels_checked=panels, failures=failures)
+    return _hctest(ball, [1], panel_depth)
 
 
 def shell_abs_sums(q, counts):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -87,13 +88,16 @@ TREE_Q5_R6_SHA256 = "a198abd0ed63aaf81049c944b8ea30089b8316caa1b90f10dfc3f36c850
 
 @pytest.mark.parametrize("suite", sorted(suites.SUITES))
 def test_verify_reports_identical_across_hash_seeds(tmp_path, suite):
-    # set and dict iteration order follows PYTHONHASHSEED; the report must not
-    reports = []
-    for seed in ("0", "1"):
+    # set and dict iteration order follows PYTHONHASHSEED; the report must not.
+    # The two seeds run as concurrent processes.
+    def verify(seed):
         path = tmp_path / f"{suite}-{seed}.json"
         out = run_cli("verify", suite, "--json", str(path), env={"PYTHONHASHSEED": seed})
         assert out.returncode == 0, out.stderr
-        reports.append(path.read_bytes())
+        return path.read_bytes()
+
+    with ThreadPoolExecutor(2) as pool:
+        reports = list(pool.map(verify, ("0", "1")))
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["reports"][0]["suite"] == suite
     assert hashlib.sha256(reports[0]).hexdigest() == REPORT_SHA256[suite]

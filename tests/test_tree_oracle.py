@@ -44,11 +44,34 @@ def test_distance_is_symmetric():
     assert ball.chamber_distance(ids[0], ids[0]) == 0
 
 
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_shell_counts_count_walk_distances(q):
+    for radius in range(5):
+        ball = T.build_ball(q, radius)
+        walk = [ball.chamber_distance(1, c) for c in ball.chambers()]
+        assert T.chamber_count_by_distance(ball) == [walk.count(d) for d in range(radius + 1)]
+
+
+@pytest.mark.parametrize("q, radius", [(3, 4), (5, 3)])
+def test_ball_range_is_the_chambers_within_each_radius(q, radius):
+    # a chamber at depth n is at least n - 1 from the base
+    ball = T.build_ball(q, radius)
+    for r in range(radius + 1):
+        within = [c for c in range(1, ball.starts[r + 2]) if ball.chamber_distance(1, c) <= r]
+        assert list(ball.chambers(r)) == within
+    assert ball.chambers() == ball.chambers(radius)
+
+
 def test_not_in_ball():
     ball = T.build_ball(3, 2)
     outside = ball.starts[4]
     with pytest.raises(NotInBall):
         T.tree_distance(ball, 1, outside + 10**6)
+    # the ball is the ids 1 to 1 + 6 + 18
+    inside = ball.chambers()
+    assert T.tree_distance(ball, 1, inside[-1]) == ball.chamber_distance(1, inside[-1]) == 2
+    with pytest.raises(NotInBall, match=r"radius 2 \(chamber ids 1 to 25\)"):
+        T.tree_distance(ball, inside.stop, 1)
 
 
 @pytest.mark.parametrize("c", [0, -1, -5])
@@ -81,7 +104,7 @@ def test_distances_match_explicit_bfs():
     adj = ball.explicit_adjacency()
     from_base = _bfs(adj, 1)
     for c in ball.chambers():
-        assert from_base[c] == ball.base_distance(c)
+        assert from_base[c] == ball.chamber_distance(1, c)
     rng = random.Random(9)
     ids = list(ball.chambers())
     for _ in range(20):
@@ -128,7 +151,7 @@ def test_strided_panel_sums_match_pairwise_star_sums(q, radius, r_inner):
     # is even: the counts compared mix vanishing and failing panels.
     ball = T.build_ball(q, radius)
     levels = ball.panel_levels()
-    refs = [c for c in ball.chambers() if ball.base_distance(c) <= r_inner]
+    refs = ball.chambers(r_inner)
     top = ball.depth(max(refs)) + len(levels)
     P = [(-1) ** d * q ** (top - d) + (1 if d % 2 else -q) for d in range(top + 1)]
     stars = [ball.panel_chambers(w) for w in ball.interior_panels()]
@@ -157,6 +180,8 @@ def test_hctest_small():
     assert report.failures == 0
     report5 = T.verify_hctest(T.build_ball(5, 4), 1)
     assert report5.failures == 0
+    # the references are the chambers within r_inner: 1 + 2 (3 + 9 + 27 + 81) and 1 + 2 * 5
+    assert (report.references_checked, report5.references_checked) == (241, 11)
 
 
 def test_hctest_near_far_pattern():
@@ -186,7 +211,7 @@ def test_extension_harmonic():
     report = T.verify_extension(ball, base)
     assert report.failures == 0
     iwa = T.verify_iwahori_harmonic(ball)
-    assert iwa.failures == 0
+    assert (iwa.failures, iwa.references_checked) == (0, 1)
 
 
 @pytest.mark.parametrize("q, radius", [(3, 2), (3, 5), (5, 2), (5, 4)])
