@@ -70,7 +70,8 @@ class SignCharacter:
 
 
 def eic_character(sys):
-    """The tabled character on the sign basis, one rule per family.
+    """The tabled character on the sign basis: -1 on every member, except
+    by the B, C and F rules.
 
     These are the values forced by the generating relations (negated simple
     members give -1; rank-two mixed pairs give -1 on the product; simple
@@ -80,23 +81,13 @@ def eic_character(sys):
     if tables.is_a2n(sys):
         raise NotApplicable("no sign character in type A of even rank")
     r = tables.expected_sigma_a_size(sys)
-    if fam == "A" or fam == "G":
-        neg = range(1, r + 1)
-    elif fam == "B":
-        neg = [i for i in range(1, r + 1) if i % 2 == 0 or i == d]
+    neg = range(1, r + 1)
+    if fam == "B":
+        neg = [i for i in neg if i % 2 == 0 or i == d]
     elif fam == "C":
-        neg = [i for i in range(1, r + 1) if (d + 1 - i) % 2 == 1]
-    elif fam == "D":
-        neg = range(1, r + 1)
-    elif fam == "E" and d == 6:
-        neg = range(1, r + 1)
-    elif fam == "E":
-        # ranks 7 and 8: every basis value is -1
-        neg = range(1, r + 1)
+        neg = [i for i in neg if (d + 1 - i) % 2 == 1]
     elif fam == "F":
         neg = [2, 4]
-    else:
-        raise NotApplicable(str(sys.type))
     bits = 0
     for i in neg:
         bits |= 1 << (i - 1)
@@ -332,22 +323,16 @@ class R1R2Result:
 def r1_r2(sys):
     """Wall counts between adjacent fixed facets, total and even-height.
 
-    Defined for the positive-dimensional fixed-subcomplex types (A of odd
-    rank >= 3, D of odd rank, E6).  Checks independence of the separating
-    direction and the doubling relation r1 = 2 r2.
+    Defined when the sign basis does not span, so that its fixed facet is
+    positive-dimensional.  Checks independence of the separating direction
+    and the doubling relation r1 = 2 r2.
     """
     from .sorth import levi_support
 
-    fam, d = sys.type.family, sys.type.rank
-    applicable = (
-        (fam == "A" and d % 2 == 1 and d >= 3)
-        or (fam == "D" and d % 2 == 1)
-        or (fam == "E" and d == 6)
-    )
-    if not applicable:
-        raise NotApplicable(f"{sys.type} has no positive-dimensional fixed subcomplex")
     members = tables.sign_basis(sys)
     levi = set(levi_support(sys, members))
+    if len(levi) == sys.type.rank:
+        raise NotApplicable(f"{sys.type} has no positive-dimensional fixed subcomplex")
     outside = [i for i in range(sys.type.rank) if i not in levi]
     counts = []
     for i in outside:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from math import lcm
+from math import lcm, prod
 from operator import mul
 
 from .errors import BudgetExceeded, InvalidRank, NotARoot, ProportionalPair
@@ -30,12 +30,6 @@ _RANK_BOUNDS = {
     "F": (4, 4),
     "G": (2, 2),
 }
-
-#: Orders of the finite Weyl groups, used for enumeration budgets.
-_FACTORIALS = [1]
-for _i in range(1, 13):
-    _FACTORIALS.append(_FACTORIALS[-1] * _i)
-
 
 @dataclass(frozen=True)
 class RootSystemType:
@@ -128,29 +122,17 @@ def _ambient_simples(family, d):
 
 
 def _ambient_all_roots(family, d):
-    """All roots in ambient coordinates, for the table-versus-closure oracle."""
-    roots = []
+    """All roots in ambient coordinates, for the table-versus-closure oracle.
+
+    F4 is B4 and the sixteen half-vectors; E8 is D8 and the half-vectors
+    with an even number of minus signs.  E7 keeps the E8 roots orthogonal
+    to e7 + e8, and E6 those also orthogonal to e6 - e7: the realization of
+    the E simple roots (Bourbaki, Lie VI, Plates V-VII).
+    """
     if family == "A":
         dim = d + 1
-        for i in range(dim):
-            for j in range(dim):
-                if i != j:
-                    roots.append(_sub(_basis(dim, i), _basis(dim, j)))
-    elif family in ("B", "C", "D"):
-        for i in range(d):
-            for j in range(i + 1, d):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        roots.append(_add(_scale(si, _basis(d, i)), _scale(sj, _basis(d, j))))
-        if family == "B":
-            for i in range(d):
-                roots.append(_basis(d, i))
-                roots.append(_neg(_basis(d, i)))
-        if family == "C":
-            for i in range(d):
-                roots.append(_scale(2, _basis(d, i)))
-                roots.append(_scale(-2, _basis(d, i)))
-    elif family == "G":
+        return [_sub(_basis(dim, i), _basis(dim, j)) for i in range(dim) for j in range(dim) if i != j]
+    if family == "G":
         e = [_basis(3, i) for i in range(3)]
         base = [
             _sub(e[0], e[1]),
@@ -160,58 +142,33 @@ def _ambient_all_roots(family, d):
             _sub(_scale(2, e[1]), _add(e[0], e[2])),
             _sub(_scale(2, e[2]), _add(e[0], e[1])),
         ]
-        for v in base:
-            roots.append(v)
-            roots.append(_neg(v))
-    elif family == "F":
-        e = [_basis(4, i) for i in range(4)]
-        for i in range(4):
-            roots.append(e[i])
-            roots.append(_neg(e[i]))
-        for i in range(4):
-            for j in range(i + 1, 4):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        roots.append(_add(_scale(si, e[i]), _scale(sj, e[j])))
-        half = Fraction(1, 2)
-        for signs in product((1, -1), repeat=4):
-            roots.append(tuple(half * s for s in signs))
-    elif family == "E":
-        e = [_basis(8, i) for i in range(8)]
-        half = Fraction(1, 2)
-        if d == 8:
-            for i in range(8):
-                for j in range(i + 1, 8):
-                    for si in (1, -1):
-                        for sj in (1, -1):
-                            roots.append(_add(_scale(si, e[i]), _scale(sj, e[j])))
-            for signs in product((1, -1), repeat=8):
-                if signs.count(-1) % 2 == 0:
-                    roots.append(tuple(half * s for s in signs))
-        elif d == 7:
-            for i in range(6):
-                for j in range(i + 1, 6):
-                    for si in (1, -1):
-                        for sj in (1, -1):
-                            roots.append(_add(_scale(si, e[i]), _scale(sj, e[j])))
-            roots.append(_sub(e[6], e[7]))
-            roots.append(_sub(e[7], e[6]))
-            for signs in product((1, -1), repeat=6):
-                if signs.count(-1) % 2 == 1:
-                    v = list(half * s for s in signs) + [-half, half]
-                    roots.append(tuple(v))
-                    roots.append(_neg(tuple(v)))
-        elif d == 6:
-            for i in range(5):
-                for j in range(i + 1, 5):
-                    for si in (1, -1):
-                        for sj in (1, -1):
-                            roots.append(_add(_scale(si, e[i]), _scale(sj, e[j])))
-            for signs in product((1, -1), repeat=5):
-                if signs.count(-1) % 2 == 0:
-                    v = list(half * s for s in signs) + [-half, -half, half]
-                    roots.append(tuple(v))
-                    roots.append(_neg(tuple(v)))
+        return base + [_neg(v) for v in base]
+    half = Fraction(1, 2)
+    if family == "F":
+        signs = product((1, -1), repeat=4)
+        return _ambient_all_roots("B", 4) + [tuple(half * x for x in s) for s in signs]
+    if family == "E":
+        # filtered as integer D8 roots and sign tuples, so only kept half-vectors become Fractions
+        def kept(v):
+            return d == 8 or (v[6] == -v[7] and (d == 7 or v[5] == v[6]))
+
+        signs = [s for s in product((1, -1), repeat=8) if s.count(-1) % 2 == 0 and kept(s)]
+        roots = [v for v in _ambient_all_roots("D", 8) if kept(v)]
+        return roots + [tuple(half * x for x in s) for s in signs]
+    roots = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            for si in (1, -1):
+                for sj in (1, -1):
+                    roots.append(_add(_scale(si, _basis(d, i)), _scale(sj, _basis(d, j))))
+    if family == "B":
+        for i in range(d):
+            roots.append(_basis(d, i))
+            roots.append(_neg(_basis(d, i)))
+    if family == "C":
+        for i in range(d):
+            roots.append(_scale(2, _basis(d, i)))
+            roots.append(_scale(-2, _basis(d, i)))
     return roots
 
 
@@ -393,18 +350,9 @@ class RootSystem:
         return list(self.simples) + [_neg(self.highest_root)]
 
     def weyl_order(self):
-        fam, d = self.type.family, self.type.rank
-        if fam == "A":
-            return _FACTORIALS[d + 1]
-        if fam in ("B", "C"):
-            return (1 << d) * _FACTORIALS[d]
-        if fam == "D":
-            return (1 << (d - 1)) * _FACTORIALS[d]
-        if fam == "G":
-            return 12
-        if fam == "F":
-            return 1152
-        return {6: 51840, 7: 2903040, 8: 696729600}[d]
+        """|W| as the product of the degrees m + 1 over the exponents m
+        (Chevalley; Humphreys, Reflection Groups and Coxeter Groups, 3.9)."""
+        return prod(m + 1 for m in self.exponents)
 
     # -- ambient translation -----------------------------------------------
 

@@ -168,14 +168,9 @@ def lambda_tvoth(sys, q, ch_da_count):
         raise NotApplicable("type A of even rank uses the central-chamber sum")
     if ch_da_count <= 0:
         raise ValueError("the chamber count must be positive")
-    fam, d = sys.type.family, sys.type.rank
-    if fam == "A" and d >= 3:
-        d_prime = (d + 1) // 2 - 1
-    elif fam == "D" and d % 2 == 1:
-        d_prime = 1
-    elif fam == "E" and d == 6:
-        d_prime = 2
-    else:
+    # the fixed facet's dimension: the rank less the size of the tabled set
+    d_prime = sys.type.rank - tables.expected_sigma_a_size(sys)
+    if d_prime == 0:
         return Fraction(ch_da_count)
     rr = r1_r2(sys)
     value = ch_da_count * s_value(d_prime, Fraction(q) ** (rr.r2 - rr.r1))

@@ -178,14 +178,14 @@ def verify_certificate(sys, members, word, target):
     return all(sys.pos_rep(apply_word(sys, word, m)) in target for m in members)
 
 
-def is_conjugate_subset_of(sys, soset, target, exhaustive=None):
+def is_conjugate_subset_of(sys, soset, target):
     """Decide whether some Weyl image of the set lies inside target.
 
     Member signs are treated as free on both sides.  Returns a
     ConjugacyResult whose word, when applied left to right, maps the set
-    into target up to signs.  "no" answers are only produced by exhaustive
-    search or by an invariant screen; the normal-form route answers "yes"
-    or falls through.
+    into target up to signs.  "no" answers are only produced by the orbit
+    search, run exactly when |W| is within the budget, or by an invariant
+    screen; the normal-form route answers "yes" or falls through.
     """
     a = [sys.check_root(m) for m in (soset.members if isinstance(soset, SOSet) else soset)]
     b = [sys.check_root(m) for m in (target.members if isinstance(target, SOSet) else target)]
@@ -210,9 +210,7 @@ def is_conjugate_subset_of(sys, soset, target, exhaustive=None):
         if any(c < 0 for c in counts.values()):
             return ConjugacyResult("no", (), "length screen")
     budget = read_budget(_DEFAULT_BUDGET)
-    if exhaustive is None:
-        exhaustive = sys.weyl_order() <= budget
-    if exhaustive:
+    if sys.weyl_order() <= budget:
         target_canon_members = {sys.pos_rep(t) for t in b}
 
         def test(canon):
@@ -236,7 +234,7 @@ def enumerate_so_sets(sys):
 
     Signs are treated as free (every class has an all-positive member).
     The empty set is included.  Raises BudgetExceeded when the Weyl group
-    is too large for exhaustive orbit closure.
+    is too large for a full orbit closure.
     """
     budget = read_budget(_DEFAULT_BUDGET)
     if sys.weyl_order() > budget:

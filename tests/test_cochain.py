@@ -239,10 +239,15 @@ def test_r1_r2_more_ranks():
 
 
 def test_r1_r2_not_applicable():
-    with pytest.raises(NotApplicable):
-        r1_r2(build("B", 3))
-    with pytest.raises(NotApplicable):
-        r1_r2(build("A", 4))
+    # a sign basis supported on every simple root fixes a vertex: no wall counts
+    applicable = []
+    for fam, rank in SIGN_CALCULUS_TYPES + [("A", 2), ("A", 4)]:
+        try:
+            r1_r2(build(fam, rank))
+        except NotApplicable:
+            continue
+        applicable.append(f"{fam}{rank}")
+    assert applicable == ["A3", "A5", "A7", "D5", "D7", "E6"]
 
 
 def _b2_by_root_count(sys, beta, alpha):

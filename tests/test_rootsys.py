@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from operator import mul
 
 import pytest
@@ -49,6 +49,20 @@ def test_closure_matches_plates():
     for fam, rank in sorted(types):
         sys = build(fam, rank)
         assert list(sys.roots) == sys.ambient_root_table()
+
+
+def test_weyl_order_matches_the_classical_orders():
+    exceptional = {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600, ("F", 4): 1152, ("G", 2): 12}
+    types = set(ACCEPTANCE_TYPES) | set(SIGN_CALCULUS_TYPES) | set(TRICHOTOMY_TYPES)
+    for fam, d in sorted(types | {("A", d) for d in range(9, 14)}):
+        classical = {
+            "A": factorial(d + 1),
+            "B": 2**d * factorial(d),
+            "C": 2**d * factorial(d),
+            "D": 2 ** (d - 1) * factorial(d),
+        }
+        expected = classical[fam] if fam in classical else exceptional[fam, d]
+        assert build(fam, d).weyl_order() == expected
 
 
 def test_plate_table_is_integer_and_built_once(monkeypatch):

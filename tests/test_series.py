@@ -5,6 +5,7 @@ import pytest
 from steinberg_lab import series
 from steinberg_lab.errors import DomainError, NotApplicable
 from steinberg_lab.rootsys import build
+from steinberg_lab.suites import SIGN_CALCULUS_TYPES
 
 
 def test_poincare_closed_a1():
@@ -86,3 +87,20 @@ def test_lambda_tvoth():
         series.lambda_tvoth(build("A", 2), 3, 1)
     with pytest.raises(ValueError):
         series.lambda_tvoth(g2, 3, 0)
+
+
+# lambda_tvoth(sys, 3, 1) on the types whose fixed facet is positive-dimensional;
+# on every other sign-calculus type it is the chamber count 1
+LAMBDA_TVOTH_Q3 = {
+    ("A", 3): Fraction(5, 4),
+    ("A", 5): Fraction(91, 64),
+    ("A", 7): Fraction(205, 128),
+    ("D", 5): Fraction(41, 40),
+    ("D", 7): Fraction(365, 364),
+    ("E", 6): Fraction(6643, 6400),
+}
+
+
+def test_lambda_tvoth_values_on_every_sign_calculus_type():
+    for fam, rank in SIGN_CALCULUS_TYPES:
+        assert series.lambda_tvoth(build(fam, rank), 3, 1) == LAMBDA_TVOTH_Q3.get((fam, rank), 1)

@@ -134,7 +134,7 @@ def test_target_mode_words_pass_certificate():
             found = weyl_orbit(sys, moved, 10_000, target=lambda canon: set(canon) <= target)
             assert found is not None
             assert sorth.verify_certificate(sys, moved, found[1], table)
-            res = sorth.is_conjugate_subset_of(sys, moved, table, exhaustive=True)
+            res = sorth.is_conjugate_subset_of(sys, moved, table)
             assert res.status == "yes" and res.method in ("orbit", "normal form")
             assert sorth.verify_certificate(sys, moved, res.word, table)
 
@@ -161,6 +161,12 @@ def test_enumeration_counts():
 
 
 def test_enumeration_budget(monkeypatch):
+    a12 = build("A", 12)
+    with pytest.raises(BudgetExceeded, match=r"\|W\(A12\)\| = 6227020800 exceeds the budget of 1000000$"):
+        sorth.enumerate_so_sets(a12)
+    # sizes differ, so the normal forms cannot settle it and |W| decides the orbit search
+    res = sorth.is_conjugate_subset_of(a12, [a12.simples[0]], [a12.simples[0], a12.simples[2]])
+    assert (res.status, res.method) == ("unknown", "budget")
     monkeypatch.setenv("STEINBERG_BUDGET", "10")
     with pytest.raises(BudgetExceeded, match=r"1152 exceeds the budget of 10\b"):
         sorth.enumerate_so_sets(build("F", 4))
