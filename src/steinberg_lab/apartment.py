@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from math import gcd
 from operator import mul
 
@@ -208,18 +207,22 @@ def affine_relation(chamber):
 
 
 def e_chambers_in_f_chamber(cf):
-    """The 2^d fine-level chambers inside a coarse chamber."""
+    """The 2^d fine-level chambers inside a coarse chamber, sorted by h: each fine
+    value is the coarse value or one less, fixed root by root in ascending order,
+    and a prefix is pruned once a sum triple (i, j, k) ending at the new k fails."""
     if cf.level != F_LEVEL:
         raise LevelMismatch("expected a coarse-level chamber")
     sys = cf.system
-    found = []
-    for choice in product((0, 1), repeat=len(cf.h)):
-        ce = Chamber(sys, E_LEVEL, (v - drop for v, drop in zip(cf.h, choice)))
-        if check_concave(ce):
-            found.append(ce)
-    if len(found) != 2 ** sys.type.rank:
-        raise AssertionError(f"expected {2 ** sys.type.rank} fine chambers, got {len(found)}")
-    return sorted(found, key=lambda ch: ch.h)
+    prefixes = [()]
+    for k, v in enumerate(cf.h):
+        pairs = [(i, j) for i, j, top in sys.positive_sum_triples if top == k]
+        prefixes = [
+            p + (x,) for p in prefixes for x in (v - 1, v)
+            if all(0 <= p[i] + p[j] - x <= 1 for i, j in pairs)
+        ]
+    if len(prefixes) != 2 ** sys.type.rank:
+        raise AssertionError(f"expected {2 ** sys.type.rank} fine chambers, got {len(prefixes)}")
+    return [Chamber(sys, E_LEVEL, h) for h in prefixes]
 
 
 def is_central(chamber):

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys as _sys
 
-from . import cochain, sorth, suites, tables, tree_oracle
+from . import suites
 from .errors import BudgetExceeded, InvalidRank, NotApplicable, read_budget
-from .rootsys import build
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1
@@ -32,6 +30,8 @@ def _is_prime_power(n):
 
 
 def cmd_sigma_a(args):
+    from . import sorth, tables
+    from .rootsys import build
     try:
         system = build(args.family, args.rank)
     except InvalidRank as exc:
@@ -84,6 +84,7 @@ def cmd_verify(args):
         tree_min = suites.tree_hctest_depths(args.q)[0] + 1
         if radius < tree_min:
             _fail_usage(f"--radius {radius} is below the tree minimum {tree_min} at q={args.q}")
+        from . import tree_oracle
         try:
             tree_oracle.build_ball(args.q, radius)  # O(radius): sizes the ball, enumerates nothing
         except BudgetExceeded as exc:
@@ -110,6 +111,8 @@ def cmd_verify(args):
 
 
 def _sign_rows():
+    from . import cochain
+    from .rootsys import build
     rows = []
     for fam, rank in suites.SIGN_CALCULUS_TYPES:
         system = build(fam, rank)
@@ -127,6 +130,8 @@ def _sign_rows():
 
 
 def _sract_rows():
+    from . import cochain, tables
+    from .rootsys import build
     rows = []
     for fam, rank in suites.SIGN_CALCULUS_TYPES:
         system = build(fam, rank)
@@ -147,9 +152,14 @@ def _sract_rows():
 
 
 def _r1r2_rows():
+    from .cochain import r1_r2
+    from .rootsys import build
     rows = []
-    for fam, rank in [("A", 3), ("A", 5), ("A", 7), ("D", 5), ("D", 7), ("E", 6)]:
-        rr = cochain.r1_r2(build(fam, rank))
+    for fam, rank in suites.SIGN_CALCULUS_TYPES:
+        try:
+            rr = r1_r2(build(fam, rank))
+        except NotApplicable:  # the sign basis fixes a vertex
+            continue
         rows.append(
             {
                 "type": f"{fam}{rank}",
@@ -190,6 +200,7 @@ def _emit_rows(rows, fmt):
         return
     keys = list(rows[0])
     if fmt == "csv":
+        import csv
         writer = csv.writer(_sys.stdout, lineterminator="\n")
         writer.writerow(keys)
         writer.writerows([row[k] for k in keys] for row in rows)

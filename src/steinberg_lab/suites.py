@@ -8,14 +8,10 @@ exact (integers or reduced fractions rendered as strings).
 from __future__ import annotations
 
 import inspect
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import apartment, cochain, prasad, series, sorth, tables, tree_oracle
 from .errors import HalfIntegralityViolation
-from .linalg import LeftInverse
-from .rootsys import _neg, build, strongly_orthogonal
 
 ACCEPTANCE_TYPES = [
     ("A", 1), ("A", 3), ("A", 5),
@@ -97,6 +93,7 @@ def _render(v):
 
 
 def suite_rootsys():
+    from .rootsys import _neg, build, strongly_orthogonal
     rep = SuiteReport("rootsys")
     for fam, rank in ACCEPTANCE_TYPES + [("A", 2), ("A", 4)]:
         sys = build(fam, rank)
@@ -161,6 +158,9 @@ def suite_rootsys():
 
 
 def suite_sorth():
+    from . import sorth, tables
+    from .linalg import LeftInverse
+    from .rootsys import _neg, build
     rep = SuiteReport("sorth")
     for fam, rank in ACCEPTANCE_TYPES:
         sys = build(fam, rank)
@@ -253,6 +253,9 @@ def suite_sorth():
 
 
 def suite_apartment(seed=20240817):
+    import random
+    from . import apartment, tables
+    from .rootsys import build
     rep = SuiteReport("apartment")
     rng = random.Random(seed)
     for fam, rank in [("A", 2), ("C", 2), ("G", 2)]:
@@ -375,6 +378,8 @@ def suite_apartment(seed=20240817):
 
 
 def suite_cochain(q=3, radius=4):
+    from . import apartment, cochain, prasad, tables
+    from .rootsys import build
     rep = SuiteReport("cochain")
     # sign calculus: solve, compare, gfdstab, character compatibility
     for fam, rank in SIGN_CALCULUS_TYPES:
@@ -481,6 +486,8 @@ def suite_cochain(q=3, radius=4):
 
 
 def suite_series(q=3, radius=10):
+    from . import series
+    from .rootsys import build
     rep = SuiteReport("series")
     for fam, rank in [("A", 1), ("A", 2), ("C", 2), ("G", 2), ("A", 3)]:
         sys = build(fam, rank)
@@ -538,6 +545,7 @@ def tree_hctest_depths(q):
 
 
 def suite_tree(q=3, radius=8):
+    from . import tree_oracle
     rep = SuiteReport("tree")
     ball = tree_oracle.build_ball(q, radius)
     counts = tree_oracle.chamber_count_by_distance(ball)
@@ -606,6 +614,8 @@ def suite_tree(q=3, radius=8):
 
 
 def suite_prasad():
+    from . import prasad, tables
+    from .rootsys import build
     rep = SuiteReport("prasad")
     for fam, rank in ACCEPTANCE_TYPES + [("A", 2), ("A", 4)]:
         sys = build(fam, rank)

@@ -103,6 +103,24 @@ def test_fine_chambers_inside_coarse():
         e_chambers_in_f_chamber(ce)
 
 
+@pytest.mark.parametrize(
+    "fam, rank",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("C", 2), ("G", 2), ("B", 3)],
+)
+def test_fine_chambers_walk_matches_every_drop_pattern(fam, rank):
+    # the pruned walk against the brute force: lower a coarse chamber by 0 or 1
+    # on every positive root, keep the concave results, sort by h
+    sys = build(fam, rank)
+    cf, _ = base_chambers(sys)
+    for coarse in [c for shell in chambers_within(cf, 2) for c in shell]:
+        brute = [
+            ch
+            for drop in product((0, 1), repeat=len(coarse.h))
+            if check_concave(ch := Chamber(sys, E_LEVEL, (v - d for v, d in zip(coarse.h, drop))))
+        ]
+        assert e_chambers_in_f_chamber(coarse) == sorted(brute, key=lambda ch: ch.h)
+
+
 def test_central_chamber_a2_values():
     sys = build("A", 2)
     cf, _ = base_chambers(sys)

@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from steinberg_lab import cli, suites
+from steinberg_lab import apartment, cli, suites
 from steinberg_lab.errors import HalfIntegralityViolation
 
 
@@ -253,7 +253,7 @@ def test_facet_functional_check_catches_only_half_integrality(monkeypatch, tmp_p
     def broken(*args):
         raise error
 
-    monkeypatch.setattr(suites.apartment, "facet_functional", broken)
+    monkeypatch.setattr(apartment, "facet_functional", broken)
     path = tmp_path / "report.json"
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["verify", "apartment", "--json", str(path)])
