@@ -180,7 +180,7 @@ def solve_character(r, constraints):
         if sign not in (1, -1):
             raise ValueError("signs must be +1 or -1")
         rows.append((vec.bits, 1 if sign == -1 else 0, [vec]))
-    solution_bits = 0
+    # Gauss-Jordan on insertion: every pivot row is zero on the other pivot columns
     pivots = {}
     for bits, rhs, origin in rows:
         cur_bits, cur_rhs, cur_origin = bits, rhs, list(origin)
@@ -196,23 +196,17 @@ def solve_character(r, constraints):
                 )
             continue
         col = cur_bits.bit_length() - 1
+        for other, (obits, orhs, oorigin) in pivots.items():
+            if obits >> col & 1:
+                pivots[other] = (obits ^ cur_bits, orhs ^ cur_rhs, oorigin + cur_origin)
         pivots[col] = (cur_bits, cur_rhs, cur_origin)
     if len(pivots) < r:
         free = [i + 1 for i in range(r) if i not in pivots]
         raise AmbiguousConstraints(
             f"constraints span a proper subgroup; free coordinates {free}", free_vectors=free
         )
-    # back-substitute to a diagonal system
-    for col in sorted(pivots, reverse=True):
-        bits, rhs, _ = pivots[col]
-        for other in sorted(pivots):
-            if other == col:
-                continue
-            obits, orhs, oorigin = pivots[other]
-            if obits >> col & 1:
-                pivots[other] = (obits ^ bits, orhs ^ rhs, oorigin)
     dual = 0
-    for col, (bits, rhs, _) in pivots.items():
+    for col, (_, rhs, _) in pivots.items():
         if rhs:
             dual |= 1 << col
     return SignCharacter(dual, r)
@@ -306,12 +300,7 @@ def a2n_class_value(k, q, base):
     if k < 0:
         raise ValueError("k must be nonnegative")
     base = Fraction(base)
-    if k == 0:
-        return base
-    value = base / (1 - q)
-    for _ in range(k - 1):
-        value *= Fraction(2, 1 - q)
-    return value
+    return base if k == 0 else base * Fraction(2, 1 - q) ** k / 2
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Length generating functions of affine Weyl groups and the lambda sums.
 
-The closed form multiplies (1 - x^(m+1)) / ((1 - x)(1 - x^m)) over the
-exponents m of the finite Weyl group; the independent oracle counts alcoves
-of the coarse-level apartment by gallery distance.
+The affine Poincaré series is Bott's product over the exponents m of the
+finite Weyl group, (1 + x + ... + x^m) / (1 - x^m), taken as coefficients
+(`poincare_closed`) or at a rational point (`poincare_value`).  On the
+exponents 1..d of A_d the product telescopes to the type-A sum
+(1 - x^(d+1)) / (1 - x)^(d+1).  The independent oracle counts alcoves of the
+coarse-level apartment by gallery distance.
 """
 
 from __future__ import annotations
@@ -17,61 +20,37 @@ from .rootsys import build
 _ALCOVE_BUDGET = 2_000_000
 
 
-def _poly_mul(a, b, n):
-    out = [0] * (n + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > n:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > n:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
-def _poly_div(num, den, n):
-    """Power-series division num/den to degree n; den[0] must be a unit."""
-    out = [0] * (n + 1)
-    acc = list(num) + [0] * (n + 1 - len(num))
-    for i in range(n + 1):
-        c = acc[i] // den[0]
-        if c * den[0] != acc[i]:
-            raise AssertionError("series division left a remainder")
-        out[i] = c
-        for j, dj in enumerate(den):
-            if i + j <= n:
-                acc[i + j] -= c * dj
-    return out
-
-
 def poincare_closed(sys, n):
-    """Coefficients 0..n of the affine length generating function."""
+    """Coefficients 0..n of Bott's product, by three in-place passes per exponent."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    num = [1]
-    den = [1]
-    one_minus = lambda k: [1] + [0] * (k - 1) + [-1]
+    coeffs = [1] + [0] * n
     for m in sys.exponents:
-        num = _poly_mul(num, one_minus(m + 1), n)
-        den = _poly_mul(den, _poly_mul(one_minus(1), one_minus(m), n), n)
-    coeffs = _poly_div(num, den, n)
+        for i in range(n, m, -1):  # times 1 - x^(m+1)
+            coeffs[i] -= coeffs[i - m - 1]
+        for i in range(1, n + 1):  # over 1 - x
+            coeffs[i] += coeffs[i - 1]
+        for i in range(m, n + 1):  # over 1 - x^m
+            coeffs[i] += coeffs[i - m]
     if coeffs[0] != 1 or any(c < 0 for c in coeffs):
         raise AssertionError("length generating function must start at 1 and stay nonnegative")
     return coeffs
 
 
 def poincare_bfs(sys, n):
-    """Alcove counts by gallery distance, from a coarse-level ball."""
-    base_f, _ = apartment.base_chambers(sys)
-    shells = apartment.chambers_within(base_f, n)
-    total = sum(len(s) for s in shells)
+    """Alcove counts by gallery distance, from a coarse-level ball.
+
+    The ball's size is read off the closed form before any alcove is built.
+    """
+    total = sum(poincare_closed(sys, n))
     if total > _ALCOVE_BUDGET:
         raise BudgetExceeded(f"{total} alcoves exceed the budget of {_ALCOVE_BUDGET}")
-    return [len(s) for s in shells]
+    base_f, _ = apartment.base_chambers(sys)
+    return [len(s) for s in apartment.chambers_within(base_f, n)]
 
 
 def poincare_value(sys, x):
-    """The full sum of the series at a rational point with |x| < 1."""
+    """Bott's product at a rational point with |x| < 1."""
     x = Fraction(x)
     if abs(x) >= 1:
         raise DomainError("the series converges only for |x| < 1")
@@ -81,21 +60,8 @@ def poincare_value(sys, x):
     return total
 
 
-def s_value(d_prime, x):
-    """(1 - x^(d'+1)) / (1 - x)^(d'+1), the type-A affine sum."""
-    x = Fraction(x)
-    if abs(x) >= 1:
-        raise DomainError("|x| must be < 1")
-    if d_prime < 0:
-        raise ValueError("dimension must be nonnegative")
-    val = (1 - x ** (d_prime + 1)) / (1 - x) ** (d_prime + 1)
-    if val == 0:
-        raise AssertionError("the sum cannot vanish inside the disk")
-    return val
-
-
-def tail_bound(sys, q, radius, n0):
-    """Exact upper bound q^n0 * sum_{l > radius} count(l) q^(-l).
+def tail_bound(sys, q, radius):
+    """Exact upper bound q^|Φ+| * sum_{l > radius} count(l) q^(-l).
 
     Evaluates the closed-form series at 1/q and subtracts the prefix, so the
     bound is exact, positive, and monotone decreasing in the radius.
@@ -105,7 +71,7 @@ def tail_bound(sys, q, radius, n0):
     x = Fraction(1, q)
     total = poincare_value(sys, x)
     prefix = sum(c * x**l for l, c in enumerate(poincare_closed(sys, radius)))
-    bound = q**n0 * (total - prefix)
+    bound = q ** len(sys.positive_roots) * (total - prefix)
     if bound < 0:
         raise AssertionError("tail bound must be nonnegative")
     return bound
@@ -115,7 +81,6 @@ def tail_bound(sys, q, radius, n0):
 class LambdaReport:
     """Partial sums of the support-weighted pairing against tail bounds."""
 
-    q: int
     target: Fraction
     partial_sums: list
     tail_bounds: list
@@ -142,7 +107,6 @@ def lambda_a2n_partial(n, q, radius):
     base_f, _ = apartment.base_chambers(sys)
     c0 = apartment.central_chamber(sys, base_f)
     shells = apartment.chambers_within(base_f, radius)
-    n0 = len(sys.positive_roots)
     partials = []
     running = Fraction(0)
     for dist, shell in enumerate(shells):
@@ -151,16 +115,16 @@ def lambda_a2n_partial(n, q, radius):
             de = apartment.distance(c0, central)
             running += Fraction(q**dist) * Fraction((-1) ** de, q**de)
         partials.append(running)
-    bounds = [tail_bound(sys, q, r, n0) for r in range(radius + 1)]
-    return LambdaReport(q=q, target=Fraction(1), partial_sums=partials, tail_bounds=bounds)
+    bounds = [tail_bound(sys, q, r) for r in range(radius + 1)]
+    return LambdaReport(target=Fraction(1), partial_sums=partials, tail_bounds=bounds)
 
 
 def lambda_tvoth(sys, q, ch_da_count):
     """Closed-form pairing value for types other than A of even rank.
 
     Full-rank tabled sets (fixed facet a vertex) give the chamber count
-    itself; the positive-dimensional cases multiply by the type-A sum at
-    x = q^(r2 - r1).
+    itself; the positive-dimensional cases multiply by the type-A sum, the
+    series of A_d' at x = q^(r2 - r1).
     """
     from .cochain import r1_r2
 
@@ -173,7 +137,7 @@ def lambda_tvoth(sys, q, ch_da_count):
     if d_prime == 0:
         return Fraction(ch_da_count)
     rr = r1_r2(sys)
-    value = ch_da_count * s_value(d_prime, Fraction(q) ** (rr.r2 - rr.r1))
+    value = ch_da_count * poincare_value(build("A", d_prime), Fraction(q) ** (rr.r2 - rr.r1))
     if value == 0:
         raise AssertionError("the pairing value cannot vanish")
     return value

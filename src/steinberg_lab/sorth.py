@@ -192,23 +192,17 @@ def is_conjugate_subset_of(sys, soset, target):
     if len(a) > len(b):
         return ConjugacyResult("no", (), "size screen")
     # an irreducible system has at most two root lengths, so is_long names the length
-    lengths_a = sorted(map(sys.is_long, a))
-    lengths_b = sorted(map(sys.is_long, b))
+    lengths_a = list(map(sys.is_long, a))
+    lengths_b = list(map(sys.is_long, b))
+    if any(lengths_a.count(v) > lengths_b.count(v) for v in (False, True)):
+        return ConjugacyResult("no", (), "length screen")
     if len(a) == len(b):
-        if lengths_a != lengths_b:
-            return ConjugacyResult("no", (), "length screen")
         nf_a, word_a = _normal_form(sys, a)
         nf_b, word_b = _normal_form(sys, b)
         if nf_a == nf_b:
             word = tuple(word_a) + tuple(reversed(word_b))
             if verify_certificate(sys, a, word, b):
                 return ConjugacyResult("yes", word, "normal form")
-    else:
-        counts = {v: lengths_b.count(v) for v in set(lengths_b)}
-        for v in lengths_a:
-            counts[v] = counts.get(v, 0) - 1
-        if any(c < 0 for c in counts.values()):
-            return ConjugacyResult("no", (), "length screen")
     budget = read_budget(_DEFAULT_BUDGET)
     if sys.weyl_order() <= budget:
         target_canon_members = {sys.pos_rep(t) for t in b}

@@ -63,20 +63,8 @@ class SuiteReport:
         return all(c.status != "fail" for c in self.checks)
 
     def to_dict(self):
-        return {
-            "suite": self.suite,
-            "checks": [
-                {
-                    "id": c.id,
-                    "description": c.description,
-                    "status": c.status,
-                    "value": c.value,
-                    "expected": c.expected,
-                    "provenance": c.provenance,
-                }
-                for c in self.checks
-            ],
-        }
+        # not dataclasses.asdict: its deep copy costs about 14 us per check
+        return {"suite": self.suite, "checks": [dict(vars(c)) for c in self.checks]}
 
 
 def _render(v):
@@ -519,12 +507,12 @@ def suite_series(q=3, radius=10):
     rep.add(
         "s-value",
         "type-A sum at 1/2 with one-dimensional fixed part",
-        series.s_value(1, Fraction(1, 2)),
+        series.poincare_value(build("A", 1), Fraction(1, 2)),
         Fraction(3),
         "derived",
     )
     monotone = all(
-        series.tail_bound(build("A", 2), q, r, 3) >= series.tail_bound(build("A", 2), q, r + 1, 3)
+        series.tail_bound(build("A", 2), q, r) >= series.tail_bound(build("A", 2), q, r + 1)
         for r in range(8)
     )
     rep.add("tail-monotone", "tail bound decreases with the radius", monotone, True, "derived")

@@ -27,6 +27,16 @@ def _combo(sys, coeffs):
     return tuple(out)
 
 
+def _eps_pairs(sys, first, count):
+    """-eps_a - eps_b, eps_b - eps_a for a = first, first + 2, ... (count pairs) and b = a + 1."""
+    out = []
+    for a in range(first, first + 2 * count, 2):
+        ea, eb = _eps(sys, a), _eps(sys, a + 1)
+        out.append(sys.from_ambient(_sub(_neg(ea), eb)))
+        out.append(sys.from_ambient(_sub(eb, ea)))
+    return out
+
+
 def is_a2n(sys):
     return sys.type.family == "A" and sys.type.rank % 2 == 0
 
@@ -43,27 +53,14 @@ def sigma_a_table(sys):
             for i in range(1, n + 1)
         ]
     if fam == "B":
-        n = d // 2
-        out = []
-        for i in range(1, n + 1):
-            a = _eps(sys, 2 * i - 1)
-            b = _eps(sys, 2 * i)
-            out.append(sys.from_ambient(_sub(_neg(a), b)))
-            out.append(sys.from_ambient(_sub(b, a)))
+        out = _eps_pairs(sys, 1, d // 2)
         if d % 2 == 1:
             out.append(sys.from_ambient(_neg(_eps(sys, d))))
         return out
     if fam == "C":
         return [sys.from_ambient(_scale(-2, _eps(sys, i))) for i in range(1, d + 1)]
     if fam == "D":
-        n = d // 2
-        out = []
-        for i in range(1, n + 1):
-            a = _eps(sys, 2 * i - 1)
-            b = _eps(sys, 2 * i)
-            out.append(sys.from_ambient(_sub(_neg(a), b)))
-            out.append(sys.from_ambient(_sub(b, a)))
-        return out
+        return _eps_pairs(sys, 1, d // 2)
     if fam == "G":
         return [_neg(sys.highest_root), _combo(sys, {1: -1})]
     if fam == "F":
@@ -111,14 +108,7 @@ def sigma_a_alt_table(sys):
         n = (d + 1) // 2
         return [_combo(sys, {2 * i - 1: -1}) for i in range(1, n + 1)]
     if fam == "D" and d % 2 == 1:
-        n = (d - 1) // 2
-        out = []
-        for i in range(1, n + 1):
-            a = _eps(sys, 2 * i)
-            b = _eps(sys, 2 * i + 1)
-            out.append(sys.from_ambient(_sub(_neg(a), b)))
-            out.append(sys.from_ambient(_sub(b, a)))
-        return out
+        return _eps_pairs(sys, 2, (d - 1) // 2)
     if fam == "E" and d == 6:
         return [
             _combo(sys, {2: -1, 3: -1, 4: -2, 5: -1}),

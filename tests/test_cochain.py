@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -82,16 +83,24 @@ def test_solve_character_ambiguous():
 
 
 def test_solve_character_inconsistent():
-    with pytest.raises(InconsistentConstraints) as info:
-        solve_character(
-            2,
-            [
-                (sign_vector(2, [1]), -1),
-                (sign_vector(2, [2]), -1),
-                (sign_vector(2, [1, 2]), -1),
-            ],
-        )
-    assert info.value.combination
+    constraints = [
+        (sign_vector(2, [1]), -1),
+        (sign_vector(2, [2]), -1),
+        (sign_vector(2, [1, 2]), -1),
+    ]
+    sign_of = dict(constraints)
+    # every order, so that some contradiction runs through a pivot row cleared later
+    for order in itertools.permutations(constraints):
+        with pytest.raises(InconsistentConstraints) as info:
+            solve_character(2, list(order))
+        combination = info.value.combination
+        assert combination
+        # the violated combination: its vectors cancel while its signs multiply to -1
+        bits, sign = 0, 1
+        for vec in combination:
+            bits ^= vec.bits
+            sign *= sign_of[vec]
+        assert (bits, sign) == (0, -1)
 
 
 def test_build_constraints_a1():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from steinberg_lab import series
-from steinberg_lab.errors import DomainError, NotApplicable
+from steinberg_lab.errors import BudgetExceeded, DomainError, NotApplicable
 from steinberg_lab.rootsys import build
 from steinberg_lab.suites import SIGN_CALCULUS_TYPES
 
@@ -38,26 +38,74 @@ def test_a_type_closed_form():
     assert coeffs == expected
 
 
-def test_s_value():
-    assert series.s_value(1, Fraction(1, 2)) == 3
-    assert series.s_value(0, Fraction(1, 3)) == 1
-    assert series.s_value(2, Fraction(1, 9)) == (1 - Fraction(1, 729)) / Fraction(8, 9) ** 3
-    assert series.s_value(2, Fraction(1, 4)) > 0
+# the types and degrees on which Bott's product is checked against its factors
+BOTT_TYPES = (
+    [("A", r) for r in range(1, 10)]
+    + [(fam, r) for fam in "BC" for r in range(2, 9)]
+    + [("D", r) for r in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def _bott_by_convolution(exponents, n):
+    """Bott's product to degree n, convolving the truncated factor series
+    (sum_{k <= m} x^k) * (sum_j x^(jm)) one exponent at a time."""
+    coeffs = [1] + [0] * n
+    for m in exponents:
+        factor = [0] * (n + 1)
+        for k in range(min(m, n) + 1):
+            for jm in range(0, n + 1 - k, m):
+                factor[k + jm] += 1
+        coeffs = [sum(coeffs[i] * factor[d - i] for i in range(d + 1)) for d in range(n + 1)]
+    return coeffs
+
+
+def test_poincare_closed_matches_factor_convolution():
+    for fam, rank in BOTT_TYPES:
+        sys = build(fam, rank)
+        for n in (0, 1, 5, 12, 30):
+            assert series.poincare_closed(sys, n) == _bott_by_convolution(sys.exponents, n)
+
+
+def test_poincare_bfs_sizes_the_ball_before_enumerating(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the ball was enumerated")
+
+    monkeypatch.setattr("steinberg_lab.apartment.chambers_within", unreachable)
+    with pytest.raises(BudgetExceeded, match="93513976 alcoves exceed the budget of 2000000"):
+        series.poincare_bfs(build("E", 8), 30)
+
+
+def test_type_a_sum_is_the_affine_a_series():
+    # on the exponents 1..d of A_d the product telescopes
+    for d in range(1, 9):
+        for x in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 9), Fraction(-1, 3), Fraction(1, 81)):
+            assert series.poincare_value(build("A", d), x) == (1 - x ** (d + 1)) / (1 - x) ** (d + 1)
+    assert series.poincare_value(build("A", 1), Fraction(1, 2)) == 3
     with pytest.raises(DomainError):
-        series.s_value(1, Fraction(3, 2))
+        series.poincare_value(build("A", 1), Fraction(3, 2))
 
 
 def test_tail_bound_monotone_and_positive():
     sys = build("A", 2)
     prev = None
     for r in range(10):
-        b = series.tail_bound(sys, 3, r, 3)
+        b = series.tail_bound(sys, 3, r)
         assert b > 0
         if prev is not None:
             assert b <= prev
         prev = b
-    assert series.tail_bound(sys, 5, 6, 3) < series.tail_bound(sys, 3, 6, 3)
-    assert series.tail_bound(sys, 3, 10, 3) < Fraction(1, 100)
+    assert series.tail_bound(sys, 5, 6) < series.tail_bound(sys, 3, 6)
+    assert series.tail_bound(sys, 3, 10) < Fraction(1, 100)
+
+
+def test_tail_bound_exponent_is_the_positive_root_count():
+    b2 = build("B", 2)
+    for q in (3, 5):
+        x = Fraction(1, q)
+        for r in (0, 3, 7):
+            prefix = sum(c * x**l for l, c in enumerate(series.poincare_closed(b2, r)))
+            assert series.tail_bound(b2, q, r) == q**4 * (series.poincare_value(b2, x) - prefix)
 
 
 def test_lambda_partial_sums():
