@@ -6,9 +6,9 @@ even h.  The level fixes the negative half: h(-a) = ceiling - h(a), with
 ceiling 1 at the fine level and 2 at the coarse level.  A vector is a
 chamber iff 0 <= h(a) + h(b) - h(a+b) <= ceiling for positive a, b, a+b
 (Shi 1987).  Crossing the wall of a root a raises h(a) by the ceiling, so
-the d+1 facet roots are the raises that pass; the gallery metric,
-translations, reflections and the special chambers of type A with even rank
-all operate on these integer tuples.
+one pass over the slacks of those inequalities finds the d+1 facet roots;
+the gallery metric, translations, reflections and the special chambers of
+type A with even rank all operate on these integer tuples.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import (
     HalfIntegralityViolation,
     LevelMismatch,
     NotApplicable,
+    NotARoot,
     NotAWall,
     NotTypeA2n,
     UnsupportedSigma,
@@ -60,7 +61,9 @@ class Chamber:
     def value(self, alpha):
         # roots are sorted, so the negatives fill the first half, each at the
         # mirror index of its opposite
-        i = self.system.root_index[tuple(alpha)]
+        i = self.system.root_index.get(tuple(alpha))
+        if i is None:
+            raise NotARoot(f"{tuple(alpha)} is not a root of {self.system.type}")
         half = len(self.h)
         if i >= half:
             return self.h[i - half]
@@ -107,17 +110,6 @@ def distance(c1, c2):
     return total if c1.level == E_LEVEL else total // 2
 
 
-def containing_f_chamber(chamber):
-    """The coarse chamber whose closure contains the given fine chamber; a test oracle.
-
-    Per root, the coarse bound is the smallest even half-unit at or above
-    the fine bound; exactly one of h(a), h(-a) is odd, so the sums stay 2.
-    """
-    if chamber.level != E_LEVEL:
-        raise LevelMismatch("expected a fine-level chamber")
-    return Chamber(chamber.system, F_LEVEL, (v + v % 2 for v in chamber.h))
-
-
 def translate(chamber, xi):
     """Translate by an integral coweight: h(alpha) += 2 <alpha, xi>."""
     sys = chamber.system
@@ -148,21 +140,26 @@ def reflect(chamber, wall):
 
 
 def wall_neighbors(chamber):
-    """The adjacent chambers, keyed by the facet roots (extended simple set) in root order.
-
-    Crossing the wall of r raises h(r) by the ceiling and keeps every other
-    value, so r is a facet root exactly when the raised vector is concave.
-    """
+    """The neighbours of a chamber (the input must be one), keyed by its facet roots in
+    root order.  Crossing the wall of r moves h(r) by the ceiling.  On a chamber each sum
+    triple's slack h(i) + h(j) - h(k) is 0 or the ceiling, so one pass over the slacks finds
+    the facet roots: raising h(p) keeps Shi's test iff the slack is the ceiling where k = p
+    and 0 where p is i or j, lowering iff the reverse."""
     sys, h, top = chamber.system, chamber.h, chamber.ceiling
     half = len(h)
+    no_raise, no_lower = bytearray(half), bytearray(half)
+    for i, j, k in sys.positive_sum_triples:
+        if h[i] + h[j] - h[k]:
+            no_raise[i] = no_raise[j] = no_lower[k] = 1
+        else:
+            no_lower[i] = no_lower[j] = no_raise[k] = 1
     out = {}
     for i, r in enumerate(sys.roots):
         # negatives fill the first half of the sorted roots, at the mirror
         # index of their opposites; raising h(-a) lowers h(a)
-        p, step = (i - half, top) if i >= half else (half - 1 - i, -top)
-        other = Chamber(sys, chamber.level, h[:p] + (h[p] + step,) + h[p + 1 :])
-        if check_concave(other):
-            out[r] = other
+        p, step, blocked = (i - half, top, no_raise) if i >= half else (half - 1 - i, -top, no_lower)
+        if not blocked[p]:
+            out[r] = Chamber(sys, chamber.level, h[:p] + (h[p] + step,) + h[p + 1 :])
     return out
 
 
@@ -213,9 +210,11 @@ def e_chambers_in_f_chamber(cf):
     if cf.level != F_LEVEL:
         raise LevelMismatch("expected a coarse-level chamber")
     sys = cf.system
+    pairs_by_sum = [[] for _ in cf.h]
+    for i, j, k in sys.positive_sum_triples:
+        pairs_by_sum[k].append((i, j))
     prefixes = [()]
-    for k, v in enumerate(cf.h):
-        pairs = [(i, j) for i, j, top in sys.positive_sum_triples if top == k]
+    for v, pairs in zip(cf.h, pairs_by_sum):
         prefixes = [
             p + (x,) for p in prefixes for x in (v - 1, v)
             if all(0 <= p[i] + p[j] - x <= 1 for i, j in pairs)

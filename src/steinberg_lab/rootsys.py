@@ -320,12 +320,12 @@ class RootSystem:
 
     @cached_property
     def positive_sum_triples(self):
-        """Index triples (i, j, k), i < j, with positive roots i + j = k; a sum
-        sorts after both summands, so also j < k."""
-        pos = self.positive_roots
-        index = {r: k for k, r in enumerate(pos)}
-        sums = ((i, j, _add(pos[i], pos[j])) for i, j in combinations(range(len(pos)), 2))
-        return tuple((i, j, index[s]) for i, j, s in sums if s in index)
+        """Index triples (i, j, k) with positive roots i + j = k, i < j < k (a sum sorts
+        last); a root's key holds a byte per coefficient, at most 6, so sums never carry."""
+        keys = [int.from_bytes(bytes(r), "big") for r in self.positive_roots]
+        index = {key: k for k, key in enumerate(keys)}
+        pairs = combinations(range(len(keys)), 2)
+        return tuple((i, j, index[s]) for i, j in pairs if (s := keys[i] + keys[j]) in index)
 
     # -- reflections -----------------------------------------------------
 

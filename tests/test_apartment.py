@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -27,6 +28,7 @@ from steinberg_lab.apartment import (
 from steinberg_lab.errors import (
     HalfIntegralityViolation,
     LevelMismatch,
+    NotARoot,
     NotAWall,
     NotTypeA2n,
     UnsupportedSigma,
@@ -166,12 +168,23 @@ def test_distance_doubling_on_translations():
             assert de == 2 * df
 
 
+def containing_f_chamber(chamber):
+    """The coarse chamber whose closure contains the given fine chamber; a test oracle.
+
+    Per root, the coarse bound is the smallest even half-unit at or above
+    the fine bound; exactly one of h(a), h(-a) is odd, so the sums stay 2.
+    """
+    if chamber.level != E_LEVEL:
+        raise LevelMismatch("expected a fine-level chamber")
+    return Chamber(chamber.system, F_LEVEL, (v + v % 2 for v in chamber.h))
+
+
 def test_distance_doubling_from_arbitrary_chambers():
     sys = build("A", 2)
     _, ce = base_chambers(sys)
     sample = [c for shell in chambers_within(ce, 2) for c in shell]
     for c in sample:
-        cf = apartment.containing_f_chamber(c)
+        cf = containing_f_chamber(c)
         assert c in e_chambers_in_f_chamber(cf)
         for xi in ([1, 0], [1, -2], [0, 3]):
             de = distance(c, translate(c, xi))
@@ -221,6 +234,33 @@ def test_facet_roots_match_reflect_every_root(fam, rank, radius, level):
         assert len(oracle) == rank + 1
         assert extended_simple_roots(ch) == sorted(oracle)
         assert wall_neighbors(ch) == oracle
+
+
+def _raise_and_test_neighbors(chamber):
+    # the definition of a facet root, move by move: crossing the wall of r
+    # raises h(r) by the ceiling, and r is a facet root exactly when the
+    # raised vector passes Shi's test
+    sys, h, top = chamber.system, chamber.h, chamber.ceiling
+    half = len(h)
+    out = {}
+    for i, r in enumerate(sys.roots):
+        # negatives fill the first half of the sorted roots, at the mirror
+        # index of their opposites; raising h(-a) lowers h(a)
+        p, step = (i - half, top) if i >= half else (half - 1 - i, -top)
+        other = Chamber(sys, chamber.level, h[:p] + (h[p] + step,) + h[p + 1 :])
+        if check_concave(other):
+            out[r] = other
+    return out
+
+
+@pytest.mark.parametrize("level", [E_LEVEL, F_LEVEL])
+@pytest.mark.parametrize("fam, rank, radius", FACET_BALLS + [("E", 8, 1)])
+def test_slack_pass_matches_raise_and_test(fam, rank, radius, level):
+    # same neighbours in the same key order
+    _, ball = _ball(fam, rank, radius, level)
+    for ch in ball:
+        oracle = _raise_and_test_neighbors(ch)
+        assert list(wall_neighbors(ch).items()) == list(oracle.items())
 
 
 @pytest.mark.parametrize("level", [E_LEVEL, F_LEVEL])
@@ -280,6 +320,13 @@ def test_chamber_rejects_bad_tuples():
     # positive roots in order: (0, 1), (1, 0), (1, 1)
     ch = Chamber(sys, E_LEVEL, (0, 1, 0))
     assert (ch.value((1, 0)), ch.value((-1, 0)), ch.value((0, -1))) == (1, 0, 1)
+
+
+def test_chamber_value_rejects_non_roots():
+    _, ce = base_chambers(build("A", 2))
+    for v in [(2, 0), (0, 0), [1, -1]]:
+        with pytest.raises(NotARoot, match=re.escape(f"{tuple(v)} is not a root of A2")):
+            ce.value(v)
 
 
 def test_canonical_chamber_a1():

@@ -1,6 +1,7 @@
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
-from operator import mul
+from operator import add, mul
 
 import pytest
 
@@ -254,7 +255,7 @@ def test_reflect_root_matches_reference_reflection():
                 assert sys.reflect_root(beta, img) == v
 
 
-@pytest.mark.parametrize("fam, rank", ACCEPTANCE_TYPES)
+@pytest.mark.parametrize("fam, rank", sorted(set(ACCEPTANCE_TYPES) | set(SIGN_CALCULUS_TYPES)))
 def test_positive_sum_triples_match_a_scan_of_all_root_pairs(fam, rank):
     sys = build(fam, rank)
     pos = {r: i for i, r in enumerate(sys.positive_roots)}
@@ -266,6 +267,10 @@ def test_positive_sum_triples_match_a_scan_of_all_root_pairs(fam, rank):
                 scan.add((pos[a], pos[b], pos[s]))
     triples = sys.positive_sum_triples
     assert len(triples) == len(scan) and set(triples) == scan
+    # the packed keys against tuple sums, order included
+    pairs = combinations(enumerate(sys.positive_roots), 2)
+    sums = ((i, j, tuple(map(add, a, b))) for (i, a), (j, b) in pairs)
+    assert triples == tuple((i, j, pos[s]) for i, j, s in sums if s in pos)
     assert all(i < j < k for i, j, k in triples)
     assert sys.positive_sum_triples is triples  # built once
 
