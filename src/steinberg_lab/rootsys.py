@@ -11,12 +11,13 @@ need no rational arithmetic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from math import lcm, prod
-from operator import mul
+from math import gcd, prod
+from operator import add, mul
 
 from .errors import BudgetExceeded, InvalidRank, NotARoot, ProportionalPair
 from .linalg import LeftInverse
@@ -69,16 +70,45 @@ def _scale(c, u):
     return tuple(c * a for a in u)
 
 
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
 def _pairing_value(two_ab, bb):
     """<a, b_vee> = 2<a, b> / <b, b> from the two integer Gram products."""
     q, r = divmod(two_ab, bb)
     if r:
         raise AssertionError("non-integral root pairing")
     return q
+
+
+def _root_key(r):
+    """A positive root as one int, a byte per coefficient.  No coefficient exceeds
+    6 (E8's highest root), so key sums never carry, and a key less a simple root's
+    key where that coefficient is 0 borrows into a 255 byte, the key of no root."""
+    return int.from_bytes(bytes(r), "big")
+
+
+def _positive_roots(cartan):
+    """Sorted positive roots by height layers (Humphreys, Lie Algebras, 10.2):
+    beta + alpha_i is a root exactly when the alpha_i-string below beta is longer
+    than <beta, alpha_i_vee> (9.4).  Each root carries its pairings with the
+    simple coroots, and a step by alpha_i adds Cartan column i to them."""
+    d = len(cartan)
+    units = [_root_key(_basis(d, i)) for i in range(d)]
+    columns = list(zip(*cartan))
+    layer = dict(zip(units, columns))  # key -> pairings, one height at a time
+    found = set(layer)
+    while layer:
+        up = {}
+        for key, pairings in layer.items():
+            for unit, pair, column in zip(units, pairings, columns):
+                p, below = 0, key - unit
+                while below in found:
+                    p, below = p + 1, below - unit
+                if p > pair:
+                    up[key + unit] = tuple(map(add, pairings, column))
+        found.update(up)
+        if len(found) > d * (6 * d + 1) // 2:  # |Phi+| = d h / 2, and h <= 6 d + 1
+            raise AssertionError(f"over {d * (6 * d + 1) // 2} positive roots")
+        layer = up
+    return tuple(tuple(key.to_bytes(d, "big")) for key in sorted(found))
 
 
 def _ambient_simples(family, d):
@@ -122,7 +152,7 @@ def _ambient_simples(family, d):
 
 
 def _ambient_all_roots(family, d):
-    """All roots in ambient coordinates, for the table-versus-closure oracle.
+    """All roots in ambient coordinates, the plates that cross-check the generated roots.
 
     F4 is B4 and the sixteen half-vectors; E8 is D8 and the half-vectors
     with an even number of minus signs.  E7 keeps the E8 roots orthogonal
@@ -190,61 +220,30 @@ class RootSystem:
     def __init__(self, type_: RootSystemType):
         self.type = type_
         d = type_.rank
-        amb = _ambient_simples(type_.family, d)
-        self._ambient_simples = amb
-        # Rescale so long roots have squared length 2.
-        raw = [[_dot(a, b) for b in amb] for a in amb]
-        maxlen = max(raw[i][i] for i in range(d))
-        scaled = [[Fraction(2) * x / maxlen for x in row] for row in raw]
-        den = lcm(*(x.denominator for row in scaled for x in row))
-        self.gram_denominator = den
-        self.gram = tuple(tuple(int(x * den) for x in row) for row in scaled)
-        self.cartan = tuple(
-            tuple(_pairing_value(2 * self.gram[i][j], self.gram[i][i]) for j in range(d))
-            for i in range(d)
-        )
+        amb = self._ambient_simples = _ambient_simples(type_.family, d)
+        # doubled, the E and F simples are integral; long roots at length 2 make x into 2 x / top
+        doubled = [[int(2 * x) for x in a] for a in amb]
+        raw = [[sum(map(mul, a, b)) for b in doubled] for a in doubled]
+        top = max(raw[i][i] for i in range(d))
+        g = gcd(top, *(2 * x for row in raw for x in row))
+        self.gram_denominator = top // g
+        self.gram = gram = tuple(tuple(2 * x // g for x in row) for row in raw)
+        self.cartan = tuple(tuple(_pairing_value(2 * x, r[i]) for x in r) for i, r in enumerate(gram))
         self.simples = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-        self.roots = tuple(sorted(self._closure()))
+        # negation reverses lexicographic order, and negatives sort before positives
+        self.positive_roots = _positive_roots(self.cartan)
+        self.roots = tuple(map(_neg, reversed(self.positive_roots))) + self.positive_roots
         self._root_set = frozenset(self.roots)
         self.root_index = {r: i for i, r in enumerate(self.roots)}
         self._pairing_cache = {}
-        self.positive_roots = tuple(r for r in self.roots if self.is_positive(r))
         self.highest_root = max(self.positive_roots, key=lambda r: (sum(r), r))
         for r in self.positive_roots:
             if any(a > b for a, b in zip(r, self.highest_root)):
                 raise AssertionError("highest root fails to dominate")
-        self.exponents = self._exponents()
-        two_rho = [0] * d
-        for r in self.positive_roots:
-            for i, c in enumerate(r):
-                two_rho[i] += c
-        self.two_rho = tuple(two_rho)
-
-    # -- construction -------------------------------------------------
-
-    def _closure(self):
-        # The orbit of the simple roots under the simple reflections is every
-        # root: each root is W-conjugate to a simple root, and s_i(alpha_i) =
-        # -alpha_i brings in the negatives (Bourbaki, Lie VI, 1.5).
-        rank = range(self.type.rank)
-        seen = frontier = set(self.simples)
-        while frontier:
-            frontier = {self.simple_reflect(i, r) for r in frontier for i in rank} - seen
-            seen |= frontier
-        return seen
-
-    def _exponents(self):
-        """Exponents as the conjugate partition of the height distribution."""
-        by_height = {}
-        for r in self.positive_roots:
-            by_height[sum(r)] = by_height.get(sum(r), 0) + 1
-        heights = sorted(by_height)
-        counts = [by_height[h] for h in heights]
-        exps = []
-        for level in range(1, max(counts) + 1):
-            exps.append(sum(1 for c in counts if c >= level))
-        # conjugate partition read off largest-first; exponents increase
-        return tuple(sorted(exps))
+        # the exponents are the partition conjugate to the numbers of roots by height (d of height 1)
+        counts = Counter(map(sum, self.positive_roots)).values()
+        self.exponents = tuple(sorted(sum(c >= k for c in counts) for k in range(1, d + 1)))
+        self.two_rho = tuple(map(sum, zip(*self.positive_roots)))
 
     # -- membership and signs ------------------------------------------
 
@@ -289,7 +288,8 @@ class RootSystem:
 
     def long_height(self, v):
         """Number of long simple roots in v, counted with multiplicity."""
-        return sum(c for c, s in zip(v, self.simples) if self.is_long(s))
+        long_len = 2 * self.gram_denominator
+        return sum(c for i, c in enumerate(v) if self.gram[i][i] == long_len)
 
     def root_pairing(self, alpha, beta):
         """<alpha, beta_vee> for two roots, always an exact integer."""
@@ -321,8 +321,8 @@ class RootSystem:
     @cached_property
     def positive_sum_triples(self):
         """Index triples (i, j, k) with positive roots i + j = k, i < j < k (a sum sorts
-        last); a root's key holds a byte per coefficient, at most 6, so sums never carry."""
-        keys = [int.from_bytes(bytes(r), "big") for r in self.positive_roots]
+        last), found as sums of root keys."""
+        keys = list(map(_root_key, self.positive_roots))
         index = {key: k for k, key in enumerate(keys)}
         pairs = combinations(range(len(keys)), 2)
         return tuple((i, j, index[s]) for i, j in pairs if (s := keys[i] + keys[j]) in index)

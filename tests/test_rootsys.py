@@ -1,6 +1,7 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import add, mul
 
 import pytest
@@ -44,18 +45,94 @@ def test_invalid_ranks():
         RootSystemType("A", 0)
 
 
+# every type a suite builds, the benchmark's A7, B6-B8, C5-C8 and D7-D8 among them
+SUITE_TYPES = sorted(set(ACCEPTANCE_TYPES) | set(SIGN_CALCULUS_TYPES) | set(TRICHOTOMY_TYPES))
+ORACLE_TYPES = SUITE_TYPES + [("A", 8), ("B", 12), ("D", 16)]
+
+
 def test_closure_matches_plates():
-    # every type a suite builds, the benchmark's A7, B6-B8, C5-C8 and D7-D8 among them
-    types = set(ACCEPTANCE_TYPES) | set(SIGN_CALCULUS_TYPES) | set(TRICHOTOMY_TYPES)
-    for fam, rank in sorted(types):
+    for fam, rank in SUITE_TYPES:
         sys = build(fam, rank)
         assert list(sys.roots) == sys.ambient_root_table()
 
 
+def _reflection_orbit(sys):
+    # The orbit of the simple roots under the simple reflections is every
+    # root: each root is W-conjugate to a simple root, and s_i(alpha_i) =
+    # -alpha_i brings in the negatives (Bourbaki, Lie VI, 1.5).
+    rank = range(sys.type.rank)
+    seen = frontier = set(sys.simples)
+    while frontier:
+        frontier = {sys.simple_reflect(i, r) for r in frontier for i in rank} - seen
+        seen |= frontier
+    return seen
+
+
+def _fraction_gram(sys):
+    """Gram matrix of the ambient simples over Fractions, rescaled so long roots
+    have squared length 2: the integer Gram, its one denominator and the Cartan
+    matrix C[i][j] = 2 g_ij / g_ii."""
+    amb = sys._ambient_simples
+    raw = [[sum(map(mul, a, b)) for b in amb] for a in amb]
+    maxlen = max(raw[i][i] for i in range(len(amb)))
+    scaled = [[Fraction(2) * x / maxlen for x in row] for row in raw]
+    den = lcm(*(x.denominator for row in scaled for x in row))
+    gram = tuple(tuple(int(x * den) for x in row) for row in scaled)
+    cartan = tuple(tuple(2 * x / row[i] for x in row) for i, row in enumerate(scaled))
+    return gram, den, cartan
+
+
+@pytest.mark.parametrize("fam, rank", ORACLE_TYPES)
+def test_height_layers_match_the_reflection_orbit(fam, rank):
+    sys = build(fam, rank)
+    gram, den, cartan = _fraction_gram(sys)
+    assert (sys.gram, sys.gram_denominator, sys.cartan) == (gram, den, cartan)
+    assert all(type(x) is int for m in (sys.gram, sys.cartan) for row in m for x in row)
+    # the orbit reflects by sys.cartan, just checked against the Fraction recipe
+    roots = sorted(_reflection_orbit(sys))
+    assert list(sys.roots) == roots and list(sys.root_index) == roots
+    positive = [r for r in roots if sys.is_positive(r)]
+    assert list(sys.positive_roots) == positive
+    assert sys.highest_root == max(positive, key=lambda r: (sum(r), r))
+    assert sys.two_rho == tuple(sum(r[i] for r in positive) for i in range(rank))
+    # the exponents are the partition conjugate to the number of roots of each height
+    counts = Counter(map(sum, positive)).values()
+    assert sys.exponents == tuple(sorted(sum(c >= k for c in counts) for k in range(1, max(counts) + 1)))
+    index = {r: k for k, r in enumerate(positive)}
+    sums = ((i, j, tuple(map(add, a, b))) for (i, a), (j, b) in combinations(enumerate(positive), 2))
+    assert sys.positive_sum_triples == tuple((i, j, index[s]) for i, j, s in sums if s in index)
+
+
+def test_root_keys_hold_a_byte_per_coefficient():
+    for fam, rank in ORACLE_TYPES:
+        sys = build(fam, rank)
+        assert max(map(max, sys.positive_roots)) <= 6
+        keys = set(map(rootsys._root_key, sys.positive_roots))
+        units = list(map(rootsys._root_key, sys.simples))
+        for r in sys.positive_roots:
+            # where a coefficient is 0, key - unit borrows into a 255 byte
+            misses = [rootsys._root_key(r) - unit for c, unit in zip(r, units) if c == 0]
+            assert keys.isdisjoint(misses)
+    assert max(build("E", 8).highest_root) == 6
+
+
+def test_height_layers_stop_on_an_infinite_root_system():
+    # the affine Cartan matrix of A1~ has roots of every height
+    with pytest.raises(AssertionError, match=r"over 13 positive roots"):
+        rootsys._positive_roots(((2, -2), (-2, 2)))
+
+
+def test_long_height_counts_long_simple_roots():
+    for fam, rank in SUITE_TYPES:
+        sys = build(fam, rank)
+        long_simples = [sys.is_long(s) for s in sys.simples]
+        for r in sys.positive_roots:
+            assert sys.long_height(r) == sum(c for c, long in zip(r, long_simples) if long)
+
+
 def test_weyl_order_matches_the_classical_orders():
     exceptional = {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600, ("F", 4): 1152, ("G", 2): 12}
-    types = set(ACCEPTANCE_TYPES) | set(SIGN_CALCULUS_TYPES) | set(TRICHOTOMY_TYPES)
-    for fam, d in sorted(types | {("A", d) for d in range(9, 14)}):
+    for fam, d in sorted(set(SUITE_TYPES) | {("A", d) for d in range(9, 14)}):
         classical = {
             "A": factorial(d + 1),
             "B": 2**d * factorial(d),
