@@ -1,10 +1,12 @@
 """Harmonic cochains on apartment chambers and the (Z/2)^r sign calculus.
 
-The building is never materialized above rank one.  Panel sums use the
-near/far multiplicity model (one chamber of the panel is closer to the
-cochain's base, the remaining q carry the far value), which is faithful for
-cochains invariant under the panel fixator; the rank-one tree oracle
-validates the model independently.
+The building is never materialized above rank one.  A panel is given by the
+two adjacent apartment chambers on it.  Panel sums use the near/far
+multiplicity model (the chamber nearer the cochain's base carries the near
+value, the remaining q chambers of the panel the far value), which is
+faithful for cochains invariant under the panel fixator; the rank-one tree
+oracle validates the model independently.  The harmonic extension starts
+from one chamber and scales its value by -1/q per step of gallery distance.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ from .errors import (
     InconsistentConstraints,
     NonIntegralPairing,
     NotApplicable,
-    NotHarmonicBase,
     UnsupportedPanel,
 )
-from .rootsys import _neg, _sub
+from .rootsys import _neg, _sub, levi_support
 
 
 # -- sign vectors and characters --------------------------------------------
@@ -248,44 +249,30 @@ def iwahori_vector(c0, q, radius):
 def panel_sum(panel, f):
     """Near value + q * far value across one panel.
 
-    panel is (chamber, facet_root); the opposite chamber is the reflection
-    across that wall.  Requires a declared retraction-invariant cochain.
+    panel is a pair of adjacent chambers, in either order.  Requires a
+    declared retraction-invariant cochain.
     """
     if not f.retraction_invariant:
         raise UnsupportedPanel("cochain carries no retraction declaration")
-    chamber, root = panel
-    other = apartment.reflect(chamber, (root, chamber.value(root)))
-    if apartment.distance(chamber, other) != 1:
-        raise UnsupportedPanel(f"{root} does not bound a facet of the chamber")
-    d1 = apartment.distance(f.base, chamber)
-    d2 = apartment.distance(f.base, other)
+    a, b = panel
+    dist = apartment.distance(a, b)
+    if dist != 1:
+        raise UnsupportedPanel(f"panel chambers are at distance {dist}, not 1")
+    d1 = apartment.distance(f.base, a)
+    d2 = apartment.distance(f.base, b)
     if d1 == d2:
         raise UnsupportedPanel("panel is equidistant from the base")
-    near, far = (chamber, other) if d1 < d2 else (other, chamber)
+    near, far = (a, b) if d1 < d2 else (b, a)
     return f[near] + f.q * f[far]
 
 
-def extend_by_harmonicity(base_values, resolver, q, chambers):
-    """Extend values around a facet outward by the factor (-1/q) per step.
-
-    base_values maps the chambers around the facet to rationals; resolver
-    maps any chamber to its unique closure chamber among them.
-    """
-    values = {}
-    base = None
+def extend_by_harmonicity(c0, value, q, chambers):
+    """Extend a value at one chamber outward by the factor (-1/q) per step."""
+    values = {c0: value}
     for c in chambers:
-        c0 = resolver(c)
-        if c0 not in base_values:
-            raise NotHarmonicBase("resolver left the declared base set")
         dist = apartment.distance(c, c0)
-        values[c] = base_values[c0] * Fraction((-1) ** dist, q**dist)
-        if base is None:
-            base = c0
-    for c0, v in base_values.items():
-        values.setdefault(c0, v)
-        if base is None:
-            base = c0
-    return Cochain(values=values, base=base, q=q, retraction_invariant=True)
+        values[c] = value * Fraction((-1) ** dist, q**dist)
+    return Cochain(values=values, base=c0, q=q, retraction_invariant=True)
 
 
 # -- class values and wall ratios ---------------------------------------------
@@ -316,8 +303,6 @@ def r1_r2(sys):
     positive-dimensional.  Checks independence of the separating direction
     and the doubling relation r1 = 2 r2.
     """
-    from .sorth import levi_support
-
     members = tables.sign_basis(sys)
     levi = set(levi_support(sys, members))
     if len(levi) == sys.type.rank:

@@ -86,7 +86,8 @@ class NotHarmonicBase(ValueError):
 
 
 class UnsupportedPanel(ValueError):
-    """Panel sum requested for a cochain without a declared retraction model."""
+    """Panel sum outside the near/far model: no retraction declaration, chambers
+    that are not adjacent, or a panel equidistant from the base."""
 
 
 class NotInBall(ValueError):

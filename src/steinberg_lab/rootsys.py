@@ -233,7 +233,6 @@ class RootSystem:
         # negation reverses lexicographic order, and negatives sort before positives
         self.positive_roots = _positive_roots(self.cartan)
         self.roots = tuple(map(_neg, reversed(self.positive_roots))) + self.positive_roots
-        self._root_set = frozenset(self.roots)
         self.root_index = {r: i for i, r in enumerate(self.roots)}
         self._pairing_cache = {}
         self.highest_root = max(self.positive_roots, key=lambda r: (sum(r), r))
@@ -248,11 +247,11 @@ class RootSystem:
     # -- membership and signs ------------------------------------------
 
     def is_root(self, v):
-        return tuple(v) in self._root_set
+        return tuple(v) in self.root_index
 
     def check_root(self, v):
         v = tuple(v)
-        if v not in self._root_set:
+        if v not in self.root_index:
             raise NotARoot(f"{v} is not a root of {self.type}")
         return v
 
@@ -473,6 +472,16 @@ def parabolic_roots(sys, support):
     """Roots supported on a set of simple-root indices, sorted."""
     outside = [i for i in range(sys.type.rank) if i not in support]
     return [r for r in sys.roots if not any(r[i] for i in outside)]
+
+
+def levi_support(sys, members):
+    """Simple-root indices appearing in the members (the standard Levi hull)."""
+    support = set()
+    for m in members:
+        for i, c in enumerate(m):
+            if c:
+                support.add(i)
+    return sorted(support)
 
 
 def subsystem_components(sys, roots):

@@ -11,6 +11,7 @@ from .rootsys import (
     _neg,
     apply_word,
     canonical_set,
+    levi_support,
     parabolic_roots,
     strongly_orthogonal,
     support_components,
@@ -283,32 +284,24 @@ def is_maximal_orthogonal(sys, members):
 class AnismaxReport:
     system: str
     clauses: dict
+    classes: list  # the class representatives, as enumerate_so_sets returns them
 
     @property
     def ok(self):
-        return all(v for v in self.clauses.values() if v is not None)
+        return all(self.clauses.values())
 
 
 def verify_anismax(sys):
     """Exhaustive check of the classification clauses for one system."""
     reps = enumerate_so_sets(sys)
+    c1_free = [rep for rep in reps if satisfies_c1(sys, rep) is None]
+    c1_free_maximal = [rep for rep in c1_free if len(rep) > 0 and is_maximal_so(sys, rep.members)]
     clauses = {}
     if tables.is_a2n(sys):
-        clauses["every nonempty class satisfies (C1)"] = all(
-            satisfies_c1(sys, rep) is not None for rep in reps if len(rep) > 0
-        )
-        clauses["no maximal (C1)-free set exists"] = not any(
-            satisfies_c1(sys, rep) is None and is_maximal_so(sys, rep.members)
-            for rep in reps
-            if len(rep) > 0
-        )
-        return AnismaxReport(str(sys.type), clauses)
+        clauses["every nonempty class satisfies (C1)"] = not any(len(rep) > 0 for rep in c1_free)
+        clauses["no maximal (C1)-free set exists"] = not c1_free_maximal
+        return AnismaxReport(str(sys.type), clauses, reps)
     sa = sigma_a(sys)
-    c1_free_maximal = [
-        rep
-        for rep in reps
-        if len(rep) > 0 and satisfies_c1(sys, rep) is None and is_maximal_so(sys, rep.members)
-    ]
     clauses["unique maximal (C1)-free class"] = len(c1_free_maximal) == 1
     clauses["algorithm output is in that class"] = (
         len(c1_free_maximal) == 1
@@ -317,18 +310,6 @@ def verify_anismax(sys):
     )
     clauses["maximal as plain-orthogonal set"] = is_maximal_orthogonal(sys, sa.members)
     clauses["every (C1)-free class embeds in it"] = all(
-        is_conjugate_subset_of(sys, rep, sa).status == "yes"
-        for rep in reps
-        if satisfies_c1(sys, rep) is None
+        is_conjugate_subset_of(sys, rep, sa).status == "yes" for rep in c1_free
     )
-    return AnismaxReport(str(sys.type), clauses)
-
-
-def levi_support(sys, members):
-    """Simple-root indices appearing in the members (the standard Levi hull)."""
-    support = set()
-    for m in members:
-        for i, c in enumerate(m):
-            if c:
-                support.add(i)
-    return sorted(support)
+    return AnismaxReport(str(sys.type), clauses, reps)

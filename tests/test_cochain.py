@@ -163,15 +163,12 @@ def test_panel_sums_vanish_for_iwahori():
         sys = build(fam, rank)
         _, ce = apartment.base_chambers(sys)
         ball = [c for shell in apartment.chambers_within(ce, 6) for c in shell]
-        panels = []
-        seen = set()
-        for ch in ball:
-            for root in apartment.extended_simple_roots(ch):
-                other = apartment.reflect(ch, (root, ch.value(root)))
-                key = frozenset((ch, other))
-                if key not in seen:
-                    seen.add(key)
-                    panels.append((ch, root))
+        # the pairs come from the general wall reflection, not from wall_neighbors
+        panels = {
+            frozenset((ch, apartment.reflect(ch, (root, ch.value(root)))))
+            for ch in ball
+            for root in apartment.extended_simple_roots(ch)
+        }
         refs = [c for shell in apartment.chambers_within(ce, 2) for c in shell]
         for ref in refs:
             vec = iwahori_vector(ref, 3, 9)
@@ -182,9 +179,21 @@ def test_panel_sums_vanish_for_iwahori():
 def test_panel_sum_requires_declaration():
     sys = build("A", 1)
     _, ce = apartment.base_chambers(sys)
+    other = apartment.reflect(ce, ((1,), 0))
     manual = cochain.Cochain(values={ce: Fraction(1)}, base=ce, q=3)
     with pytest.raises(UnsupportedPanel):
-        panel_sum((ce, (1,)), manual)
+        panel_sum((ce, other), manual)
+
+
+def test_panel_sum_requires_adjacent_chambers():
+    sys = build("A", 2)
+    _, ce = apartment.base_chambers(sys)
+    vec = iwahori_vector(ce, 3, 4)
+    far = apartment.chambers_within(ce, 2)[2][0]
+    with pytest.raises(UnsupportedPanel, match="distance 2"):
+        panel_sum((ce, far), vec)
+    with pytest.raises(UnsupportedPanel, match="distance 0"):
+        panel_sum((ce, ce), vec)
 
 
 def test_panel_sum_examples():
@@ -194,21 +203,22 @@ def test_panel_sum_examples():
     near_indicator = cochain.Cochain(
         values={ce: Fraction(1)}, base=ce, q=3, retraction_invariant=True
     )
-    assert panel_sum((ce, (1,)), near_indicator) == 1
+    assert panel_sum((ce, other), near_indicator) == 1
+    assert panel_sum((other, ce), near_indicator) == 1
     balanced = cochain.Cochain(
         values={ce: Fraction(1), other: Fraction(-1, 3)},
         base=ce,
         q=3,
         retraction_invariant=True,
     )
-    assert panel_sum((ce, (1,)), balanced) == 0
+    assert panel_sum((ce, other), balanced) == 0
 
 
 def test_extension_from_single_chamber():
     sys = build("A", 2)
     _, ce = apartment.base_chambers(sys)
     ball = [c for shell in apartment.chambers_within(ce, 3) for c in shell]
-    ext = extend_by_harmonicity({ce: Fraction(5)}, lambda c: ce, 3, ball)
+    ext = extend_by_harmonicity(ce, Fraction(5), 3, ball)
     vec = iwahori_vector(ce, 3, 3)
     for c in ball:
         assert ext[c] == 5 * vec[c]
@@ -216,14 +226,14 @@ def test_extension_from_single_chamber():
         for root in apartment.extended_simple_roots(c):
             other = apartment.reflect(c, (root, c.value(root)))
             if other in ext.values and c in ext.values:
-                assert panel_sum((c, root), ext) == 0
+                assert panel_sum((c, other), ext) == 0
 
 
 def test_extension_zero_base():
     sys = build("A", 1)
     _, ce = apartment.base_chambers(sys)
     ball = [c for shell in apartment.chambers_within(ce, 3) for c in shell]
-    ext = extend_by_harmonicity({ce: Fraction(0)}, lambda c: ce, 3, ball)
+    ext = extend_by_harmonicity(ce, Fraction(0), 3, ball)
     assert all(v == 0 for v in ext.values.values())
 
 

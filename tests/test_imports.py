@@ -56,6 +56,13 @@ def test_verify_rootsys_loads_no_apartment_layer():
         assert f"steinberg_lab.{layer}" not in after
 
 
+def test_verify_cochain_loads_no_sorth():
+    # the wall counts read the Levi hull from rootsys, not from sorth
+    _, after, code = _modules_loaded("verify", "cochain", "--radius", "1")
+    assert code == 0
+    assert "steinberg_lab.sorth" not in after
+
+
 def test_package_still_exports_the_root_system_layer():
     from steinberg_lab import RootSystem, RootSystemType, build
 

@@ -177,6 +177,7 @@ def test_verify_anismax_reports():
     assert sorth.verify_anismax(build("G", 2)).ok
     a4 = sorth.verify_anismax(build("A", 4))
     assert a4.ok and "every nonempty class satisfies (C1)" in a4.clauses
+    assert a4.classes == sorth.enumerate_so_sets(build("A", 4))
 
 
 def test_two_short_members_only_in_large_c():
