@@ -22,11 +22,9 @@ from operator import mul
 from .errors import (
     HalfIntegralityViolation,
     LevelMismatch,
-    NotApplicable,
     NotARoot,
     NotAWall,
     NotTypeA2n,
-    UnsupportedSigma,
 )
 from .linalg import LeftInverse
 from .rootsys import _neg
@@ -261,37 +259,6 @@ def central_chamber_sigma(sys):
         i, j = slot(k), slot(k + sum(r))
         h.append((i > j) + i % 2 - j % 2)
     return Chamber(sys, E_LEVEL, h)
-
-
-def canonical_sigma_chamber(sys, sigma_members):
-    """The distinguished fine chamber attached to a tabled set.
-
-    Weights count all simple roots when the set mixes lengths, and only the
-    long simple roots when the system is non-simply-laced with an all-long
-    set.  The resulting f takes integer values on every member.
-    """
-    from . import tables
-
-    try:
-        expected = tables.sign_basis(sys)
-    except NotApplicable as exc:  # A with even rank
-        raise UnsupportedSigma(str(exc))
-    if {sys.pos_rep(m) for m in sigma_members} != {sys.pos_rep(m) for m in expected}:
-        raise UnsupportedSigma("set is not the tabled representative")
-    # integrality on the set holds for the tabled signs, so evaluate there
-    sigma_members = expected
-    simply_laced = all(sys.is_long(s) for s in sys.simples)
-    if not simply_laced and all(sys.is_long(m) for m in sigma_members):
-        weight = sys.long_height
-    else:
-        weight = sys.height
-    chamber = Chamber(sys, E_LEVEL, (-weight(r) for r in sys.positive_roots))
-    if not check_concave(chamber):
-        raise AssertionError("canonical chamber candidate is not concave")
-    for m in sigma_members:
-        if chamber.value(m) % 2 != 0:
-            raise AssertionError("canonical chamber must be integral on the set")
-    return chamber
 
 
 @dataclass(frozen=True)

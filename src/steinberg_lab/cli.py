@@ -116,7 +116,7 @@ def _sign_rows():
     rows = []
     for fam, rank in suites.SIGN_CALCULUS_TYPES:
         system = build(fam, rank)
-        solved = cochain.solved_character(system)
+        solved = cochain.solved_character(system).character
         reference = cochain.eic_character(system)
         rows.append(
             {
@@ -130,22 +130,20 @@ def _sign_rows():
 
 
 def _sract_rows():
-    from . import cochain, tables
+    from . import cochain
     from .rootsys import build
     rows = []
     for fam, rank in suites.SIGN_CALCULUS_TYPES:
-        system = build(fam, rank)
-        members = tables.sign_basis(system)
-        solved = cochain.solved_character(system)
-        for k in range(rank):
-            action = cochain.coroot_action(system, members, cochain._coroot_coweight(system, k))
+        solved = cochain.solved_character(build(fam, rank))
+        for k, action in enumerate(solved.coroot_actions, start=1):
+            value = solved.character.value(action)
             rows.append(
                 {
                     "type": f"{fam}{rank}",
-                    "coroot": k + 1,
+                    "coroot": k,
                     "action": str(action),
-                    "char_value": solved.value(action),
-                    "match": solved.value(action) == 1,
+                    "char_value": value,
+                    "match": value == 1,
                 }
             )
     return rows
@@ -176,10 +174,8 @@ def cmd_tables(args):
         rows = _sign_rows()
     elif args.sract:
         rows = _sract_rows()
-    elif args.r1r2:
+    else:  # the argparse group is required
         rows = _r1r2_rows()
-    else:
-        _fail_usage("choose one of --eic, --sract, --r1r2")
     _emit_rows(rows, args.format)
     return 0
 

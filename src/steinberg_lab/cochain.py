@@ -1,5 +1,8 @@
 """Harmonic cochains on apartment chambers and the (Z/2)^r sign calculus.
 
+The sign calculus runs once per type: solved_character returns the sign
+basis and the simple-coroot actions on it with the character they solve to.
+
 The building is never materialized above rank one.  A panel is given by the
 two adjacent apartment chambers on it.  Panel sums use the near/far
 multiplicity model (the chamber nearer the cochain's base carries the near
@@ -127,28 +130,47 @@ def _rank_two_b2(sys, beta, alpha):
     return sys.root_pairing(beta, alpha) * sys.root_pairing(alpha, beta) == 2
 
 
-def build_constraints(sys):
+def canonical_sigma_chamber(sys, members):
+    """The distinguished fine chamber attached to the sign basis.
+
+    Weights count all simple roots when the basis mixes lengths, and only the
+    long simple roots when the system is non-simply-laced with an all-long
+    basis.  The resulting f takes integer values on every member.
+    """
+    simply_laced = all(sys.is_long(s) for s in sys.simples)
+    if not simply_laced and all(sys.is_long(m) for m in members):
+        weight = sys.long_height
+    else:
+        weight = sys.height
+    chamber = apartment.Chamber(sys, apartment.E_LEVEL, (-weight(r) for r in sys.positive_roots))
+    if not apartment.check_concave(chamber):
+        raise AssertionError("canonical chamber candidate is not concave")
+    for m in members:
+        if chamber.value(m) % 2 != 0:
+            raise AssertionError("canonical chamber must be integral on the set")
+    return chamber
+
+
+def build_constraints(sys, members, coroot_actions):
     """Constraints pinning the sign character, from the canonical chamber.
 
     Emits (e_i, -1) when beta_i is a negated simple root; (e_i e_j, -1) for
     rank-two mixed pairs whose connecting short root is a negated simple
-    with integral facet value; and (action of alpha_k_vee, +1) for every
-    simple coroot.
+    with integral facet value; and (action, +1) for every simple-coroot
+    action on the members.
     """
-    members = tables.sign_basis(sys)
     r = len(members)
-    chamber = apartment.canonical_sigma_chamber(sys, members)
+    chamber = canonical_sigma_chamber(sys, members)
     constraints = []
     for i, beta in enumerate(members, start=1):
         if _is_neg_simple(sys, beta):
             constraints.append((sign_vector(r, [i]), -1))
-    seen_pairs = set()
+    # swapping a and b negates alpha, and alpha and -alpha are never both
+    # negated simple roots, so each pair passes in at most one order
     for a, beta_a in enumerate(members, start=1):
         for b, beta_b in enumerate(members, start=1):
-            if a == b or frozenset((a, b)) in seen_pairs:
-                continue
             diff = _sub(beta_b, beta_a)
-            if any(c % 2 for c in diff):
+            if a == b or any(c % 2 for c in diff):
                 continue
             alpha = tuple(c // 2 for c in diff)
             if not sys.is_root(alpha) or not _is_neg_simple(sys, alpha):
@@ -158,16 +180,9 @@ def build_constraints(sys):
             # facet value of alpha: half the difference of the chamber values
             if (chamber.value(beta_b) - chamber.value(beta_a)) % 4 != 0:
                 continue
-            seen_pairs.add(frozenset((a, b)))
             constraints.append((sign_vector(r, [a, b]), -1))
-    for k in range(sys.type.rank):
-        action = coroot_action(sys, members, _coroot_coweight(sys, k))
-        constraints.append((action, 1))
+    constraints += [(action, 1) for action in coroot_actions]
     return constraints
-
-
-def _coroot_coweight(sys, k):
-    return tuple(int(j == k) for j in range(sys.type.rank))
 
 
 def solve_character(r, constraints):
@@ -213,10 +228,23 @@ def solve_character(r, constraints):
     return SignCharacter(dual, r)
 
 
+@dataclass(frozen=True)
+class SolvedCharacter:
+    """The sign calculus of one type: the sign basis, the sign vectors of
+    the simple coroots on it, and the character the constraints solve to."""
+
+    members: tuple
+    coroot_actions: tuple
+    character: SignCharacter
+
+
 def solved_character(sys):
-    """Solve the full constraint system for one type."""
-    members = tables.sign_basis(sys)
-    return solve_character(len(members), build_constraints(sys))
+    """Look up the sign basis once, act on it by the simple coroots (the unit
+    coweights sys.simples), and solve the constraints they pin."""
+    members = tuple(tables.sign_basis(sys))
+    actions = tuple(coroot_action(sys, members, s) for s in sys.simples)
+    character = solve_character(len(members), build_constraints(sys, members, actions))
+    return SolvedCharacter(members, actions, character)
 
 
 # -- cochains ----------------------------------------------------------------

@@ -31,10 +31,6 @@ class NotTypeA2n(ValueError):
     """Operation defined only for type A with even rank."""
 
 
-class UnsupportedSigma(ValueError):
-    """Strongly orthogonal set not in the tabled form expected here."""
-
-
 class HalfIntegralityViolation(ArithmeticError):
     """A value that should lie in (1/2)Z does not; firing means a broken input."""
 

@@ -135,16 +135,17 @@ def test_criterion_09_sign_calculus():
     ok = True
     for fam, rank in SIGN_CALCULUS_TYPES:
         sys = build(fam, rank)
-        members = tables.sign_basis(sys)
         solved = cochain.solved_character(sys)
-        if solved != cochain.eic_character(sys):
+        chi = solved.character
+        if chi != cochain.eic_character(sys):
             ok = False
-        for k in range(rank):
-            act = cochain.coroot_action(sys, members, cochain._coroot_coweight(sys, k))
-            if solved.value(act) != 1:
+        if len(solved.coroot_actions) != rank:
+            ok = False
+        for act in solved.coroot_actions:
+            if chi.value(act) != 1:
                 ok = False
         for xi in tables.chi_test_coweights(sys):
-            lhs = solved.value(cochain.coroot_action(sys, members, xi))
+            lhs = chi.value(cochain.coroot_action(sys, solved.members, xi))
             if lhs != prasad.chi_on_torus(sys, xi, nonsquare=True):
                 ok = False
     _report("criterion 9: sign characters solve uniquely and compatibly", ok)

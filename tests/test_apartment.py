@@ -11,7 +11,6 @@ from steinberg_lab.apartment import (
     Chamber,
     FacetFunctional,
     base_chambers,
-    canonical_sigma_chamber,
     central_chamber,
     central_chamber_sigma,
     chambers_within,
@@ -31,7 +30,6 @@ from steinberg_lab.errors import (
     NotARoot,
     NotAWall,
     NotTypeA2n,
-    UnsupportedSigma,
 )
 from steinberg_lab.rootsys import _neg, build
 from steinberg_lab.suites import ACCEPTANCE_TYPES
@@ -327,50 +325,6 @@ def test_chamber_value_rejects_non_roots():
     for v in [(2, 0), (0, 0), [1, -1]]:
         with pytest.raises(NotARoot, match=re.escape(f"{tuple(v)} is not a root of A2")):
             ce.value(v)
-
-
-def test_canonical_chamber_a1():
-    sys = build("A", 1)
-    members = tables.sign_basis(sys)
-    ch = canonical_sigma_chamber(sys, members)
-    assert ch.f((1,)) == Fraction(-1, 2)
-    assert ch.f((-1,)) == 1
-
-
-def test_canonical_chamber_c2_long_weights():
-    sys = build("C", 2)
-    members = tables.sign_basis(sys)
-    ch = canonical_sigma_chamber(sys, members)
-    for m in members:
-        assert ch.value(m) % 2 == 0  # integer values on the set
-    for alpha in sys.roots:
-        assert ch.value(alpha) + ch.value(tuple(-c for c in alpha)) == 1
-
-
-def test_canonical_chamber_rejects_other_sets():
-    sys = build("A", 3)
-    # a conjugate representative that is not the tabled one
-    other = tables.sigma_a_table(sys)
-    with pytest.raises(UnsupportedSigma):
-        canonical_sigma_chamber(sys, other)
-    # sign flips of the tabled set are accepted
-    flipped = [tuple(-c for c in m) for m in tables.sign_basis(sys)]
-    assert canonical_sigma_chamber(sys, flipped) == canonical_sigma_chamber(
-        sys, tables.sign_basis(sys)
-    )
-
-
-def test_canonical_chamber_propagates_unexpected_errors(monkeypatch):
-    with pytest.raises(UnsupportedSigma):  # no sign basis in type A of even rank
-        canonical_sigma_chamber(build("A", 4), [])
-
-    def broken(sys):
-        raise KeyError("unexpected")
-
-    monkeypatch.setattr(tables, "sign_basis", broken)
-    sys = build("A", 3)
-    with pytest.raises(KeyError):
-        canonical_sigma_chamber(sys, tables.sigma_a_table(sys))
 
 
 def test_facet_functional_examples():

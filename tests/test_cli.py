@@ -99,6 +99,12 @@ SERIES_Q5_R12_SHA256 = "23c31e62f3eb630a8bd45fa29f1e0fb7f07b457fdb440d3caa211501
 # the q > 3 branch of the tree suite (r_inner 1, panel depth 5), which the
 # default q = 3 report does not reach; the tree benchmark workload runs it
 TREE_Q5_R6_SHA256 = "a198abd0ed63aaf81049c944b8ea30089b8316caa1b90f10dfc3f36c850a2626"
+# sha256 of the stdout of `tables --<table> --format json`
+TABLES_JSON_SHA256 = {
+    "eic": "b6b5da511a9d5e3cf0529c356b1b3149eb570a71e392e4b8dba35e2a34b8503c",
+    "sract": "4bf45474a77353b36439e3251bdb3ba5ecfd3a97ecd0140df309acf2288b8e21",
+    "r1r2": "cff784444dac8ce899ba10f71eff8e6ddf7c9d893da0f75cd53151189808a6ed",
+}
 
 
 @pytest.mark.parametrize("suite", sorted(suites.SUITES))
@@ -130,6 +136,19 @@ def test_verify_tree_q5_radius6_report_digest(tmp_path):
     out = run_cli("verify", "tree", "--q", "5", "--radius", "6", "--json", str(path))
     assert out.returncode == 0, out.stderr
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TREE_Q5_R6_SHA256
+
+
+@pytest.mark.parametrize("table", sorted(TABLES_JSON_SHA256))
+def test_tables_json_digest(table, main_cli):
+    out = main_cli("tables", f"--{table}", "--format", "json")
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == TABLES_JSON_SHA256[table]
+
+
+def test_tables_without_a_table_exits_2(main_cli):
+    out = main_cli("tables")
+    assert out.returncode == 2
+    assert out.stdout == ""
 
 
 def test_tables_r1r2():

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from steinberg_lab import apartment, cochain, prasad, tables
+from steinberg_lab import apartment, cochain, prasad, suites, tables
 from steinberg_lab.cochain import (
     SignCharacter,
     SignVector,
     a2n_class_value,
     build_constraints,
+    canonical_sigma_chamber,
     coroot_action,
     eic_character,
     extend_by_harmonicity,
@@ -50,16 +51,19 @@ def test_eic_values_per_family():
     assert eic_character(build("D", 5)).values_on_basis() == [-1, -1, -1, -1]
     with pytest.raises(NotApplicable):
         eic_character(build("A", 2))
+    with pytest.raises(NotApplicable):  # no sign basis in type A of even rank
+        solved_character(build("A", 4))
 
 
 def test_coroot_action_examples():
     e6 = build("E", 6)
     members = tables.sign_basis(e6)
-    act = coroot_action(e6, members, cochain._coroot_coweight(e6, 3))  # alpha_4
+    act = coroot_action(e6, members, e6.simples[3])  # alpha_4
     assert act.support() == [1, 2, 3, 4]
+    assert solved_character(e6).coroot_actions[3] == act
     b4 = build("B", 4)
     members4 = tables.sign_basis(b4)
-    act4 = coroot_action(b4, members4, cochain._coroot_coweight(b4, 1))  # alpha_2
+    act4 = coroot_action(b4, members4, b4.simples[1])  # alpha_2
     assert act4.support() == [1, 2, 3, 4]
     # a member's own coroot acts trivially
     a3 = build("A", 3)
@@ -103,22 +107,27 @@ def test_solve_character_inconsistent():
         assert (bits, sign) == (0, -1)
 
 
+def _constraints(sys):
+    solved = solved_character(sys)
+    return build_constraints(sys, solved.members, solved.coroot_actions)
+
+
 def test_build_constraints_a1():
     a1 = build("A", 1)
-    cons = build_constraints(a1)
+    cons = _constraints(a1)
     assert (sign_vector(1, [1]), -1) in cons
 
 
 def test_build_constraints_cd_pairs():
     c3 = build("C", 3)
-    cons = build_constraints(c3)
+    cons = _constraints(c3)
     pairs = {tuple(v.support()) for v, s in cons if s == -1 and len(v.support()) == 2}
     assert (1, 2) in pairs and (2, 3) in pairs
 
 
 def test_build_constraints_b4():
     b4 = build("B", 4)
-    cons = build_constraints(b4)
+    cons = _constraints(b4)
     singles = {tuple(v.support()) for v, s in cons if s == -1 and len(v.support()) == 1}
     assert (2,) in singles and (4,) in singles
     quads = {tuple(v.support()) for v, s in cons if s == 1 and len(v.support()) == 4}
@@ -127,19 +136,63 @@ def test_build_constraints_b4():
     assert (3, 4) in pairs
 
 
+def test_pair_constraints_are_distinct():
+    # swapping a pair negates its connecting root, so no pair is emitted twice
+    total = 0
+    for fam, rank in SIGN_CALCULUS_TYPES:
+        cons = _constraints(build(fam, rank))
+        pairs = [v for v, s in cons if s == -1 and len(v.support()) == 2]
+        assert len(pairs) == len(set(pairs)), f"{fam}{rank}"
+        total += len(pairs)
+    assert total > 0
+
+
+def test_canonical_chamber_a1():
+    sys = build("A", 1)
+    members = tables.sign_basis(sys)
+    ch = canonical_sigma_chamber(sys, members)
+    assert ch.f((1,)) == Fraction(-1, 2)
+    assert ch.f((-1,)) == 1
+
+
+def test_canonical_chamber_c2_long_weights():
+    sys = build("C", 2)
+    members = tables.sign_basis(sys)
+    ch = canonical_sigma_chamber(sys, members)
+    for m in members:
+        assert ch.value(m) % 2 == 0  # integer values on the set
+    for alpha in sys.roots:
+        assert ch.value(alpha) + ch.value(tuple(-c for c in alpha)) == 1
+
+
+def test_suite_cochain_looks_up_each_sign_basis_once(monkeypatch):
+    looked_up = []
+    sign_basis = tables.sign_basis
+
+    def counting(sys):
+        looked_up.append(sys.type)
+        return sign_basis(sys)
+
+    monkeypatch.setattr(tables, "sign_basis", counting)
+    suites.suite_cochain()
+    # one per solve of the sign-calculus types, one per r1_r2 of A3, D5 and E6
+    assert len(SIGN_CALCULUS_TYPES) == 28
+    assert len(looked_up) == 31
+
+
 def test_solved_equals_tabled_everywhere():
     for fam, rank in [("A", 5), ("B", 5), ("C", 4), ("D", 6), ("E", 6), ("F", 4), ("G", 2)]:
         sys = build(fam, rank)
-        assert solved_character(sys) == eic_character(sys)
+        assert solved_character(sys).character == eic_character(sys)
 
 
 def test_solved_character_chi_compatibility():
     for fam, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("D", 5), ("E", 6), ("E", 7)]:
         sys = build(fam, rank)
-        members = tables.sign_basis(sys)
-        chi = solved_character(sys)
+        solved = solved_character(sys)
+        chi = solved.character
         for xi in tables.chi_test_coweights(sys):
-            assert chi.value(coroot_action(sys, members, xi)) == prasad.chi_on_torus(
+            assert chi.value(coroot_action(sys, solved.members, xi)) == prasad.chi_on_torus(
                 sys, xi, nonsquare=True
             )
 
@@ -289,7 +342,7 @@ def test_rank_two_b2_matches_root_count(monkeypatch):
 
     monkeypatch.setattr(cochain, "_rank_two_b2", recording)
     for fam, rank in SIGN_CALCULUS_TYPES:
-        build_constraints(build(fam, rank))
+        solved_character(build(fam, rank))
     assert len(reached) == 34
     for sys, beta, alpha in reached:
         assert pairing_test(sys, beta, alpha) == _b2_by_root_count(sys, beta, alpha)
