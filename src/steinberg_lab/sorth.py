@@ -184,9 +184,10 @@ def is_conjugate_subset_of(sys, soset, target):
 
     Member signs are treated as free on both sides.  Returns a
     ConjugacyResult whose word, when applied left to right, maps the set
-    into target up to signs.  "no" answers are only produced by the orbit
-    search, run exactly when |W| is within the budget, or by an invariant
-    screen; the normal-form route answers "yes" or falls through.
+    into target up to signs; every "yes" word has passed verify_certificate.
+    "no" answers are only produced by the orbit search, run exactly when |W|
+    is within the budget, or by an invariant screen; the normal-form route
+    answers "yes" or falls through.
     """
     a = [sys.check_root(m) for m in (soset.members if isinstance(soset, SOSet) else soset)]
     b = [sys.check_root(m) for m in (target.members if isinstance(target, SOSet) else target)]

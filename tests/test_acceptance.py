@@ -146,7 +146,7 @@ def test_criterion_09_sign_calculus():
                 ok = False
         for xi in tables.chi_test_coweights(sys):
             lhs = chi.value(cochain.coroot_action(sys, solved.members, xi))
-            if lhs != prasad.chi_on_torus(sys, xi, nonsquare=True):
+            if lhs != prasad.chi_on_torus(sys, xi):
                 ok = False
     _report("criterion 9: sign characters solve uniquely and compatibly", ok)
 
@@ -209,7 +209,7 @@ def test_criterion_13_prasad_character():
             ok = False
     sys7 = build("E", 7)
     xi = tables.chi_test_coweights(sys7)[0]
-    if prasad.chi_on_torus(sys7, xi, nonsquare=True) != -1:
+    if prasad.chi_on_torus(sys7, xi) != -1:
         ok = False
     for n in (2, 3, 4):
         out = prasad.d2n_character_identity(n)

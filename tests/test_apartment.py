@@ -9,7 +9,6 @@ from steinberg_lab.apartment import (
     E_LEVEL,
     F_LEVEL,
     Chamber,
-    FacetFunctional,
     base_chambers,
     central_chamber,
     central_chamber_sigma,
@@ -31,6 +30,7 @@ from steinberg_lab.errors import (
     NotAWall,
     NotTypeA2n,
 )
+from steinberg_lab.linalg import LeftInverse
 from steinberg_lab.rootsys import _neg, build
 from steinberg_lab.suites import ACCEPTANCE_TYPES
 
@@ -331,12 +331,12 @@ def test_facet_functional_examples():
     a1 = build("A", 1)
     m = tables.sigma_a_table(a1)
     fn = facet_functional(a1, m, {m[0]: Fraction(3, 2)})
-    assert fn.value2(m[0]) == 3
+    assert fn[m[0]] == 3
     g2 = build("G", 2)
     members = tables.sigma_a_table(g2)
     fn2 = facet_functional(g2, members, {members[0]: Fraction(1, 2), members[1]: Fraction(-1, 2)})
     for alpha in g2.roots:
-        assert isinstance(fn2.value2(alpha), int)
+        assert isinstance(fn2[alpha], int)
 
 
 def test_facet_functional_requires_proper_half_integers():
@@ -347,13 +347,13 @@ def test_facet_functional_requires_proper_half_integers():
 
 
 def test_facet_functional_violation_guard():
-    # even half-unit values break half-integrality on short roots
-    b2 = build("B", 2)
-    members = tuple(tables.sigma_a_table(b2))
-    bad = FacetFunctional(b2, members, (1, 2))
-    with pytest.raises(HalfIntegralityViolation):
-        for alpha in b2.roots:
-            bad.value2(alpha)
+    # over alpha_2, alpha_1 and alpha_1 + alpha_2 + 2 alpha_3 the root alpha_3
+    # has doubled coordinates (-1, -1, 1): with every value 1/2 its doubled
+    # value is -1/2, so f'(alpha_3) is a quarter-integer
+    b3 = build("B", 3)
+    members = [(0, 1, 0), (1, 0, 0), (1, 1, 2)]
+    with pytest.raises(HalfIntegralityViolation, match="not a half-integer"):
+        facet_functional(b3, members, {m: Fraction(1, 2) for m in members})
 
 
 def test_full_rank_facet_functionals_half_integral():
@@ -363,7 +363,28 @@ def test_full_rank_facet_functionals_half_integral():
         values = {m: Fraction(2 * i + 1, 2) for i, m in enumerate(members)}
         fn = facet_functional(sys, members, values)
         for alpha in sys.roots:
-            assert fn.value2(alpha) + fn.value2(tuple(-c for c in alpha)) == 0
+            assert fn[alpha] + fn[tuple(-c for c in alpha)] == 0
+
+
+def test_facet_functional_expands_each_positive_root_once(monkeypatch):
+    # one LeftInverse.doubled call per positive root: 339 on the 14 full-rank
+    # classified sets
+    calls = []
+    doubled = LeftInverse.doubled
+
+    def spy(self, v):
+        calls.append(v)
+        return doubled(self, v)
+
+    monkeypatch.setattr(LeftInverse, "doubled", spy)
+    sets = 0
+    for fam, rank in ACCEPTANCE_TYPES:
+        sys = build(fam, rank)
+        members = tables.sigma_a_table(sys)
+        if len(members) == rank:
+            facet_functional(sys, members, {m: Fraction(1, 2) for m in members})
+            sets += 1
+    assert (sets, len(calls)) == (14, 339)
 
 
 def test_affine_relation_identity():

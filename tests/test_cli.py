@@ -105,6 +105,9 @@ TABLES_JSON_SHA256 = {
     "sract": "4bf45474a77353b36439e3251bdb3ba5ecfd3a97ecd0140df309acf2288b8e21",
     "r1r2": "cff784444dac8ce899ba10f71eff8e6ddf7c9d893da0f75cd53151189808a6ed",
 }
+# sha256 of the stdout of `sigma-a F R --format json`, concatenated over the
+# acceptance types and then A2 and A4 (the two without a classified set)
+SIGMA_A_JSON_SHA256 = "866528dab9187b826be4ae36081364ad0c30b5ce006e284a2bb8e0b899e85f13"
 
 
 @pytest.mark.parametrize("suite", sorted(suites.SUITES))
@@ -143,6 +146,15 @@ def test_tables_json_digest(table, main_cli):
     out = main_cli("tables", f"--{table}", "--format", "json")
     assert out.returncode == 0
     assert hashlib.sha256(out.stdout.encode()).hexdigest() == TABLES_JSON_SHA256[table]
+
+
+def test_sigma_a_json_digest(main_cli):
+    digest = hashlib.sha256()
+    for fam, rank in suites.ACCEPTANCE_TYPES + [("A", 2), ("A", 4)]:
+        out = main_cli("sigma-a", fam, str(rank), "--format", "json")
+        assert out.returncode == 0
+        digest.update(out.stdout.encode())
+    assert digest.hexdigest() == SIGMA_A_JSON_SHA256
 
 
 def test_tables_without_a_table_exits_2(main_cli):

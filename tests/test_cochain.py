@@ -192,9 +192,7 @@ def test_solved_character_chi_compatibility():
         solved = solved_character(sys)
         chi = solved.character
         for xi in tables.chi_test_coweights(sys):
-            assert chi.value(coroot_action(sys, solved.members, xi)) == prasad.chi_on_torus(
-                sys, xi, nonsquare=True
-            )
+            assert chi.value(coroot_action(sys, solved.members, xi)) == prasad.chi_on_torus(sys, xi)
 
 
 def test_iwahori_vector_values():

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from steinberg_lab import tables
-from steinberg_lab.apartment import FacetFunctional, facet_functional
+from steinberg_lab.apartment import facet_functional
 from steinberg_lab.errors import HalfIntegralityViolation, NotARoot
 from steinberg_lab.linalg import LeftInverse, solve_exact
 from steinberg_lab.rootsys import _ambient_all_roots, build
@@ -55,19 +55,25 @@ def test_coordinates_match_solve_exact_on_and_off_the_span():
 
 
 def test_facet_expansion_matches_solve_exact():
+    # the facet functional with values (2i+1)/2 is also checked at every
+    # root against the solved coordinates
     for fam, rank in ACCEPTANCE_TYPES:
         sys = build(fam, rank)
+        values = [Fraction(2 * i + 1, 2) for i in range(rank)]
         full_rank_sets = [sys.simples]
         if tables.expected_sigma_a_size(sys) == rank:
             full_rank_sets.append(tuple(tables.sigma_a_table(sys)))
         for members in full_rank_sets:
             inverse = LeftInverse(members)
+            fn = facet_functional(sys, members, dict(zip(members, values)))
             for alpha in sys.roots:
+                expected = solve_exact(members, alpha)
                 coords = inverse.coordinates(alpha)
-                assert coords == solve_exact(members, alpha)
+                assert coords == expected
                 doubled = inverse.doubled(alpha)
                 assert all(type(x) is int for x in doubled)
                 assert doubled == [2 * c for c in coords]
+                assert fn[alpha] == 2 * sum(c * v for c, v in zip(expected, values))
 
 
 def test_doubled_rejects_thirds_in_g2():
@@ -91,7 +97,5 @@ def test_dependent_members_raise_value_error():
     b2 = build("B", 2)
     a = b2.simples[0]
     neg = tuple(-c for c in a)
-    with pytest.raises(ValueError, match="dependent"):
-        FacetFunctional(b2, (a, neg), (1, 1)).value2(a)
     with pytest.raises(ValueError, match="dependent"):
         facet_functional(b2, [a, neg], {a: Fraction(1, 2), neg: Fraction(1, 2)})

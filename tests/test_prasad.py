@@ -32,8 +32,7 @@ def test_chi_on_torus_e7():
     sys = build("E", 7)
     xi = tables.chi_test_coweights(sys)[0]
     assert prasad.two_rho_pairing(sys, xi) == 3
-    assert prasad.chi_on_torus(sys, xi, nonsquare=True) == -1
-    assert prasad.chi_on_torus(sys, xi, nonsquare=False) == 1
+    assert prasad.chi_on_torus(sys, xi) == -1
 
 
 def test_two_rho_pairs_to_two_with_every_simple_coroot():
@@ -51,7 +50,7 @@ def test_chi_on_simple_coroots_is_trivial():
         for i in range(rank):
             xi = [Fraction(0)] * rank
             xi[i] = Fraction(1)
-            assert prasad.chi_on_torus(sys, xi, nonsquare=True) == 1
+            assert prasad.chi_on_torus(sys, xi) == 1
 
 
 def test_chi_is_multiplicative():
@@ -59,17 +58,15 @@ def test_chi_is_multiplicative():
     xi1 = sys.fundamental_coweight(2)
     xi2 = [Fraction(1), Fraction(0), Fraction(0)]
     both = [a + b for a, b in zip(xi1, xi2)]
-    lhs = prasad.chi_on_torus(sys, both, nonsquare=True)
-    rhs = prasad.chi_on_torus(sys, xi1, nonsquare=True) * prasad.chi_on_torus(
-        sys, xi2, nonsquare=True
-    )
+    lhs = prasad.chi_on_torus(sys, both)
+    rhs = prasad.chi_on_torus(sys, xi1) * prasad.chi_on_torus(sys, xi2)
     assert lhs == rhs
 
 
 def test_non_integral_pairing_raises():
     sys = build("A", 1)
     with pytest.raises(NonIntegralPairing):
-        prasad.chi_on_torus(sys, [Fraction(1, 3)], nonsquare=True)
+        prasad.chi_on_torus(sys, [Fraction(1, 3)])
 
 
 def test_d2n_identity():
