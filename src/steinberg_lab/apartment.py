@@ -20,6 +20,7 @@ from operator import mul
 from .errors import (
     HalfIntegralityViolation,
     LevelMismatch,
+    NonIntegralPairing,
     NotARoot,
     NotAWall,
     NotTypeA2n,
@@ -113,7 +114,7 @@ def translate(chamber, xi):
     for v, r in zip(chamber.h, sys.positive_roots):
         shift = sys.pairing(r, xi)
         if shift.denominator != 1:
-            raise ValueError("coweight must pair integrally with all roots")
+            raise NonIntegralPairing(f"<{r}, xi> = {shift}")
         h.append(v + 2 * int(shift))
     return Chamber(sys, chamber.level, h)
 

@@ -2,11 +2,12 @@
 
 Roots are stored as integer coefficient vectors over the simple roots
 (Bourbaki numbering).  Euclidean data comes from the classical ambient
-realizations, rescaled so that long roots have squared length 2; every
-pairing <alpha, beta_vee> is then an exact integer.  The Gram matrix is
-kept as integers, scaled by its single denominator (1 for A/B/D/E and C2,
-2 for C of rank at least 3 and F4, 3 for G2), so pairings and lengths
-need no rational arithmetic.
+realizations, rescaled so that long roots have squared length 2.  The Gram
+matrix is kept as integers, scaled by its single denominator (1 for A/B/D/E
+and C2, 2 for C of rank at least 3 and F4, 3 for G2).  Each root beta gets
+one integer coroot row (<alpha_j, beta_vee>)_j, computed once; the Cartan
+matrix is the simple roots' rows, and every pairing and reflection is a dot
+product with a row, so none needs rational arithmetic.
 """
 
 from __future__ import annotations
@@ -68,14 +69,6 @@ def _neg(u):
 
 def _scale(c, u):
     return tuple(c * a for a in u)
-
-
-def _pairing_value(two_ab, bb):
-    """<a, b_vee> = 2<a, b> / <b, b> from the two integer Gram products."""
-    q, r = divmod(two_ab, bb)
-    if r:
-        raise AssertionError("non-integral root pairing")
-    return q
 
 
 def _root_key(r):
@@ -211,7 +204,7 @@ class RootSystem:
     roots: all roots as integer tuples over the simple basis, sorted
     gram: integer Gram matrix of the simple roots, scaled by gram_denominator
     gram_denominator: 1, 2 or 3; long roots have gram length 2 * gram_denominator
-    cartan: C[i][j] = <alpha_j, alpha_i_vee>
+    cartan: C[i][j] = <alpha_j, alpha_i_vee>; row i is coroot(simples[i])
     highest_root: the dominant long root
     exponents: exponents of the Weyl group, increasing
     two_rho: sum of the positive roots over the simple basis (integers)
@@ -227,14 +220,14 @@ class RootSystem:
         top = max(raw[i][i] for i in range(d))
         g = gcd(top, *(2 * x for row in raw for x in row))
         self.gram_denominator = top // g
-        self.gram = gram = tuple(tuple(2 * x // g for x in row) for row in raw)
-        self.cartan = tuple(tuple(_pairing_value(2 * x, r[i]) for x in r) for i, r in enumerate(gram))
+        self.gram = tuple(tuple(2 * x // g for x in row) for row in raw)
         self.simples = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+        self._coroots = {}
+        self.cartan = tuple(map(self.coroot, self.simples))
         # negation reverses lexicographic order, and negatives sort before positives
         self.positive_roots = _positive_roots(self.cartan)
         self.roots = tuple(map(_neg, reversed(self.positive_roots))) + self.positive_roots
         self.root_index = {r: i for i, r in enumerate(self.roots)}
-        self._pairing_cache = {}
         self.highest_root = max(self.positive_roots, key=lambda r: (sum(r), r))
         for r in self.positive_roots:
             if any(a > b for a, b in zip(r, self.highest_root)):
@@ -290,16 +283,21 @@ class RootSystem:
         long_len = 2 * self.gram_denominator
         return sum(c for i, c in enumerate(v) if self.gram[i][i] == long_len)
 
+    def coroot(self, beta):
+        """The integer row (<alpha_j, beta_vee>)_j = 2 (G beta)_j / (beta, beta) of a
+        root beta (Humphreys, Lie Algebras, 9.4), computed once per root."""
+        row = self._coroots.get(beta)
+        if row is None:
+            g_beta = [sum(map(mul, g, beta)) for g in self.gram]
+            bb = sum(map(mul, beta, g_beta))
+            if any(2 * x % bb for x in g_beta):
+                raise AssertionError("non-integral root pairing")
+            row = self._coroots[beta] = tuple(2 * x // bb for x in g_beta)
+        return row
+
     def root_pairing(self, alpha, beta):
-        """<alpha, beta_vee> for two roots, always an exact integer."""
-        key = (alpha, beta)
-        hit = self._pairing_cache.get(key)
-        if hit is not None:
-            return hit
-        g_beta = [sum(map(mul, row, beta)) for row in self.gram]
-        val = _pairing_value(2 * sum(map(mul, alpha, g_beta)), sum(map(mul, beta, g_beta)))
-        self._pairing_cache[key] = val
-        return val
+        """<alpha, beta_vee> for a root beta and any lattice vector alpha, an integer."""
+        return sum(map(mul, alpha, self.coroot(beta)))
 
     def pairing(self, alpha, xi):
         """<alpha, xi> for a root and a coweight over the simple coroots: an int
@@ -328,15 +326,10 @@ class RootSystem:
 
     # -- reflections -----------------------------------------------------
 
-    def simple_reflect(self, i, v):
-        pair = sum(m * self.cartan[i][k] for k, m in enumerate(v))
-        out = list(v)
-        out[i] -= pair
-        return tuple(out)
-
     def reflect_root(self, beta, v):
         """s_beta(v) = v - <v, beta_vee> beta for a root beta and any lattice vector v."""
-        return _sub(v, _scale(self.root_pairing(v, beta), beta))
+        p = self.root_pairing(v, beta)
+        return tuple(a - p * b for a, b in zip(v, beta))
 
     # -- classical quantities ---------------------------------------------
 
@@ -431,8 +424,8 @@ def weyl_orbit(sys, members, budget, target=None):
     while frontier:
         nxt = []
         for cur in frontier:
-            for i in range(sys.type.rank):
-                img = canonical_set(sys, [sys.simple_reflect(i, m) for m in cur])
+            for s in sys.simples:
+                img = canonical_set(sys, [sys.reflect_root(s, m) for m in cur])
                 if img in parents:
                     continue
                 if len(parents) >= budget:
@@ -440,13 +433,13 @@ def weyl_orbit(sys, members, budget, target=None):
                         f"orbit in {sys.type} reached {len(parents) + 1} images,"
                         f" over the budget of {budget}"
                     )
-                parents[img] = (cur, i)
+                parents[img] = (cur, s)
                 if target is not None and target(img):
                     word = []
                     node = img
                     while parents[node] is not None:
-                        node, idx = parents[node]
-                        word.append(sys.simples[idx])
+                        node, step = parents[node]
+                        word.append(step)
                     word.reverse()
                     return img, tuple(word)
                 nxt.append(img)

@@ -91,7 +91,7 @@ def sigma_a(sys):
 
 def _orthogonal_simples(sys, comp, dom):
     """Indices in comp orthogonal to dom; if dom is dominant, they support its orthogonal roots."""
-    return [i for i in comp if sys.root_pairing(sys.simples[i], dom) == 0]
+    return [i for i in comp if sys.coroot(dom)[i] == 0]
 
 
 def _sigma_rec(sys, support):

@@ -185,7 +185,8 @@ def suite_sorth():
             rep.add(
                 f"half-integral-expansion-{fam}{rank}",
                 "every root expands over the full-rank set in half-integers",
-                all(inverse.doubled(a) is not None for a in sys.roots),
+                # doubled(-a) == -doubled(a), so the positive roots decide
+                all(inverse.doubled(a) is not None for a in sys.positive_roots),
                 True,
                 "table",
             )

@@ -26,6 +26,7 @@ from steinberg_lab.apartment import (
 from steinberg_lab.errors import (
     HalfIntegralityViolation,
     LevelMismatch,
+    NonIntegralPairing,
     NotARoot,
     NotAWall,
     NotTypeA2n,
@@ -62,6 +63,12 @@ def test_translate_identity_and_parity():
     assert translate(ce, [0, 0]) == ce
     for xi in ([1, 0], [2, -1], [1, 1]):
         assert distance(ce, translate(ce, xi)) % 2 == 0
+
+
+def test_translate_rejects_a_non_integral_coweight():
+    _, ce = base_chambers(build("A", 2))
+    with pytest.raises(NonIntegralPairing, match=re.escape("<(0, 1), xi> = -1/3")):
+        translate(ce, [Fraction(1, 3), 0])
 
 
 def test_reflect_involution_and_walls():

@@ -48,6 +48,24 @@ def test_reflection_maps_roots_to_roots_and_is_an_involution(case):
     assert sys.reflect_root(beta, img) == v
 
 
+@st.composite
+def vectors_and_roots(draw):
+    sys = build(*draw(st.sampled_from(ACCEPTANCE_TYPES)))
+    v = tuple(draw(st.lists(st.integers(-3, 3), min_size=sys.type.rank, max_size=sys.type.rank)))
+    return sys, v, draw(st.sampled_from(sys.roots))
+
+
+@SETTINGS
+@given(vectors_and_roots())
+def test_pairing_and_reflection_of_any_lattice_vector(case):
+    # the two-rho-even check pairs 2 rho, not a root, with every coroot
+    sys, v, beta = case
+    assert sys.root_pairing(v, beta) == 2 * sys.inner(v, beta) / sys.inner(beta, beta)
+    img = sys.reflect_root(beta, v)
+    assert img == tuple(a - sys.root_pairing(v, beta) * b for a, b in zip(v, beta))
+    assert sys.reflect_root(beta, img) == v
+
+
 @SETTINGS
 @given(root_pairs())
 def test_strong_orthogonality_survives_negating_one_member(case):

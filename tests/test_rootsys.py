@@ -60,10 +60,9 @@ def _reflection_orbit(sys):
     # The orbit of the simple roots under the simple reflections is every
     # root: each root is W-conjugate to a simple root, and s_i(alpha_i) =
     # -alpha_i brings in the negatives (Bourbaki, Lie VI, 1.5).
-    rank = range(sys.type.rank)
     seen = frontier = set(sys.simples)
     while frontier:
-        frontier = {sys.simple_reflect(i, r) for r in frontier for i in rank} - seen
+        frontier = {sys.reflect_root(s, r) for r in frontier for s in sys.simples} - seen
         seen |= frontier
     return seen
 
@@ -88,7 +87,8 @@ def test_height_layers_match_the_reflection_orbit(fam, rank):
     gram, den, cartan = _fraction_gram(sys)
     assert (sys.gram, sys.gram_denominator, sys.cartan) == (gram, den, cartan)
     assert all(type(x) is int for m in (sys.gram, sys.cartan) for row in m for x in row)
-    # the orbit reflects by sys.cartan, just checked against the Fraction recipe
+    # the orbit reflects by the simple roots' coroot rows, which are sys.cartan,
+    # just checked against the Fraction recipe
     roots = sorted(_reflection_orbit(sys))
     assert list(sys.roots) == roots and list(sys.root_index) == roots
     positive = [r for r in roots if sys.is_positive(r)]
@@ -450,3 +450,5 @@ def test_non_integral_pairing_raises():
     # (3, 0) is not a root of A2: 2<a1, 3a1> / <3a1, 3a1> = 2/3
     with pytest.raises(AssertionError, match="non-integral root pairing"):
         a2().root_pairing((1, 0), (3, 0))
+    with pytest.raises(AssertionError, match="non-integral root pairing"):
+        a2().coroot((3, 0))

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from steinberg_lab import sorth, tables
+from steinberg_lab import sorth, suites, tables
 from steinberg_lab.errors import BudgetExceeded, NotApplicable
+from steinberg_lab.linalg import LeftInverse
 from steinberg_lab.rootsys import (
     _neg,
     apply_word,
@@ -319,3 +320,20 @@ def test_normal_form_two_short_members_in_c4(monkeypatch):
     assert (0, 2, 3) in remainders and (2, 3) in remainders
     assert nf == {c4.from_ambient([1, 1, 0, 0]), c4.from_ambient([0, 0, 1, 1])}
     assert sorth.verify_certificate(c4, members, word, nf)
+
+
+def test_suite_sorth_expands_each_positive_root_once(monkeypatch):
+    # the half-integral-expansion checks make one LeftInverse.doubled call per
+    # positive root: 339 on the 14 full-rank classified sets
+    calls = []
+    doubled = LeftInverse.doubled
+
+    def spy(self, v):
+        calls.append(v)
+        return doubled(self, v)
+
+    monkeypatch.setattr(LeftInverse, "doubled", spy)
+    rep = suites.suite_sorth()
+    checks = [c for c in rep.checks if c.id.startswith("half-integral-expansion-")]
+    assert len(checks) == 14 and all(c.status == "pass" for c in checks)
+    assert len(calls) == 339
