@@ -20,7 +20,6 @@ from operator import mul
 from .errors import (
     HalfIntegralityViolation,
     LevelMismatch,
-    NonIntegralPairing,
     NotARoot,
     NotAWall,
     NotTypeA2n,
@@ -46,8 +45,11 @@ class Chamber:
         self.h = tuple(h)
         if len(self.h) != len(system.positive_roots):
             raise ValueError("h must assign a value to every positive root")
-        if level == F_LEVEL and any(v % 2 for v in self.h):
-            raise ValueError("not a coarse-level chamber: odd h")
+        if level == F_LEVEL:
+            if any(v % 2 for v in self.h):
+                raise ValueError("not a coarse-level chamber: odd h")
+        elif level != E_LEVEL:
+            raise ValueError(f"level must be {E_LEVEL!r} or {F_LEVEL!r}, not {level!r}")
         self._hash = hash((system.type, level, self.h))
 
     @property
@@ -108,14 +110,9 @@ def distance(c1, c2):
 
 
 def translate(chamber, xi):
-    """Translate by an integral coweight: h(alpha) += 2 <alpha, xi>."""
+    """Translate by an integral coweight row xi: h(alpha) += 2 <alpha, xi>."""
     sys = chamber.system
-    h = []
-    for v, r in zip(chamber.h, sys.positive_roots):
-        shift = sys.pairing(r, xi)
-        if shift.denominator != 1:
-            raise NonIntegralPairing(f"<{r}, xi> = {shift}")
-        h.append(v + 2 * int(shift))
+    h = (v + 2 * sys.pairing(r, xi) for v, r in zip(chamber.h, sys.positive_roots))
     return Chamber(sys, chamber.level, h)
 
 

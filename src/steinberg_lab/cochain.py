@@ -21,7 +21,6 @@ from . import apartment, tables
 from .errors import (
     AmbiguousConstraints,
     InconsistentConstraints,
-    NonIntegralPairing,
     NotApplicable,
     UnsupportedPanel,
 )
@@ -102,13 +101,10 @@ def eic_character(sys):
 
 
 def coroot_action(sys, sigma_members, xi):
-    """Sign vector of a coweight: bit j is the parity of <beta_j, xi>."""
+    """Sign vector of a coweight row: bit j is the parity of <beta_j, xi>."""
     bits = 0
     for j, beta in enumerate(sigma_members):
-        val = sys.pairing(beta, xi)
-        if val.denominator != 1:
-            raise NonIntegralPairing(f"<{beta}, xi> = {val}")
-        if val % 2:
+        if sys.pairing(beta, xi) % 2:
             bits |= 1 << j
     return SignVector(bits, len(sigma_members))
 
@@ -239,10 +235,10 @@ class SolvedCharacter:
 
 
 def solved_character(sys):
-    """Look up the sign basis once, act on it by the simple coroots (the unit
-    coweights sys.simples), and solve the constraints they pin."""
+    """Look up the sign basis once, act on it by the simple coroots (their
+    rows, the rows of sys.cartan), and solve the constraints they pin."""
     members = tuple(tables.sign_basis(sys))
-    actions = tuple(coroot_action(sys, members, s) for s in sys.simples)
+    actions = tuple(coroot_action(sys, members, row) for row in sys.cartan)
     character = solve_character(len(members), build_constraints(sys, members, actions))
     return SolvedCharacter(members, actions, character)
 

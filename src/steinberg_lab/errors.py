@@ -16,7 +16,8 @@ class ProportionalPair(ValueError):
 
 
 class NonIntegralPairing(ValueError):
-    """A pairing that must be an integer came out fractional."""
+    """A coweight pairing <v, xi> that came out fractional; raised by
+    RootSystem.pairing alone."""
 
 
 class LevelMismatch(ValueError):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonIntegralPairing
 from .rootsys import build
 
 
@@ -18,22 +17,10 @@ def prasad_trivial(sys):
     return not any(c % 2 for c in sys.two_rho)
 
 
-def two_rho_pairing(sys, xi):
-    """<2 rho, xi> for a coweight over the simple coroots.
-
-    <rho, alpha_vee> = 1 for every simple root alpha (Bourbaki, Lie VI 1.10,
-    Prop. 29), so <2 rho, xi> is twice the sum of the coordinates of xi: an
-    int for an integral coweight, a Fraction only when xi holds one.
-    """
-    return 2 * sum(xi)
-
-
 def chi_on_torus(sys, xi):
-    """(-1)^<2 rho, xi>: the value at the torus element xi(u) for a nonsquare unit u."""
-    val = two_rho_pairing(sys, xi)
-    if val.denominator != 1:
-        raise NonIntegralPairing(f"<2 rho, xi> = {val} is not an integer")
-    return -1 if int(val) % 2 else 1
+    """(-1)^<2 rho, xi>: the value at the torus element xi(u) for a nonsquare unit u,
+    for a coweight row xi."""
+    return -1 if sys.pairing(sys.two_rho, xi) % 2 else 1
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,11 @@ Roots are stored as integer coefficient vectors over the simple roots
 (Bourbaki numbering).  Euclidean data comes from the classical ambient
 realizations, rescaled so that long roots have squared length 2.  The Gram
 matrix is kept as integers, scaled by its single denominator (1 for A/B/D/E
-and C2, 2 for C of rank at least 3 and F4, 3 for G2).  Each root beta gets
-one integer coroot row (<alpha_j, beta_vee>)_j, computed once; the Cartan
-matrix is the simple roots' rows, and every pairing and reflection is a dot
-product with a row, so none needs rational arithmetic.
+and C2, 2 for C of rank at least 3 and F4, 3 for G2).  A coweight xi is its
+row of values (<alpha_j, xi>)_j on the simple roots, integers on P_vee =
+Hom(Q, Z).  Each root beta gets one such coroot row (<alpha_j, beta_vee>)_j,
+computed once; the Cartan matrix is the simple roots' rows, and every pairing
+and reflection is a dot product with a row, so none needs rational arithmetic.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import combinations, product
 from math import gcd, prod
 from operator import add, mul
 
-from .errors import BudgetExceeded, InvalidRank, NotARoot, ProportionalPair
+from .errors import BudgetExceeded, InvalidRank, NonIntegralPairing, NotARoot, ProportionalPair
 from .linalg import LeftInverse
 
 _RANK_BOUNDS = {
@@ -299,21 +300,15 @@ class RootSystem:
         """<alpha, beta_vee> for a root beta and any lattice vector alpha, an integer."""
         return sum(map(mul, alpha, self.coroot(beta)))
 
-    def pairing(self, alpha, xi):
-        """<alpha, xi> for a root and a coweight over the simple coroots: an int
-        for an integral coweight, a Fraction only when xi holds one."""
-        alpha = self.check_root(alpha)
-        return sum(x * sum(map(mul, row, alpha)) for x, row in zip(xi, self.cartan, strict=True) if x)
-
-    @cached_property
-    def _cartan_inv(self):
-        return LeftInverse(self.cartan)
-
-    def fundamental_coweight(self, i):
-        """Coweight xi with <alpha_j, xi> = delta_ij, over the simple coroots."""
-        # <alpha_j, sum_k x_k alpha_k_vee> = sum_k x_k C[k][j], so x holds the
-        # coordinates of e_i over the rows of C
-        return tuple(self._cartan_inv.coordinates([int(i == j) for j in range(self.type.rank)]))
+    def pairing(self, v, xi):
+        """<v, xi> as an int, for any lattice vector v and a coweight xi given as
+        its row of values on the simple roots.  The one integrality check of a
+        coweight pairing: raises NonIntegralPairing, naming v and the value,
+        when a fractional row makes it a fraction."""
+        val = sum(a * x for a, x in zip(v, xi, strict=True))
+        if val.denominator != 1:
+            raise NonIntegralPairing(f"<{tuple(v)}, xi> = {val}")
+        return int(val)
 
     @cached_property
     def positive_sum_triples(self):

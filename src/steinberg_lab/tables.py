@@ -7,8 +7,6 @@ exceptional entries are written over the simple roots directly.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import NotApplicable
 from .rootsys import _add, _basis, _neg, _scale, _sub
 
@@ -19,7 +17,7 @@ def _eps(sys, i):
 
 
 def _combo(sys, coeffs):
-    """Integer combination of simple roots given as a coefficient list."""
+    """Integer combination of simple roots, from a dict of 1-based index to coefficient."""
     d = sys.type.rank
     out = [0] * d
     for i, c in coeffs.items():
@@ -159,29 +157,24 @@ def expected_sigma_a_size(sys):
 def chi_test_coweights(sys):
     """Representatives of Y / Y^2 used by the character-compatibility check.
 
-    Returned as rational coweights over the simple coroots.
+    Each is an integer coweight row, its values on the simple roots: a
+    fundamental coweight omega_i_vee is the unit row e_i; the E6 row is
+    (alpha_1_vee - alpha_3_vee + alpha_5_vee - alpha_6_vee) / 3 and the E7
+    row (alpha_2_vee + alpha_5_vee + alpha_7_vee) / 2.
     """
     fam, d = sys.type.family, sys.type.rank
-    if fam == "A" and d % 2 == 1:
-        return [sys.fundamental_coweight(0)]
-    if fam == "B":
-        return [sys.fundamental_coweight(0)]
+    if fam == "B" or (fam == "A" and d % 2 == 1):
+        return [_basis(d, 0)]
     if fam == "C":
-        return [sys.fundamental_coweight(d - 1)]
+        return [_basis(d, d - 1)]
     if fam == "D":
-        out = [sys.fundamental_coweight(d - 1)]
+        out = [_basis(d, d - 1)]
         if d % 2 == 0:
-            out.append(sys.fundamental_coweight(0))
+            out.append(_basis(d, 0))
         return out
     if fam == "E" and d == 6:
-        third = Fraction(1, 3)
-        xi = [0] * 6
-        xi[0], xi[2], xi[4], xi[5] = third, -third, third, -third
-        return [tuple(Fraction(x) for x in xi)]
+        return [(1, 0, -1, 0, 1, -1)]
     if fam == "E" and d == 7:
-        half = Fraction(1, 2)
-        xi = [0] * 7
-        xi[1], xi[4], xi[6] = half, half, half
-        return [tuple(Fraction(x) for x in xi)]
+        return [(0, 1, 0, -1, 1, -1, 1)]
     # E8, F4, G2: the relevant group is trivial.
     return []

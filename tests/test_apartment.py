@@ -49,9 +49,9 @@ def test_distance_basics():
     assert distance(ce, ce) == 0
     adjacent = reflect(ce, ((1,), 0))
     assert distance(ce, adjacent) == 1
-    moved = translate(ce, [1])
+    moved = translate(ce, (2,))  # by alpha_vee
     assert distance(ce, moved) == 4
-    moved_f = translate(cf, [1])
+    moved_f = translate(cf, (2,))
     assert distance(cf, moved_f) == 2
     with pytest.raises(LevelMismatch):
         distance(ce, cf)
@@ -65,10 +65,31 @@ def test_translate_identity_and_parity():
         assert distance(ce, translate(ce, xi)) % 2 == 0
 
 
+def test_translation_by_a_coroot_is_two_parallel_reflections():
+    # t_{beta_vee} = s_{beta, 1} s_{beta, 0}: h(alpha) moves by 2 <alpha, beta_vee>,
+    # so the coroot rows agree with reflect
+    cases = 0
+    for fam, rank in [("A", 1), ("A", 2), ("B", 2), ("G", 2)]:
+        sys = build(fam, rank)
+        for c0 in base_chambers(sys):
+            for c in (c for shell in chambers_within(c0, 2) for c in shell):
+                for b in sys.roots:
+                    assert translate(c, sys.coroot(b)) == reflect(reflect(c, (b, 0)), (b, 2))
+                    cases += 1
+    assert cases == 500
+
+
+def test_chamber_rejects_an_unknown_level():
+    sys = build("A", 1)
+    with pytest.raises(ValueError, match="level must be 'E' or 'F', not 'f'"):
+        Chamber(sys, "f", (1,))
+    assert Chamber(sys, E_LEVEL, (1,)).ceiling == 1
+
+
 def test_translate_rejects_a_non_integral_coweight():
     _, ce = base_chambers(build("A", 2))
     with pytest.raises(NonIntegralPairing, match=re.escape("<(0, 1), xi> = -1/3")):
-        translate(ce, [Fraction(1, 3), 0])
+        translate(ce, [Fraction(2, 3), Fraction(-1, 3)])  # alpha_1_vee / 3
 
 
 def test_reflect_involution_and_walls():

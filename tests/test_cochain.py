@@ -1,9 +1,10 @@
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from steinberg_lab import apartment, cochain, prasad, suites, tables
+from steinberg_lab import apartment, cochain, prasad, rootsys, suites, tables
 from steinberg_lab.cochain import (
     SignCharacter,
     SignVector,
@@ -27,7 +28,7 @@ from steinberg_lab.errors import (
     NotApplicable,
     UnsupportedPanel,
 )
-from steinberg_lab.linalg import solve_exact
+from steinberg_lab.linalg import LeftInverse, solve_exact
 from steinberg_lab.rootsys import build
 from steinberg_lab.suites import SIGN_CALCULUS_TYPES
 
@@ -58,21 +59,20 @@ def test_eic_values_per_family():
 def test_coroot_action_examples():
     e6 = build("E", 6)
     members = tables.sign_basis(e6)
-    act = coroot_action(e6, members, e6.simples[3])  # alpha_4
+    act = coroot_action(e6, members, e6.cartan[3])  # alpha_4_vee
     assert act.support() == [1, 2, 3, 4]
     assert solved_character(e6).coroot_actions[3] == act
     b4 = build("B", 4)
     members4 = tables.sign_basis(b4)
-    act4 = coroot_action(b4, members4, b4.simples[1])  # alpha_2
+    act4 = coroot_action(b4, members4, b4.cartan[1])  # alpha_2_vee
     assert act4.support() == [1, 2, 3, 4]
     # a member's own coroot acts trivially
     a3 = build("A", 3)
     membersa = tables.sign_basis(a3)
-    beta_co = [Fraction(0)] * 3
-    beta_co[0] = Fraction(-1)  # coroot of beta_1 = -alpha_1
+    beta_co = [-x for x in a3.cartan[0]]  # coroot of beta_1 = -alpha_1
     assert coroot_action(a3, membersa, beta_co).bits == 0
     with pytest.raises(NonIntegralPairing):
-        coroot_action(a3, membersa, [Fraction(1, 3), 0, 0])
+        coroot_action(a3, membersa, [Fraction(2, 3), Fraction(-1, 3), 0])  # alpha_1_vee / 3
 
 
 def test_solve_character_unique():
@@ -180,6 +180,24 @@ def test_suite_cochain_looks_up_each_sign_basis_once(monkeypatch):
     assert len(looked_up) == 31
 
 
+def test_suite_cochain_inverts_no_cartan_matrix(monkeypatch):
+    # coweights are integer rows, so no Cartan matrix is inverted: the only
+    # LeftInverses are the ambient inverses behind from_ambient, one per B, C
+    # and D sign-calculus type, whose sign bases are written in epsilon
+    # coordinates; systems come from a fresh cache so none is inherited
+    monkeypatch.setattr(rootsys, "build", lru_cache(maxsize=None)(rootsys.build.__wrapped__))
+    built = []
+    init = LeftInverse.__init__
+
+    def counting(self, vectors):
+        built.append(vectors)
+        init(self, vectors)
+
+    monkeypatch.setattr(LeftInverse, "__init__", counting)
+    suites.suite_cochain()
+    assert len(built) == 19
+
+
 def test_solved_equals_tabled_everywhere():
     for fam, rank in [("A", 5), ("B", 5), ("C", 4), ("D", 6), ("E", 6), ("F", 4), ("G", 2)]:
         sys = build(fam, rank)
@@ -202,7 +220,7 @@ def test_iwahori_vector_values():
     assert vec[ce] == 1
     adj = apartment.reflect(ce, ((1,), 0))
     assert vec[adj] == Fraction(-1, 3)
-    moved = apartment.translate(ce, [1])
+    moved = apartment.translate(ce, (2,))  # by alpha_vee
     assert vec[moved] == Fraction(1, 81)
     with pytest.raises(ValueError):
         iwahori_vector(ce, 4, 2)

@@ -31,7 +31,7 @@ def test_triviality_matches_halfsum_oracle():
 def test_chi_on_torus_e7():
     sys = build("E", 7)
     xi = tables.chi_test_coweights(sys)[0]
-    assert prasad.two_rho_pairing(sys, xi) == 3
+    assert sys.pairing(sys.two_rho, xi) == 3
     assert prasad.chi_on_torus(sys, xi) == -1
 
 
@@ -39,24 +39,24 @@ def test_two_rho_pairs_to_two_with_every_simple_coroot():
     for fam, rank in ACCEPTANCE_TYPES + [("A", 2), ("A", 4)]:
         sys = build(fam, rank)
         assert all(sys.root_pairing(sys.two_rho, s) == 2 for s in sys.simples)
+        # the simple coroots' rows are sys.cartan, and 2 rho is the sum of the positive roots
+        assert all(sys.pairing(sys.two_rho, row) == 2 for row in sys.cartan)
         for xi in tables.chi_test_coweights(sys):
-            expected = sum(x * sys.root_pairing(sys.two_rho, s) for x, s in zip(xi, sys.simples))
-            assert prasad.two_rho_pairing(sys, xi) == expected
+            expected = sum(sys.pairing(r, xi) for r in sys.positive_roots)
+            assert sys.pairing(sys.two_rho, xi) == expected
 
 
 def test_chi_on_simple_coroots_is_trivial():
     for fam, rank in [("A", 3), ("B", 4), ("G", 2)]:
         sys = build(fam, rank)
-        for i in range(rank):
-            xi = [Fraction(0)] * rank
-            xi[i] = Fraction(1)
+        for xi in sys.cartan:
             assert prasad.chi_on_torus(sys, xi) == 1
 
 
 def test_chi_is_multiplicative():
     sys = build("C", 3)
-    xi1 = sys.fundamental_coweight(2)
-    xi2 = [Fraction(1), Fraction(0), Fraction(0)]
+    xi1 = (0, 0, 1)  # omega_3_vee
+    xi2 = sys.cartan[0]  # alpha_1_vee
     both = [a + b for a, b in zip(xi1, xi2)]
     lhs = prasad.chi_on_torus(sys, both)
     rhs = prasad.chi_on_torus(sys, xi1) * prasad.chi_on_torus(sys, xi2)

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -7,7 +8,8 @@ from operator import add, mul
 import pytest
 
 from steinberg_lab import rootsys, tables
-from steinberg_lab.errors import BudgetExceeded, InvalidRank, NotARoot, ProportionalPair
+from steinberg_lab.errors import BudgetExceeded, InvalidRank, NonIntegralPairing, ProportionalPair
+from steinberg_lab.linalg import solve_exact
 from steinberg_lab.rootsys import (
     RootSystem,
     RootSystemType,
@@ -179,39 +181,53 @@ def test_cartan_entries():
 def test_pairing_with_coweights():
     sys = a2()
     a1 = sys.simples[0]
-    assert sys.pairing(a1, [Fraction(1), Fraction(0)]) == 2
-    assert sys.pairing(a1, [Fraction(0), Fraction(1)]) == -1
-    with pytest.raises(NotARoot):
-        sys.pairing((5, 5), [Fraction(1), Fraction(0)])
-    assert type(sys.pairing(a1, [1, 0])) is int
+    # coweights are rows of values on the simple roots: alpha_k_vee is cartan[k]
+    assert sys.pairing(a1, [Fraction(2), Fraction(-1)]) == 2
+    assert sys.pairing(a1, [Fraction(-1), Fraction(2)]) == -1
+    assert type(sys.pairing(a1, sys.cartan[0])) is int
+    assert type(sys.pairing(a1, [Fraction(2), Fraction(-1)])) is int
     with pytest.raises(ValueError):
         sys.pairing(a1, [1, 0, 0])
+    with pytest.raises(NonIntegralPairing, match=re.escape("<(1, 1), xi> = 1/3")):
+        sys.pairing((1, 1), [Fraction(2, 3), Fraction(-1, 3)])
 
 
 def test_pairing_is_int_on_integral_coweights_and_matches_inner():
     for fam, rank in sorted(set(ACCEPTANCE_TYPES) | set(SIGN_CALCULUS_TYPES)):
         sys = build(fam, rank)
         units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-        chi = tables.chi_test_coweights(sys)
+        # the chi test coweights over the simple coroots, in Fractions
+        chi = [(xi, solve_exact(sys.cartan, xi)) for xi in tables.chi_test_coweights(sys)]
         for alpha in sys.roots:
             # <alpha, alpha_j_vee> = 2 <alpha, alpha_j> / <alpha_j, alpha_j>, in Fractions
             coroots = [2 * sys.inner(alpha, s) / sys.inner(s, s) for s in sys.simples]
-            for xi in units:
-                val = sys.pairing(alpha, xi)
+            for x, row in zip(units, sys.cartan):
+                val = sys.pairing(alpha, row)
                 assert type(val) is int
-                assert val == sum(map(mul, xi, coroots))
-            for xi in chi:
-                assert sys.pairing(alpha, xi) == sum(map(mul, xi, coroots))
+                assert val == sum(map(mul, x, coroots))
+            for xi, x in chi:
+                assert sys.pairing(alpha, xi) == sum(map(mul, x, coroots))
 
 
-def test_fundamental_coweights():
-    for fam, rank in sorted(set(ACCEPTANCE_TYPES) | set(SIGN_CALCULUS_TYPES)):
+def test_chi_test_coweights_are_integer_rows():
+    # the E6 and E7 rows over the simple coroots (1-based), as the paper writes them
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    paper = {
+        ("E", 6): {1: third, 3: -third, 5: third, 6: -third},
+        ("E", 7): {2: half, 5: half, 7: half},
+    }
+    for fam, rank in SIGN_CALCULUS_TYPES:
         sys = build(fam, rank)
-        for i in range(rank):
-            xi = sys.fundamental_coweight(i)
-            assert all(type(x) is Fraction for x in xi)
-            for j, s in enumerate(sys.simples):
-                assert sys.pairing(s, xi) == (1 if i == j else 0)
+        for xi in tables.chi_test_coweights(sys):
+            assert len(xi) == rank and all(type(x) is int for x in xi)
+            if (fam, rank) in paper:
+                combo = [sum(x * sys.cartan[k - 1][j] for k, x in paper[fam, rank].items()) for j in range(rank)]
+                assert list(xi) == combo
+            else:
+                # a fundamental coweight: <alpha_j, omega_i_vee> = delta_ij
+                (i,) = [j for j, x in enumerate(xi) if x]
+                for j, s in enumerate(sys.simples):
+                    assert sys.pairing(s, xi) == (1 if i == j else 0)
 
 
 def test_strongly_orthogonal_examples():
