@@ -38,7 +38,7 @@ def cmd_sigma_a(args):
         _fail_usage(str(exc))
     out = {"type": f"{args.family}{args.rank}"}
     sa = sorth.sigma_a(system)
-    out["members"] = [list(m) for m in sa.members]
+    out["members"] = [list(m) for m in sa]
     out["size"] = len(sa)
     try:
         table = sorth.so_set(system, tables.sigma_a_table(system))
@@ -73,12 +73,10 @@ def cmd_verify(args):
     if args.radius is not None:
         if args.radius < 0:
             _fail_usage("--radius must be nonnegative")
-        if args.suite != "all" and "radius" not in suites.suite_parameters(args.suite):
+        if args.suite != "all" and args.suite not in suites.RADIUS_DEFAULTS:
             _fail_usage(f"suite {args.suite} takes no --radius")
     if "tree" in names:
-        radius = args.radius
-        if radius is None:
-            radius = suites.suite_parameters("tree")["radius"].default
+        radius = suites.RADIUS_DEFAULTS["tree"] if args.radius is None else args.radius
         tree_min = suites.tree_hctest_depths(args.q)[0] + 1
         if radius < tree_min:
             _fail_usage(f"--radius {radius} is below the tree minimum {tree_min} at q={args.q}")
@@ -102,7 +100,7 @@ def cmd_verify(args):
             fh.write(text + "\n")
     for rep in reports:
         for c in rep.checks:
-            print(f"{rep.suite:10s} {c.status:4s} {c.id}: {c.value} (expected {c.expected})")
+            print(f"{rep.suite:10s} {c['status']:4s} {c['id']}: {c['value']} (expected {c['expected']})")
     ok = all(r.ok for r in reports)
     print("all checks passed" if ok else "FAILURES present")
     return 0 if ok else CHECK_ERROR

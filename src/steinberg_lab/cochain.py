@@ -14,7 +14,7 @@ from one chamber and scales its value by -1/q per step of gallery distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import apartment, tables
@@ -30,12 +30,10 @@ from .rootsys import _neg, _sub, levi_support
 # -- sign vectors and characters --------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignVector:
+class SignVector(namedtuple("SignVector", "bits r")):
     """Element of (Z/2)^r; bit i-1 refers to the i-th basis member."""
 
-    bits: int
-    r: int
+    __slots__ = ()
 
     def __mul__(self, other):
         if self.r != other.r:
@@ -56,12 +54,10 @@ def sign_vector(r, indices):
     return SignVector(bits, r)
 
 
-@dataclass(frozen=True)
-class SignCharacter:
+class SignCharacter(namedtuple("SignCharacter", "dual_bits r")):
     """A {+1,-1}-valued character of (Z/2)^r."""
 
-    dual_bits: int
-    r: int
+    __slots__ = ()
 
     def value(self, v: SignVector):
         if v.r != self.r:
@@ -224,14 +220,9 @@ def solve_character(r, constraints):
     return SignCharacter(dual, r)
 
 
-@dataclass(frozen=True)
-class SolvedCharacter:
-    """The sign calculus of one type: the sign basis, the sign vectors of
-    the simple coroots on it, and the character the constraints solve to."""
-
-    members: tuple
-    coroot_actions: tuple
-    character: SignCharacter
+# The sign calculus of one type: the sign basis, the sign vectors of the
+# simple coroots on it, and the character the constraints solve to.
+SolvedCharacter = namedtuple("SolvedCharacter", "members coroot_actions character")
 
 
 def solved_character(sys):
@@ -246,14 +237,14 @@ def solved_character(sys):
 # -- cochains ----------------------------------------------------------------
 
 
-@dataclass
 class Cochain:
     """Finitely supported chamber function with exact rational values."""
 
-    values: dict
-    base: object
-    q: int
-    retraction_invariant: bool = False
+    def __init__(self, values, base, q, retraction_invariant=False):
+        self.values = values
+        self.base = base
+        self.q = q
+        self.retraction_invariant = retraction_invariant
 
     def __getitem__(self, chamber):
         return self.values.get(chamber, Fraction(0))
@@ -314,10 +305,7 @@ def a2n_class_value(k, q, base):
     return base if k == 0 else base * Fraction(2, 1 - q) ** k / 2
 
 
-@dataclass(frozen=True)
-class R1R2Result:
-    r1: int
-    r2: int
+R1R2Result = namedtuple("R1R2Result", "r1 r2")
 
 
 def r1_r2(sys):

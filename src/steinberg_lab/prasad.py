@@ -7,7 +7,7 @@ a sign read off an integer pairing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .rootsys import build
 
@@ -23,12 +23,7 @@ def chi_on_torus(sys, xi):
     return -1 if sys.pairing(sys.two_rho, xi) % 2 else 1
 
 
-@dataclass(frozen=True)
-class D2nIdentity:
-    n: int
-    skipped: bool
-    holds: bool
-    branch: str
+D2nIdentity = namedtuple("D2nIdentity", "n skipped holds branch")
 
 
 def d2n_character_identity(n):

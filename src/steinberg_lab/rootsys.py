@@ -13,8 +13,7 @@ and reflection is a dot product with a row, so none needs rational arithmetic.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
@@ -34,19 +33,18 @@ _RANK_BOUNDS = {
     "G": (2, 2),
 }
 
-@dataclass(frozen=True)
-class RootSystemType:
+class RootSystemType(namedtuple("RootSystemType", "family rank")):
     """A family letter and a rank, validated against the classical bounds."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in _RANK_BOUNDS:
-            raise InvalidRank(f"unknown family {self.family!r}")
-        lo, hi = _RANK_BOUNDS[self.family]
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            raise InvalidRank(f"rank {self.rank} out of bounds for family {self.family}")
+    def __new__(cls, family, rank):
+        if family not in _RANK_BOUNDS:
+            raise InvalidRank(f"unknown family {family!r}")
+        lo, hi = _RANK_BOUNDS[family]
+        if rank < lo or (hi is not None and rank > hi):
+            raise InvalidRank(f"rank {rank} out of bounds for family {family}")
+        return super().__new__(cls, family, rank)
 
     def __str__(self):
         return f"{self.family}{self.rank}"

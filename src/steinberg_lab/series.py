@@ -10,7 +10,7 @@ coarse-level apartment by gallery distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import apartment, tables
@@ -77,13 +77,10 @@ def tail_bound(sys, q, radius):
     return bound
 
 
-@dataclass
-class LambdaReport:
+class LambdaReport(namedtuple("LambdaReport", "target partial_sums tail_bounds")):
     """Partial sums of the support-weighted pairing against tail bounds."""
 
-    target: Fraction
-    partial_sums: list
-    tail_bounds: list
+    __slots__ = ()
 
     def certified_radii(self):
         return [

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import tables
 from .errors import BudgetExceeded, read_budget
@@ -22,37 +22,21 @@ from .rootsys import (
 _DEFAULT_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class SOSet:
-    """An ordered list of pairwise strongly-orthogonal roots."""
-
-    system: object = field(compare=False)
-    members: tuple = ()
-
-    def __post_init__(self):
-        sys = self.system
-        for m in self.members:
-            sys.check_root(m)
-        for i, a in enumerate(self.members):
-            for b in self.members[i + 1 :]:
-                if not strongly_orthogonal(sys, a, b):
-                    raise ValueError(f"{a} and {b} are not strongly orthogonal")
-        # pairwise orthogonal roots are automatically linearly independent
-        if len(self.members) > sys.type.rank:
-            raise ValueError("more members than the rank allows")
-
-    def __len__(self):
-        return len(self.members)
-
-
-@dataclass(frozen=True)
-class C1Witness:
-    alpha: tuple
-    beta: tuple
+C1Witness = namedtuple("C1Witness", "alpha beta")
 
 
 def so_set(sys, members):
-    return SOSet(sys, tuple(tuple(m) for m in members))
+    """A strongly orthogonal set: its members, in order, as a tuple of root tuples.
+
+    Raises NotARoot for a non-root, ProportionalPair for a repeated or negated
+    member, and ValueError for a pair that is not strongly orthogonal.  Pairwise
+    orthogonal roots are linearly independent, so a set that passes fits the rank."""
+    members = tuple(map(sys.check_root, members))
+    for i, a in enumerate(members):
+        for b in members[i + 1 :]:
+            if not strongly_orthogonal(sys, a, b):
+                raise ValueError(f"{a} and {b} are not strongly orthogonal")
+    return members
 
 
 def so_complement(sys, members):
@@ -105,13 +89,12 @@ def _sigma_rec(sys, support):
     return out
 
 
-def satisfies_c1(sys, soset):
-    """First witness (alpha in the set, beta in Phi) of condition (C1), or None.
+def satisfies_c1(sys, members):
+    """First witness (alpha in members, beta in Phi) of condition (C1), or None.
 
-    beta must be orthogonal to every member except alpha, with <alpha,
-    beta_vee> odd.
+    members is a sequence of roots, such as `so_set` returns.  beta must be
+    orthogonal to every member except alpha, with <alpha, beta_vee> odd.
     """
-    members = soset.members if isinstance(soset, SOSet) else tuple(soset)
     for alpha in members:
         others = [m for m in members if m != alpha]
         for beta in sys.roots:
@@ -125,11 +108,8 @@ def satisfies_c1(sys, soset):
 # -- conjugacy -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConjugacyResult:
-    status: str  # "yes", "no" or "unknown"
-    word: tuple = ()  # reflections, as roots, applied left to right
-    method: str = ""
+# status is "yes", "no" or "unknown"; word lists reflections, as roots, applied left to right
+ConjugacyResult = namedtuple("ConjugacyResult", "status word method")
 
 
 def _normal_form(sys, members):
@@ -179,18 +159,18 @@ def verify_certificate(sys, members, word, target):
     return all(sys.pos_rep(apply_word(sys, word, m)) in target for m in members)
 
 
-def is_conjugate_subset_of(sys, soset, target):
-    """Decide whether some Weyl image of the set lies inside target.
+def is_conjugate_subset_of(sys, members, target):
+    """Decide whether some Weyl image of members lies inside target.
 
-    Member signs are treated as free on both sides.  Returns a
-    ConjugacyResult whose word, when applied left to right, maps the set
-    into target up to signs; every "yes" word has passed verify_certificate.
-    "no" answers are only produced by the orbit search, run exactly when |W|
-    is within the budget, or by an invariant screen; the normal-form route
-    answers "yes" or falls through.
+    Both are sequences of roots, such as `so_set` returns; member signs are
+    treated as free on both sides.  Returns a ConjugacyResult whose word,
+    when applied left to right, maps members into target up to signs; every
+    "yes" word has passed verify_certificate.  "no" answers are only produced
+    by the orbit search, run exactly when |W| is within the budget, or by an
+    invariant screen; the normal-form route answers "yes" or falls through.
     """
-    a = [sys.check_root(m) for m in (soset.members if isinstance(soset, SOSet) else soset)]
-    b = [sys.check_root(m) for m in (target.members if isinstance(target, SOSet) else target)]
+    a = [sys.check_root(m) for m in members]
+    b = [sys.check_root(m) for m in target]
     if len(a) > len(b):
         return ConjugacyResult("no", (), "size screen")
     # an irreducible system has at most two root lengths, so is_long names the length
@@ -281,11 +261,11 @@ def is_maximal_orthogonal(sys, members):
     return True
 
 
-@dataclass
-class AnismaxReport:
-    system: str
-    clauses: dict
-    classes: list  # the class representatives, as enumerate_so_sets returns them
+class AnismaxReport(namedtuple("AnismaxReport", "system clauses classes")):
+    """The classification clauses of one system (description -> verdict) and
+    its class representatives, as enumerate_so_sets returns them."""
+
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -296,7 +276,7 @@ def verify_anismax(sys):
     """Exhaustive check of the classification clauses for one system."""
     reps = enumerate_so_sets(sys)
     c1_free = [rep for rep in reps if satisfies_c1(sys, rep) is None]
-    c1_free_maximal = [rep for rep in c1_free if len(rep) > 0 and is_maximal_so(sys, rep.members)]
+    c1_free_maximal = [rep for rep in c1_free if len(rep) > 0 and is_maximal_so(sys, rep)]
     clauses = {}
     if tables.is_a2n(sys):
         clauses["every nonempty class satisfies (C1)"] = not any(len(rep) > 0 for rep in c1_free)
@@ -309,7 +289,7 @@ def verify_anismax(sys):
         and is_conjugate_subset_of(sys, sa, c1_free_maximal[0]).status == "yes"
         and len(sa) == len(c1_free_maximal[0])
     )
-    clauses["maximal as plain-orthogonal set"] = is_maximal_orthogonal(sys, sa.members)
+    clauses["maximal as plain-orthogonal set"] = is_maximal_orthogonal(sys, sa)
     clauses["every (C1)-free class embeds in it"] = all(
         is_conjugate_subset_of(sys, rep, sa).status == "yes" for rep in c1_free
     )

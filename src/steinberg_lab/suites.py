@@ -1,14 +1,13 @@
 """Named verification suites with machine-readable reports.
 
-Each suite runs a battery of exact checks and returns a SuiteReport; the
-command line serializes these to JSON/CSV/markdown.  All comparisons are
+Each suite runs a battery of exact checks and returns a SuiteReport, whose
+checks are the dicts of the JSON report.  RADIUS_DEFAULTS names the suites
+that take q and a radius, and their default radius.  All comparisons are
 exact (integers or reduced fractions rendered as strings).
 """
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import HalfIntegralityViolation
@@ -37,34 +36,32 @@ SIGN_CALCULUS_TYPES = (
 )
 
 
-@dataclass
-class Check:
-    id: str
-    description: str
-    status: str  # pass / fail
-    value: str
-    expected: str
-    provenance: str  # table / derived / definition
+RADIUS_DEFAULTS = {"cochain": 4, "series": 10, "tree": 8}
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    checks: list = field(default_factory=list)
+    """One suite's checks, each the dict the JSON report holds."""
+
+    def __init__(self, suite):
+        self.suite = suite
+        self.checks = []
 
     def add(self, id_, description, value, expected, provenance):
+        """Record one check; provenance is table, derived or definition."""
         value_s = _render(value)
         expected_s = _render(expected)
         status = "pass" if value_s == expected_s else "fail"
-        self.checks.append(Check(id_, description, status, value_s, expected_s, provenance))
+        self.checks.append({
+            "id": id_, "description": description, "status": status,
+            "value": value_s, "expected": expected_s, "provenance": provenance,
+        })
 
     @property
     def ok(self):
-        return all(c.status != "fail" for c in self.checks)
+        return all(c["status"] != "fail" for c in self.checks)
 
     def to_dict(self):
-        # not dataclasses.asdict: its deep copy costs about 14 us per check
-        return {"suite": self.suite, "checks": [dict(vars(c)) for c in self.checks]}
+        return {"suite": self.suite, "checks": self.checks}
 
 
 def _render(v):
@@ -171,7 +168,7 @@ def suite_sorth():
         )
         odd_ok = all(
             sum(_neg(m)) % 2 == 1 if all(c <= 0 for c in m) else sum(m) % 2 == 1
-            for m in table.members
+            for m in table
         )
         rep.add(
             f"odd-height-{fam}{rank}",
@@ -181,7 +178,7 @@ def suite_sorth():
             "table",
         )
         if len(sa) == rank:
-            inverse = LeftInverse(table.members)
+            inverse = LeftInverse(table)
             rep.add(
                 f"half-integral-expansion-{fam}{rank}",
                 "every root expands over the full-rank set in half-integers",
@@ -223,7 +220,7 @@ def suite_sorth():
         sys = build(fam, rank)
         two_short_ok = True
         for rep_set in classes[fam, rank]:
-            shorts = [m for m in rep_set.members if not sys.is_long(m)]
+            shorts = [m for m in rep_set if not sys.is_long(m)]
             if len(shorts) >= 2 and not (fam == "C" and rank >= 4):
                 two_short_ok = False
         rep.add(
@@ -364,7 +361,7 @@ def suite_apartment(seed=20240817):
 # -- cochain ---------------------------------------------------------------------
 
 
-def suite_cochain(q=3, radius=4):
+def suite_cochain(q=3, radius=RADIUS_DEFAULTS["cochain"]):
     from . import apartment, cochain, prasad, tables
     from .rootsys import build
     rep = SuiteReport("cochain")
@@ -467,7 +464,7 @@ def suite_cochain(q=3, radius=4):
 # -- series ----------------------------------------------------------------------
 
 
-def suite_series(q=3, radius=10):
+def suite_series(q=3, radius=RADIUS_DEFAULTS["series"]):
     from . import series
     from .rootsys import build
     rep = SuiteReport("series")
@@ -526,7 +523,7 @@ def tree_hctest_depths(q):
     return (3, None) if q <= 3 else (1, 5)
 
 
-def suite_tree(q=3, radius=8):
+def suite_tree(q=3, radius=RADIUS_DEFAULTS["tree"]):
     from . import tree_oracle
     rep = SuiteReport("tree")
     ball = tree_oracle.build_ball(q, radius)
@@ -655,13 +652,10 @@ SUITES = {
 }
 
 
-def suite_parameters(name):
-    """The parameters a suite takes, looked up through any wrapper."""
-    return inspect.signature(SUITES[name]).parameters
-
-
 def run_suite(name, q=3, radius=None):
-    """Run one suite, forwarding q and radius (when given) to a suite that takes them."""
-    params = suite_parameters(name)
-    kwargs = {k: v for k, v in (("q", q), ("radius", radius)) if v is not None and k in params}
-    return SUITES[name](**kwargs)
+    """Run one suite, forwarding q, and radius when given, to a suite in RADIUS_DEFAULTS."""
+    if name not in RADIUS_DEFAULTS:
+        return SUITES[name]()
+    if radius is None:
+        return SUITES[name](q=q)
+    return SUITES[name](q=q, radius=radius)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import BudgetExceeded, NotHarmonicBase, NotInBall, read_budget
@@ -57,12 +57,18 @@ def _is_prime(n):
     return True
 
 
-@dataclass
 class TreeBall:
-    q: int
-    radius: int
-    starts: list = field(default_factory=list)
-    qpow: list = field(default_factory=list)
+    """The chambers within radius of the base, addressed by level-order ids."""
+
+    def __init__(self, q, radius):
+        self.q = q
+        self.radius = radius
+        # starts[n] is the first id at depth n, one level beyond the chamber
+        # ball so every star is addressable
+        self.starts = [0, 1]
+        for n in range(1, radius + 3):
+            self.starts.append(self.starts[-1] + self.level_size(n))
+        self.qpow = [q**n for n in range(radius + 4)]
 
     # -- arithmetic addressing ------------------------------------------
 
@@ -143,6 +149,8 @@ class TreeBall:
         and they begin their level.
         """
         r = self.radius if radius is None else radius
+        if not 0 <= r <= self.radius:
+            raise ValueError(f"radius {r} outside the ball's 0 to {self.radius}")
         return range(1, self.starts[r + 1] + self.qpow[r])
 
     def panel_chambers(self, w):
@@ -210,14 +218,7 @@ def build_ball(q, radius):
     budget = read_budget(_CHAMBER_BUDGET)
     if total > budget:
         raise BudgetExceeded(f"{total} chambers exceed the budget of {budget}")
-    ball = TreeBall(q=q, radius=radius)
-    starts = [0, 1]
-    # keep one level beyond the chamber ball so every star is addressable
-    for n in range(1, radius + 3):
-        starts.append(starts[-1] + ball.level_size(n))
-    ball.starts = starts
-    ball.qpow = [q**n for n in range(radius + 4)]
-    return ball
+    return TreeBall(q, radius)
 
 
 def tree_distance(ball, c1, c2):
@@ -243,12 +244,7 @@ def chamber_count_by_distance(ball):
     return [shells.count(d) for d in range(ball.radius + 1)]
 
 
-@dataclass
-class HctestReport:
-    q: int
-    panels_checked: int
-    references_checked: int
-    failures: int
+HctestReport = namedtuple("HctestReport", "q panels_checked references_checked failures")
 
 
 def _chamber_distances(ball, ref, levels):
@@ -341,8 +337,8 @@ def verify_hctest(ball, r_inner, panel_depth=None):
     The references C' are the chambers within r_inner of the base; each
     gets one distance table over the interior panels (down to panel_depth).
     """
-    if r_inner + 1 > ball.radius:
-        raise ValueError("need r_inner + 1 <= radius")
+    if not 0 <= r_inner < ball.radius:
+        raise ValueError("need 0 <= r_inner and r_inner + 1 <= radius")
     return _hctest(ball, ball.chambers(r_inner), panel_depth)
 
 
@@ -391,11 +387,7 @@ def extend_base(ball, base_values):
     return value
 
 
-@dataclass
-class ExtensionReport:
-    q: int
-    panels_checked: int
-    failures: int
+ExtensionReport = namedtuple("ExtensionReport", "q panels_checked failures")
 
 
 def _extension_values(ball, b, depth):

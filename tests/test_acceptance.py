@@ -38,8 +38,8 @@ def test_criterion_01_sigma_tables():
         if res.status != "yes" or len(sa) != len(table):
             ok = False
             continue
-        target = {sys.pos_rep(t) for t in table.members}
-        if not all(sys.pos_rep(apply_word(sys, res.word, m)) in target for m in sa.members):
+        target = {sys.pos_rep(t) for t in table}
+        if not all(sys.pos_rep(apply_word(sys, res.word, m)) in target for m in sa):
             ok = False
     _report("criterion 1: classified sets match the tables with certificates", ok)
 

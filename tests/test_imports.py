@@ -74,3 +74,47 @@ def test_package_still_exports_the_root_system_layer():
     assert isinstance(build("A", 2), RootSystem)
     with pytest.raises(AttributeError, match="no attribute 'nothing'"):
         steinberg_lab.nothing
+
+
+COLD_PROBE = """
+import contextlib, io, json, sys
+start = set(sys.modules)
+from steinberg_lab import cli
+
+code = None
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(json.loads(sys.argv[1]))
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([sorted(set(sys.modules) - start), code]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["verify", "rootsys"],
+        ["verify", "prasad"],
+        ["verify", "sorth"],
+        ["verify", "apartment"],
+        ["verify", "cochain", "--radius", "1"],
+        ["verify", "series", "--radius", "4"],
+        ["verify", "tree", "--radius", "4"],
+        ["verify", "all", "--radius", "4"],
+        ["sigma-a", "E", "8"],
+        ["tables", "--eic"],
+    ],
+    ids=" ".join,
+)
+def test_commands_load_neither_dataclasses_nor_inspect(argv):
+    # the module set is taken before steinberg_lab is imported: the
+    # interpreter's own start-up may load other modules
+    out = subprocess.run(
+        [sys.executable, "-c", COLD_PROBE, json.dumps(argv)], capture_output=True, text=True, check=True
+    )
+    added, code = json.loads(out.stdout)
+    assert code == 0
+    assert "steinberg_lab.cli" in added
+    assert not {"dataclasses", "inspect"} & set(added)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from steinberg_lab import sorth, suites, tables
-from steinberg_lab.errors import BudgetExceeded, NotApplicable
+from steinberg_lab.errors import BudgetExceeded, NotApplicable, NotARoot, ProportionalPair
 from steinberg_lab.linalg import LeftInverse
 from steinberg_lab.rootsys import (
     _neg,
@@ -25,9 +25,8 @@ def _conjugate_ok(sys, a, b):
     res = sorth.is_conjugate_subset_of(sys, a, b)
     if res.status != "yes":
         return False
-    target = {sys.pos_rep(t) for t in (b.members if isinstance(b, sorth.SOSet) else b)}
-    src = a.members if isinstance(a, sorth.SOSet) else a
-    return all(sys.pos_rep(apply_word(sys, res.word, m)) in target for m in src)
+    target = {sys.pos_rep(t) for t in b}
+    return all(sys.pos_rep(apply_word(sys, res.word, m)) in target for m in a)
 
 
 def test_sigma_a_g2():
@@ -42,7 +41,7 @@ def test_sigma_a_c3():
     sa = sorth.sigma_a(sys)
     table = sorth.so_set(sys, tables.sigma_a_table(sys))
     # the tabled set is the long roots -2e_i
-    assert {sys.pos_rep(m) for m in table.members} == {
+    assert {sys.pos_rep(m) for m in table} == {
         sys.from_ambient([2, 0, 0]),
         sys.from_ambient([0, 2, 0]),
         sys.from_ambient([0, 0, 2]),
@@ -85,6 +84,19 @@ def test_c1_witness_examples():
     assert sorth.satisfies_c1(sys, sorth.so_set(sys, [])) is None
 
 
+def test_so_set_checks_its_members():
+    b2 = build("B", 2)
+    with pytest.raises(NotARoot):
+        sorth.so_set(b2, [(5, 5)])
+    # the short roots e1 and e2 are orthogonal, but e1 + e2 is a root
+    with pytest.raises(ValueError, match="not strongly orthogonal"):
+        sorth.so_set(b2, [(1, 1), (0, 1)])
+    with pytest.raises(ProportionalPair):
+        sorth.so_set(b2, [(1, 1), (1, 1)])
+    # e1 + e2 and e1 - e2, as a tuple of root tuples
+    assert sorth.so_set(b2, [[1, 2], (1, 0)]) == ((1, 2), (1, 0))
+
+
 def test_so_complement_types():
     a4 = build("A", 4)
     comp = sorth.so_complement(a4, [a4.highest_root])
@@ -116,7 +128,7 @@ def test_conjugacy_identity_and_random_words():
         sys = build(fam, rank)
         table = sorth.so_set(sys, tables.sigma_a_table(sys))
         assert _conjugate_ok(sys, table, table)
-        members = list(table.members)
+        members = list(table)
         for _ in range(3):
             word = [sys.simples[rng.randrange(rank)] for _ in range(6)]
             moved = [apply_word(sys, word, m) for m in members]
@@ -185,19 +197,19 @@ def test_two_short_members_only_in_large_c():
     for fam, rank in [("B", 3), ("F", 4), ("C", 3)]:
         sys = build(fam, rank)
         for rep in sorth.enumerate_so_sets(sys):
-            shorts = [m for m in rep.members if not sys.is_long(m)]
+            shorts = [m for m in rep if not sys.is_long(m)]
             assert len(shorts) <= 1
     c4 = build("C", 4)
     reps = sorth.enumerate_so_sets(c4)
     assert any(
-        sum(1 for m in rep.members if not c4.is_long(m)) >= 2 for rep in reps
+        sum(1 for m in rep if not c4.is_long(m)) >= 2 for rep in reps
     )
 
 
 def test_two_short_support_disjoint_in_c4():
     c4 = build("C", 4)
     for rep in sorth.enumerate_so_sets(c4):
-        shorts = [m for m in rep.members if not c4.is_long(m)]
+        shorts = [m for m in rep if not c4.is_long(m)]
         for i, a in enumerate(shorts):
             for b in shorts[i + 1 :]:
                 sup_a = {k for k, c in enumerate(c4.to_ambient(a)) if c != 0}
@@ -256,7 +268,7 @@ def test_cascade_split_matches_pairwise_components(monkeypatch):
     for fam, rank in sorted(set(ACCEPTANCE_TYPES) | set(TRICHOTOMY_TYPES)):
         sys = build(fam, rank)
         sa = sorth.sigma_a(sys)
-        assert list(sa.members) == _pairwise_sigma(sys, sys.roots)
+        assert list(sa) == _pairwise_sigma(sys, sys.roots)
         if not tables.is_a2n(sys):
             assert _conjugate_ok(sys, sa, sorth.so_set(sys, tables.sigma_a_table(sys)))
     for fam, rank in TRICHOTOMY_TYPES:
@@ -297,11 +309,11 @@ def test_normal_form_certified_and_weyl_invariant(fam, rank):
     sys = build(fam, rank)
     rng = random.Random(rank)
     for rep in sorth.enumerate_so_sets(sys):
-        nf, word = sorth._normal_form(sys, rep.members)
-        assert (nf, word) == _pairwise_normal_form(sys, rep.members)
-        assert sorth.verify_certificate(sys, rep.members, word, nf)
+        nf, word = sorth._normal_form(sys, rep)
+        assert (nf, word) == _pairwise_normal_form(sys, rep)
+        assert sorth.verify_certificate(sys, rep, word, nf)
         moved_word = [sys.simples[rng.randrange(rank)] for _ in range(8)]
-        moved = [apply_word(sys, moved_word, m) for m in rep.members]
+        moved = [apply_word(sys, moved_word, m) for m in rep]
         assert sorth._normal_form(sys, moved)[0] == nf
 
 
@@ -334,6 +346,6 @@ def test_suite_sorth_expands_each_positive_root_once(monkeypatch):
 
     monkeypatch.setattr(LeftInverse, "doubled", spy)
     rep = suites.suite_sorth()
-    checks = [c for c in rep.checks if c.id.startswith("half-integral-expansion-")]
-    assert len(checks) == 14 and all(c.status == "pass" for c in checks)
+    checks = [c for c in rep.checks if c["id"].startswith("half-integral-expansion-")]
+    assert len(checks) == 14 and all(c["status"] == "pass" for c in checks)
     assert len(calls) == 339

@@ -62,6 +62,19 @@ def test_ball_range_is_the_chambers_within_each_radius(q, radius):
     assert ball.chambers() == ball.chambers(radius)
 
 
+def test_ball_range_and_hctest_reject_radii_outside_the_ball():
+    # unchecked, chambers(5) ran to id 727 past the 241 chambers, and a
+    # negative r_inner wrapped round the level tables
+    ball = T.build_ball(3, 4)
+    assert len(ball.chambers(4)) == 241
+    for r in (-1, 5):
+        with pytest.raises(ValueError, match="outside the ball"):
+            ball.chambers(r)
+    for r_inner in (-5, -1, 4):
+        with pytest.raises(ValueError, match="0 <= r_inner"):
+            T.verify_hctest(ball, r_inner)
+
+
 def test_not_in_ball():
     ball = T.build_ball(3, 2)
     outside = ball.starts[4]
