@@ -14,8 +14,8 @@ type A with even rank all operate on these integer tuples.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from operator import mul
+from itertools import combinations
+from math import gcd, lcm
 
 from .errors import (
     HalfIntegralityViolation,
@@ -24,7 +24,7 @@ from .errors import (
     NotAWall,
     NotTypeA2n,
 )
-from .linalg import LeftInverse
+from . import linalg
 from .rootsys import _neg
 
 E_LEVEL = "E"
@@ -185,11 +185,11 @@ def affine_relation(chamber):
     """
     ext = extended_simple_roots(chamber)
     # every mark is nonzero, so the other d facet roots are a basis
-    found = LeftInverse(ext[1:]).numerators(ext[0])
-    if found is None:
+    coords = linalg.solve_exact(ext[1:], ext[0])
+    if coords is None:
         raise AssertionError("facet roots are not affinely related")
-    nums, den = found
-    rel = [den, *(-n for n in nums)]
+    den = lcm(*(c.denominator for c in coords))
+    rel = [den, *(int(-c * den) for c in coords)]
     g = gcd(*rel)
     rel = [c // g for c in rel]
     if any(c <= 0 for c in rel):
@@ -258,31 +258,34 @@ def central_chamber_sigma(sys):
 
 
 def facet_functional(sys, members, values):
-    """The facet functional f' with the given values on a full-rank set, as
-    the dict from every root to 2 f'(root), in half-units like chambers.
+    """The facet functional f' with the given values on a full-rank set of
+    pairwise orthogonal roots, as the dict from every root to 2 f'(root), in
+    half-units like chambers.
 
     values maps each member to f'(beta_i), which must lie in Z + 1/2 (the
     walls of a fixed facet sit strictly between the coarse wall positions).
-    Raises HalfIntegralityViolation at the first positive root whose value
-    is not a half-integer; f' is linear, so the negative half is the negated
+    Over an orthogonal basis twice the coordinates of a root alpha are its
+    coroot pairings <alpha, beta_i_vee> (Humphreys, Lie Algebras, 9.4), so
+    2 f'(alpha) = sum_i <alpha, beta_i_vee> f'(beta_i).  Raises
+    HalfIntegralityViolation at the first positive root whose value is not
+    a half-integer; f' is linear, so the negative half is the negated
     positive half.
     """
     members = tuple(sys.check_root(m) for m in members)
     if len(members) != sys.type.rank:
         raise ValueError("facet functionals need a full-rank set")
+    for a, b in combinations(members, 2):
+        if sys.root_pairing(a, b):
+            raise ValueError(f"members {a} and {b} are not orthogonal")
     vals2 = []
     for m in members:
         v = Fraction(values[m])
         if (2 * v).denominator != 1 or (2 * v).numerator % 2 == 0:
             raise ValueError(f"value {v} at {m} must be a proper half-integer")
         vals2.append(int(2 * v))
-    inverse = LeftInverse(members)
     out = {}
     for alpha in sys.positive_roots:
-        doubled = inverse.doubled(alpha)
-        if doubled is None:
-            raise HalfIntegralityViolation(f"{alpha} does not expand in half-integers")
-        v2, odd = divmod(sum(map(mul, doubled, vals2)), 2)
+        v2, odd = divmod(sum(sys.root_pairing(alpha, m) * v for m, v in zip(members, vals2)), 2)
         if odd:
             raise HalfIntegralityViolation(f"functional value at {alpha} is not a half-integer")
         out[alpha] = v2

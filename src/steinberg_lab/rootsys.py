@@ -2,7 +2,10 @@
 
 Roots are stored as integer coefficient vectors over the simple roots
 (Bourbaki numbering).  Euclidean data comes from the classical ambient
-realizations, rescaled so that long roots have squared length 2.  The Gram
+realizations, held doubled so that every plate vector is integral, and
+rescaled so that long roots have squared length 2.  `to_ambient` is the one
+map between the coordinate systems; `from_ambient` and the plate table look
+roots up by their doubled images, so nothing is solved.  The Gram
 matrix is kept as integers, scaled by its single denominator (1 for A/B/D/E
 and C2, 2 for C of rank at least 3 and F4, 3 for G2).  A coweight xi is its
 row of values (<alpha_j, xi>)_j on the simple roots, integers on P_vee =
@@ -21,7 +24,6 @@ from math import gcd, prod
 from operator import add, mul
 
 from .errors import BudgetExceeded, InvalidRank, NonIntegralPairing, NotARoot, ProportionalPair
-from .linalg import LeftInverse
 
 _RANK_BOUNDS = {
     "A": (1, None),
@@ -45,6 +47,11 @@ class RootSystemType(namedtuple("RootSystemType", "family rank")):
         if rank < lo or (hi is not None and rank > hi):
             raise InvalidRank(f"rank {rank} out of bounds for family {family}")
         return super().__new__(cls, family, rank)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and _replace through it, would skip the bounds check
+        return cls(*iterable)
 
     def __str__(self):
         return f"{self.family}{self.rank}"
@@ -104,57 +111,52 @@ def _positive_roots(cartan):
 
 
 def _ambient_simples(family, d):
-    """Simple roots in the classical ambient coordinates (Bourbaki plates)."""
-    if family == "A":
-        dim = d + 1
-        return [_sub(_basis(dim, i), _basis(dim, i + 1)) for i in range(d)]
-    if family == "B":
-        return [_sub(_basis(d, i), _basis(d, i + 1)) for i in range(d - 1)] + [_basis(d, d - 1)]
-    if family == "C":
-        return [_sub(_basis(d, i), _basis(d, i + 1)) for i in range(d - 1)] + [
-            _scale(2, _basis(d, d - 1))
-        ]
-    if family == "D":
-        return [_sub(_basis(d, i), _basis(d, i + 1)) for i in range(d - 1)] + [
-            _add(_basis(d, d - 2), _basis(d, d - 1))
-        ]
-    if family == "G":
-        e1, e2, e3 = _basis(3, 0), _basis(3, 1), _basis(3, 2)
-        return [_sub(e1, e2), _add(_sub(_add(e2, e3), e1), _neg(e1))]
-    if family == "F":
-        e = [_basis(4, i) for i in range(4)]
-        half = Fraction(1, 2)
-        return [
-            _sub(e[1], e[2]),
-            _sub(e[2], e[3]),
-            e[3],
-            tuple(half * x for x in _sub(_sub(_sub(e[0], e[1]), e[2]), e[3])),
-        ]
+    """Twice the simple roots in the classical ambient coordinates (Bourbaki
+    plates), as ints; doubled, the half-vector simple root of E and F is a sign tuple."""
     if family == "E":
         e = [_basis(8, i) for i in range(8)]
-        half = Fraction(1, 2)
-        a1 = tuple(
-            half * x
-            for x in _sub(_add(e[0], e[7]), _add(_add(_add(e[1], e[2]), _add(e[3], e[4])), _add(e[5], e[6])))
-        )
-        simples = [a1, _add(e[0], e[1])]
-        simples += [_sub(e[i], e[i - 1]) for i in range(1, d - 1)]
-        return simples
-    raise InvalidRank(family)
+        rest = [_add(e[0], e[1])] + [_sub(e[i], e[i - 1]) for i in range(1, d - 1)]
+        return [(1, -1, -1, -1, -1, -1, -1, 1)] + [_scale(2, v) for v in rest]
+    if family == "F":
+        e = [_basis(4, i) for i in range(4)]
+        return [_scale(2, v) for v in (_sub(e[1], e[2]), _sub(e[2], e[3]), e[3])] + [(1, -1, -1, -1)]
+    dim = {"A": d + 1, "G": 3}.get(family, d)
+    e = [_basis(dim, i) for i in range(dim)]
+    if family == "A":
+        last = _sub(e[d - 1], e[d])
+    elif family == "B":
+        last = e[d - 1]
+    elif family == "C":
+        last = _scale(2, e[d - 1])
+    elif family == "D":
+        last = _add(e[d - 2], e[d - 1])
+    else:  # G; RootSystemType admits no other family
+        last = _sub(_add(e[1], e[2]), _scale(2, e[0]))
+    return [_scale(2, v) for v in [_sub(e[i], e[i + 1]) for i in range(d - 1)] + [last]]
 
 
 def _ambient_all_roots(family, d):
-    """All roots in ambient coordinates, the plates that cross-check the generated roots.
+    """Twice every root in the coordinates of `_ambient_simples`, as ints: the
+    plates that cross-check the generated roots.
 
     F4 is B4 and the sixteen half-vectors; E8 is D8 and the half-vectors
-    with an even number of minus signs.  E7 keeps the E8 roots orthogonal
-    to e7 + e8, and E6 those also orthogonal to e6 - e7: the realization of
-    the E simple roots (Bourbaki, Lie VI, Plates V-VII).
+    with an even number of minus signs.  Doubled, a half-vector is its sign
+    tuple.  E7 keeps the E8 roots orthogonal to e7 + e8, and E6 those also
+    orthogonal to e6 - e7: the realization of the E simple roots (Bourbaki,
+    Lie VI, Plates V-VII).
     """
+    if family == "F":
+        return _ambient_all_roots("B", 4) + list(product((1, -1), repeat=4))
+    if family == "E":
+        def kept(v):
+            return d == 8 or (v[6] == -v[7] and (d == 7 or v[5] == v[6]))
+
+        signs = [s for s in product((1, -1), repeat=8) if s.count(-1) % 2 == 0 and kept(s)]
+        return [v for v in _ambient_all_roots("D", 8) if kept(v)] + signs
     if family == "A":
         dim = d + 1
-        return [_sub(_basis(dim, i), _basis(dim, j)) for i in range(dim) for j in range(dim) if i != j]
-    if family == "G":
+        roots = [_sub(_basis(dim, i), _basis(dim, j)) for i in range(dim) for j in range(dim) if i != j]
+    elif family == "G":
         e = [_basis(3, i) for i in range(3)]
         base = [
             _sub(e[0], e[1]),
@@ -164,34 +166,23 @@ def _ambient_all_roots(family, d):
             _sub(_scale(2, e[1]), _add(e[0], e[2])),
             _sub(_scale(2, e[2]), _add(e[0], e[1])),
         ]
-        return base + [_neg(v) for v in base]
-    half = Fraction(1, 2)
-    if family == "F":
-        signs = product((1, -1), repeat=4)
-        return _ambient_all_roots("B", 4) + [tuple(half * x for x in s) for s in signs]
-    if family == "E":
-        # filtered as integer D8 roots and sign tuples, so only kept half-vectors become Fractions
-        def kept(v):
-            return d == 8 or (v[6] == -v[7] and (d == 7 or v[5] == v[6]))
-
-        signs = [s for s in product((1, -1), repeat=8) if s.count(-1) % 2 == 0 and kept(s)]
-        roots = [v for v in _ambient_all_roots("D", 8) if kept(v)]
-        return roots + [tuple(half * x for x in s) for s in signs]
-    roots = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    roots.append(_add(_scale(si, _basis(d, i)), _scale(sj, _basis(d, j))))
-    if family == "B":
+        roots = base + [_neg(v) for v in base]
+    else:
+        roots = []
         for i in range(d):
-            roots.append(_basis(d, i))
-            roots.append(_neg(_basis(d, i)))
-    if family == "C":
-        for i in range(d):
-            roots.append(_scale(2, _basis(d, i)))
-            roots.append(_scale(-2, _basis(d, i)))
-    return roots
+            for j in range(i + 1, d):
+                for si in (1, -1):
+                    for sj in (1, -1):
+                        roots.append(_add(_scale(si, _basis(d, i)), _scale(sj, _basis(d, j))))
+        if family == "B":
+            for i in range(d):
+                roots.append(_basis(d, i))
+                roots.append(_neg(_basis(d, i)))
+        if family == "C":
+            for i in range(d):
+                roots.append(_scale(2, _basis(d, i)))
+                roots.append(_scale(-2, _basis(d, i)))
+    return [_scale(2, v) for v in roots]
 
 
 class RootSystem:
@@ -212,9 +203,8 @@ class RootSystem:
     def __init__(self, type_: RootSystemType):
         self.type = type_
         d = type_.rank
-        amb = self._ambient_simples = _ambient_simples(type_.family, d)
-        # doubled, the E and F simples are integral; long roots at length 2 make x into 2 x / top
-        doubled = [[int(2 * x) for x in a] for a in amb]
+        doubled = self._ambient_simples = _ambient_simples(type_.family, d)
+        # long roots at length 2 make x into 2 x / top
         raw = [[sum(map(mul, a, b)) for b in doubled] for a in doubled]
         top = max(raw[i][i] for i in range(d))
         g = gcd(top, *(2 * x for row in raw for x in row))
@@ -341,33 +331,32 @@ class RootSystem:
 
     # -- ambient translation -----------------------------------------------
 
+    def to_ambient(self, v):
+        """Twice the ambient coordinates of a lattice vector, as ints: the integer
+        combination of the doubled simple roots.  The one map between the two
+        coordinate systems."""
+        return tuple(sum(map(mul, v, column)) for column in zip(*self._ambient_simples))
+
     @cached_property
-    def _ambient_inv(self):
-        return LeftInverse(self._ambient_simples)
+    def _roots_by_ambient(self):
+        return {self.to_ambient(r): r for r in self.roots}
 
     def from_ambient(self, vec):
-        """Express an ambient-coordinate vector over the simple roots."""
-        found = self._ambient_inv.numerators(vec)
-        if found is None:
-            raise NotARoot(f"{vec} is not in the root lattice span")
-        nums, den = found
-        if any(n % den for n in nums):
-            raise NotARoot(f"{vec} is not an integral lattice vector")
-        return tuple(n // den for n in nums)
-
-    def to_ambient(self, root):
-        """Ambient coordinates of a root, as Fractions; a test oracle."""
-        dim = len(self._ambient_simples[0])
-        total = [Fraction(0)] * dim
-        for c, s in zip(root, self._ambient_simples):
-            for i in range(dim):
-                total[i] += c * s[i]
-        return tuple(total)
+        """The root with ambient coordinates vec, looked up by its doubled image;
+        raises NotARoot, naming vec, for any other vector."""
+        root = self._roots_by_ambient.get(tuple(2 * x for x in vec))
+        if root is None:
+            raise NotARoot(f"{tuple(vec)} is not a root of {self.type}")
+        return root
 
     @cached_property
     def _ambient_roots(self):
+        index = self._roots_by_ambient
         plates = _ambient_all_roots(self.type.family, self.type.rank)
-        return tuple(sorted(map(self.from_ambient, plates)))
+        for v in plates:
+            if v not in index:
+                raise NotARoot(f"doubled plate vector {v} is not a root of {self.type}")
+        return tuple(sorted(map(index.__getitem__, plates)))
 
     def ambient_root_table(self):
         """Sorted roots from the classical plate descriptions; a fresh list, built once."""

@@ -305,6 +305,8 @@ def _hctest(ball, refs, panel_depth):
     Scaled by q^top, top the depth of the deepest reference plus that of
     the deepest star chamber, every term is an int: no distance reaches top.
     """
+    if panel_depth is not None and panel_depth < 0:
+        raise ValueError(f"panel_depth {panel_depth} is negative")
     q = ball.q
     levels = ball.panel_levels(panel_depth)
     top = ball.depth(max(refs)) + len(levels)

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from steinberg_lab import apartment, tables
+from steinberg_lab import apartment, linalg, tables
 from steinberg_lab.apartment import (
     E_LEVEL,
     F_LEVEL,
@@ -31,8 +31,7 @@ from steinberg_lab.errors import (
     NotAWall,
     NotTypeA2n,
 )
-from steinberg_lab.linalg import LeftInverse
-from steinberg_lab.rootsys import _neg, build
+from steinberg_lab.rootsys import RootSystem, _neg, build
 from steinberg_lab.suites import ACCEPTANCE_TYPES
 
 
@@ -375,13 +374,13 @@ def test_facet_functional_requires_proper_half_integers():
 
 
 def test_facet_functional_violation_guard():
-    # over alpha_2, alpha_1 and alpha_1 + alpha_2 + 2 alpha_3 the root alpha_3
-    # has doubled coordinates (-1, -1, 1): with every value 1/2 its doubled
-    # value is -1/2, so f'(alpha_3) is a quarter-integer
-    b3 = build("B", 3)
-    members = [(0, 1, 0), (1, 0, 0), (1, 1, 2)]
-    with pytest.raises(HalfIntegralityViolation, match="not a half-integer"):
-        facet_functional(b3, members, {m: Fraction(1, 2) for m in members})
+    # over 2 eps1, eps2 + eps3 and eps2 - eps3 the root alpha_1 = eps1 - eps2 has
+    # coroot pairings (1, -1, -1): with every value 1/2 its doubled value is
+    # -1/2, so f'(alpha_1) is a quarter-integer
+    c3 = build("C", 3)
+    members = [c3.from_ambient(v) for v in ([2, 0, 0], [0, 1, 1], [0, 1, -1])]
+    with pytest.raises(HalfIntegralityViolation, match=re.escape("value at (1, 0, 0) is not a half-integer")):
+        facet_functional(c3, members, {m: Fraction(1, 2) for m in members})
 
 
 def test_full_rank_facet_functionals_half_integral():
@@ -394,36 +393,49 @@ def test_full_rank_facet_functionals_half_integral():
             assert fn[alpha] + fn[tuple(-c for c in alpha)] == 0
 
 
-def test_facet_functional_expands_each_positive_root_once(monkeypatch):
-    # one LeftInverse.doubled call per positive root: 339 on the 14 full-rank
-    # classified sets
+def _spy(monkeypatch, owner, name):
+    """Record the arguments of every call of owner.name."""
     calls = []
-    doubled = LeftInverse.doubled
+    fn = getattr(owner, name)
 
-    def spy(self, v):
-        calls.append(v)
-        return doubled(self, v)
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
 
-    monkeypatch.setattr(LeftInverse, "doubled", spy)
-    sets = 0
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_facet_functional_expands_each_positive_root_once(monkeypatch):
+    # no solve: each pair of members is paired once to check orthogonality, and
+    # each positive root once with each member, on the 14 full-rank classified sets
+    solves = _spy(monkeypatch, linalg, "solve_exact")
+    pairings = _spy(monkeypatch, RootSystem, "root_pairing")
+    sets = expected = 0
     for fam, rank in ACCEPTANCE_TYPES:
         sys = build(fam, rank)
         members = tables.sigma_a_table(sys)
         if len(members) == rank:
             facet_functional(sys, members, {m: Fraction(1, 2) for m in members})
             sets += 1
-    assert (sets, len(calls)) == (14, 339)
+            expected += rank * (rank - 1) // 2 + len(sys.positive_roots) * rank
+    assert (sets, len(solves)) == (14, 0)
+    assert len(pairings) == expected == len(set(pairings))
 
 
-def test_affine_relation_identity():
+def test_affine_relation_identity(monkeypatch):
     # at the base chamber the facet roots sort as -theta, alpha_d, ..., alpha_1
-    # and the relation is the marks: 1 on -theta, the highest root's coefficients
+    # and the relation is the marks: 1 on -theta, the highest root's coefficients;
+    # each chamber costs one solve
+    solves = _spy(monkeypatch, linalg, "solve_exact")
+    chambers = 0
     for fam, rank in ACCEPTANCE_TYPES:
         sys = build(fam, rank)
         _, ce = base_chambers(sys)
         ext, rel = apartment.affine_relation(ce)
         assert ext == [_neg(sys.highest_root), *reversed(sys.simples)]
         assert rel == [1, *reversed(sys.highest_root)]
+        chambers += 1
     for fam, rank in [("A", 2), ("G", 2), ("B", 2)]:
         sys = build(fam, rank)
         marks = sorted([1, *sys.highest_root])
@@ -433,6 +445,8 @@ def test_affine_relation_identity():
                 ext, rel = apartment.affine_relation(ch)
                 assert sum(c * ch.value(r) for c, r in zip(rel, ext)) == 1
                 assert sorted(rel) == marks
+                chambers += 1
+    assert len(solves) == chambers
 
 
 def test_triangle_inequality_sampled():

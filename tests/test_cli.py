@@ -7,10 +7,11 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
 import pytest
 
-from steinberg_lab import apartment, cli, suites
+from steinberg_lab import apartment, cli, rootsys, suites
 from steinberg_lab.errors import HalfIntegralityViolation
 
 
@@ -294,3 +295,22 @@ def test_facet_functional_check_catches_only_half_integrality(monkeypatch, tmp_p
     assert failed and all(c["id"].startswith(failing) for c in failed)
     if failing == "suite-crashed":
         assert failed[0]["description"] == "RuntimeError: unexpected"
+
+
+def test_verify_rootsys_names_a_plate_vector_that_is_no_root(monkeypatch, tmp_path, main_cli):
+    # twice 2 eps1 replaces the first B3 plate root; systems come from a fresh
+    # cache so the patched plates are read
+    monkeypatch.setattr(rootsys, "build", lru_cache(maxsize=None)(rootsys.build.__wrapped__))
+    plates = rootsys._ambient_all_roots
+
+    def patched(family, rank):
+        roots = plates(family, rank)
+        return [(4, 0, 0)] + roots[1:] if (family, rank) == ("B", 3) else roots
+
+    monkeypatch.setattr(rootsys, "_ambient_all_roots", patched)
+    path = tmp_path / "report.json"
+    result = main_cli("verify", "rootsys", "--json", str(path))
+    assert result.returncode == 1
+    assert "rootsys    fail suite-crashed: false (expected true)" in result.stdout
+    (crashed,) = [c for c in json.loads(path.read_text())["reports"][0]["checks"] if c["status"] == "fail"]
+    assert crashed["description"] == "NotARoot: doubled plate vector (4, 0, 0) is not a root of B3"

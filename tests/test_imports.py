@@ -56,6 +56,18 @@ def test_verify_rootsys_loads_no_apartment_layer():
         assert f"steinberg_lab.{layer}" not in after
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "rootsys"], ["verify", "prasad"], ["verify", "sorth"], ["sigma-a", "E", "8"]],
+    ids=" ".join,
+)
+def test_root_system_commands_load_no_solver(argv):
+    # plates and orthogonal expansions are read forward, through integer maps
+    _, after, code = _modules_loaded(*argv)
+    assert code == 0
+    assert "steinberg_lab.linalg" not in after
+
+
 def test_verify_cochain_loads_no_sorth():
     # the wall counts read the Levi hull from rootsys, not from sorth
     _, after, code = _modules_loaded("verify", "cochain", "--radius", "1")

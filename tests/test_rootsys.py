@@ -45,6 +45,12 @@ def test_invalid_ranks():
         RootSystemType("F", 3)
     with pytest.raises(InvalidRank):
         RootSystemType("A", 0)
+    # namedtuple's _make and _replace go round __new__ unless _make is routed through it
+    assert RootSystemType("B", 3)._replace(rank=4) == RootSystemType._make(("B", 4))
+    with pytest.raises(InvalidRank, match="unknown family 'Z'"):
+        RootSystemType._make(("Z", 0))
+    with pytest.raises(InvalidRank, match="rank 9 out of bounds for family E"):
+        RootSystemType("E", 8)._replace(rank=9)
 
 
 # every type a suite builds, the benchmark's A7, B6-B8, C5-C8 and D7-D8 among them
@@ -146,8 +152,10 @@ def test_weyl_order_matches_the_classical_orders():
 
 
 def test_plate_table_is_integer_and_built_once(monkeypatch):
-    for fam, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]:
+    # held doubled, the plates of every family are integral, the E and F halves included
+    for fam, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("E", 6), ("E", 8), ("F", 4), ("G", 2)]:
         assert all(type(x) is int for v in rootsys._ambient_all_roots(fam, rank) for x in v)
+        assert all(type(x) is int for v in rootsys._ambient_simples(fam, rank) for x in v)
     sys = RootSystem(RootSystemType("F", 4))
     table = sys.ambient_root_table()
     assert all(type(c) is int for r in table for c in r)
@@ -437,7 +445,7 @@ def test_is_long_and_cartan_match_ambient():
         longest = max(len_sq(r) for r in sys.roots)
         for r in sys.roots:
             assert sys.is_long(r) == (len_sq(r) == longest)
-            assert sys.inner(r, r) == 2 * len_sq(r) / longest
+            assert sys.inner(r, r) == Fraction(2 * len_sq(r), longest)
         for i, ai in enumerate(sys.simples):
             for j, aj in enumerate(sys.simples):
                 assert sys.cartan[i][j] == pairing(aj, ai)
@@ -457,7 +465,7 @@ def test_gram_is_integral_with_family_denominator():
         for i, u in enumerate(amb):
             for j, v in enumerate(amb):
                 # inner keeps its exact Fraction value, long roots at length 2
-                ref = 2 * sum(x * y for x, y in zip(u, v)) / longest
+                ref = Fraction(2 * sum(x * y for x, y in zip(u, v)), longest)
                 assert sys.inner(sys.simples[i], sys.simples[j]) == ref
                 assert sys.gram[i][j] == ref * sys.gram_denominator
 

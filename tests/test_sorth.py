@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from steinberg_lab import sorth, suites, tables
+from steinberg_lab import linalg, sorth, suites, tables
 from steinberg_lab.errors import BudgetExceeded, NotApplicable, NotARoot, ProportionalPair
-from steinberg_lab.linalg import LeftInverse
 from steinberg_lab.rootsys import (
+    RootSystem,
     _neg,
     apply_word,
     build,
@@ -335,17 +335,25 @@ def test_normal_form_two_short_members_in_c4(monkeypatch):
 
 
 def test_suite_sorth_expands_each_positive_root_once(monkeypatch):
-    # the half-integral-expansion checks make one LeftInverse.doubled call per
-    # positive root: 339 on the 14 full-rank classified sets
-    calls = []
-    doubled = LeftInverse.doubled
+    # the half-integral-expansion checks pair each positive root with each
+    # member of the 14 full-rank classified sets, and solve nothing
+    solves = []
+    solve = linalg.solve_exact
+    monkeypatch.setattr(linalg, "solve_exact", lambda *args: solves.append(args) or solve(*args))
+    pairs = set()
+    pairing = RootSystem.root_pairing
 
-    def spy(self, v):
-        calls.append(v)
-        return doubled(self, v)
+    def spy(sys, alpha, beta):
+        pairs.add((sys.type, alpha, beta))
+        return pairing(sys, alpha, beta)
 
-    monkeypatch.setattr(LeftInverse, "doubled", spy)
+    monkeypatch.setattr(RootSystem, "root_pairing", spy)
     rep = suites.suite_sorth()
     checks = [c for c in rep.checks if c["id"].startswith("half-integral-expansion-")]
     assert len(checks) == 14 and all(c["status"] == "pass" for c in checks)
-    assert len(calls) == 339
+    assert solves == []
+    for c in checks:
+        fam, rank = c["id"][-2], int(c["id"][-1])
+        sys = build(fam, rank)
+        table = tables.sigma_a_table(sys)
+        assert all((sys.type, a, b) in pairs for a in sys.positive_roots for b in table)

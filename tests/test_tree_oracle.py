@@ -197,6 +197,17 @@ def test_hctest_small():
     assert (report.references_checked, report5.references_checked) == (241, 11)
 
 
+def test_negative_panel_depth_is_refused():
+    # depth 0 checks the one panel at the root; below it there is no panel to check
+    ball = T.build_ball(3, 4)
+    assert T.verify_hctest(ball, 1, panel_depth=0).panels_checked == 1
+    assert T.verify_iwahori_harmonic(ball, panel_depth=0).panels_checked == 1
+    with pytest.raises(ValueError, match="panel_depth -1 is negative"):
+        T.verify_hctest(ball, 1, panel_depth=-1)
+    with pytest.raises(ValueError, match="panel_depth -2 is negative"):
+        T.verify_iwahori_harmonic(ball, panel_depth=-2)
+
+
 def test_hctest_near_far_pattern():
     # one panel with an adjacent reference: 1 + q * (-1/q) = 0
     ball = T.build_ball(3, 3)
