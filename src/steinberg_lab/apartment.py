@@ -68,9 +68,6 @@ class Chamber:
             return self.h[i - half]
         return self.ceiling - self.h[half - 1 - i]
 
-    def f(self, alpha):
-        return Fraction(self.value(alpha), 2)
-
     def __eq__(self, other):
         return (
             isinstance(other, Chamber)
@@ -119,7 +116,8 @@ def translate(chamber, xi):
 def reflect(chamber, wall):
     """Reflect across the wall alpha = c/2 (c in half-units).
 
-    h'(beta) = h(s_alpha beta) + c <beta, alpha_vee>.
+    h'(beta) = h(s_alpha beta) + c <beta, alpha_vee>.  The tests' reference for the
+    wall step; no command runs it, and it stays because perfbench reads it by name.
     """
     alpha, c = wall
     sys = chamber.system
@@ -164,6 +162,8 @@ def extended_simple_roots(chamber):
 
 def chambers_within(c0, radius):
     """All chambers at gallery distance <= radius, grouped by distance."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
     shells = [[c0]]
     seen = {c0}
     for _ in range(radius):

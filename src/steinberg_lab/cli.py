@@ -7,7 +7,7 @@ import json
 import sys as _sys
 
 from . import suites
-from .errors import BudgetExceeded, InvalidRank, NotApplicable, read_budget
+from .errors import BudgetExceeded, InvalidRank, NotApplicable, check_q, read_budget
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1
@@ -61,8 +61,10 @@ def cmd_sigma_a(args):
 
 
 def cmd_verify(args):
-    if args.q % 2 == 0 or args.q < 3:
-        _fail_usage("q must be an odd integer >= 3")
+    try:
+        check_q(args.q)
+    except ValueError as exc:
+        _fail_usage(str(exc))
     if not _is_prime_power(args.q):
         print(f"warning: q = {args.q} is not a prime power", file=_sys.stderr)
     try:

@@ -23,6 +23,7 @@ from .errors import (
     InconsistentConstraints,
     NotApplicable,
     UnsupportedPanel,
+    check_q,
 )
 from .rootsys import _neg, _sub, levi_support
 
@@ -34,11 +35,6 @@ class SignVector(namedtuple("SignVector", "bits r")):
     """Element of (Z/2)^r; bit i-1 refers to the i-th basis member."""
 
     __slots__ = ()
-
-    def __mul__(self, other):
-        if self.r != other.r:
-            raise ValueError("rank mismatch")
-        return SignVector(self.bits ^ other.bits, self.r)
 
     def support(self):
         return [i + 1 for i in range(self.r) if self.bits >> i & 1]
@@ -252,8 +248,7 @@ class Cochain:
 
 def iwahori_vector(c0, q, radius):
     """The normalized vector C -> (-q)^(-d(C0, C)) within the given radius."""
-    if q < 3 or q % 2 == 0:
-        raise ValueError("q must be an odd integer >= 3")
+    check_q(q)
     values = {}
     for dist, shell in enumerate(apartment.chambers_within(c0, radius)):
         for c in shell:
@@ -283,6 +278,7 @@ def panel_sum(panel, f):
 
 def extend_by_harmonicity(c0, value, q, chambers):
     """Extend a value at one chamber outward by the factor (-1/q) per step."""
+    check_q(q)
     values = {c0: value}
     for c in chambers:
         dist = apartment.distance(c, c0)
@@ -301,6 +297,7 @@ def a2n_class_value(k, q, base):
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    check_q(q)
     base = Fraction(base)
     return base if k == 0 else base * Fraction(2, 1 - q) ** k / 2
 

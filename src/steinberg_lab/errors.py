@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the shared budget reader."""
+"""Exception types shared across the package, the shared budget reader, and
+the one check of the residue field size q."""
 
 import os
 
@@ -60,6 +61,12 @@ def read_budget(default):
     if value < 1:
         raise ValueError(f"STEINBERG_BUDGET must be a positive integer, got {raw!r}")
     return value
+
+
+def check_q(q):
+    """Raise ValueError unless q is odd and >= 3, as the two-scale walls need."""
+    if q < 3 or q % 2 == 0:
+        raise ValueError("q must be an odd integer >= 3")
 
 
 class AmbiguousConstraints(ValueError):

@@ -260,8 +260,8 @@ class RootSystem:
         return sum(map(mul, u, (sum(map(mul, row, v)) for row in self.gram)))
 
     def inner(self, u, v):
-        """<u, v> as a Fraction; a test oracle for the integer pairings, and
-        the hook that perfbench's tracer wraps by name."""
+        """<u, v> as a Fraction; a test oracle for the integer pairings.  No
+        command runs it; it stays here because perfbench's tracer wraps it by name."""
         return Fraction(self._gram_dot(u, v), self.gram_denominator)
 
     def is_long(self, v):
@@ -319,10 +319,6 @@ class RootSystem:
     def coxeter_number(self):
         """1 + sum of the highest-root coefficients."""
         return 1 + sum(self.highest_root)
-
-    def extended_simple_set(self):
-        """Simple roots and the lowest root; the oracle for the base chamber's facet roots."""
-        return list(self.simples) + [_neg(self.highest_root)]
 
     def weyl_order(self):
         """|W| as the product of the degrees m + 1 over the exponents m
@@ -451,22 +447,17 @@ def parabolic_roots(sys, support):
 
 def levi_support(sys, members):
     """Simple-root indices appearing in the members (the standard Levi hull)."""
-    support = set()
-    for m in members:
-        for i, c in enumerate(m):
-            if c:
-                support.add(i)
-    return sorted(support)
+    return sorted({i for m in members for i, c in enumerate(m) if c})
 
 
 def subsystem_components(sys, roots):
     """Split a symmetric set of roots into irreducible components.
 
     Components are sorted by their lexicographically smallest member.  The
-    pairwise test oracle for support_components; classify_subsystem uses it.
+    pairwise test oracle for support_components; no command runs it, and it
+    stays here because perfbench reports on it by name.
     """
     roots = sorted(roots)
-    index = {r: i for i, r in enumerate(roots)}
     parent = list(range(len(roots)))
 
     def find(x):
@@ -489,88 +480,6 @@ def subsystem_components(sys, roots):
     comps = [sorted(g) for g in groups.values()]
     comps.sort(key=lambda g: g[0])
     return comps
-
-
-def subsystem_simples(sys, roots):
-    """Indecomposable positive members of a closed symmetric subset; a test oracle."""
-    pos = [r for r in roots if sys.is_positive(r)]
-    pos_set = set(pos)
-    simples = []
-    for r in pos:
-        decomposable = False
-        for a in pos:
-            if a != r:
-                diff = _sub(r, a)
-                if diff in pos_set:
-                    decomposable = True
-                    break
-        if not decomposable:
-            simples.append(r)
-    return sorted(simples)
-
-
-def _cartan_of(sys, simples):
-    return [[sys.root_pairing(b, a) for b in simples] for a in simples]
-
-
-def _permutation_equivalent(m1, m2):
-    n = len(m1)
-    if len(m2) != n:
-        return False
-    used = [False] * n
-    assign = [-1] * n
-
-    def backtrack(i):
-        if i == n:
-            return True
-        for j in range(n):
-            if used[j] or m1[i][i] != m2[j][j]:
-                continue
-            ok = True
-            for k in range(i):
-                if m1[i][k] != m2[j][assign[k]] or m1[k][i] != m2[assign[k]][j]:
-                    ok = False
-                    break
-            if ok:
-                used[j] = True
-                assign[i] = j
-                if backtrack(i + 1):
-                    return True
-                used[j] = False
-                assign[i] = -1
-        return False
-
-    return backtrack(0)
-
-
-def classify_subsystem(sys, roots):
-    """Isomorphism types of the components of a closed subsystem.
-
-    Returns a sorted list of (family, rank) pairs, canonicalized so that
-    coincidences use the earliest family letter (D3 reports as A3, C2 as B2).
-    A test oracle: it names the types of so_complement output.
-    """
-    out = []
-    for comp in subsystem_components(sys, roots):
-        simples = subsystem_simples(sys, comp)
-        cartan = _cartan_of(sys, simples)
-        rank = len(simples)
-        found = None
-        for fam in ("A", "B", "C", "D", "E", "F", "G"):
-            lo, hi = _RANK_BOUNDS[fam]
-            if rank < lo or (hi is not None and rank > hi):
-                continue
-            candidate = build(fam, rank)
-            if len(candidate.roots) != len(comp):
-                continue
-            ref = [list(row) for row in candidate.cartan]
-            if _permutation_equivalent(cartan, ref):
-                found = (fam, rank)
-                break
-        if found is None:
-            raise AssertionError("unclassifiable component")
-        out.append(found)
-    return sorted(out)
 
 
 # -- dominance walks -------------------------------------------------------

@@ -14,7 +14,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import apartment, tables
-from .errors import BudgetExceeded, DomainError, NotApplicable
+from .errors import BudgetExceeded, DomainError, NotApplicable, check_q
 from .rootsys import build
 
 _ALCOVE_BUDGET = 2_000_000
@@ -98,8 +98,7 @@ def lambda_a2n_partial(n, q, radius):
     chamber.  The slack per coarse step is at most the positive-root count,
     which feeds the tail bound exponent.
     """
-    if q < 3 or q % 2 == 0:
-        raise ValueError("q must be an odd integer >= 3")
+    check_q(q)
     sys = build("A", 2 * n)
     base_f, _ = apartment.base_chambers(sys)
     c0 = apartment.central_chamber(sys, base_f)

@@ -2,8 +2,7 @@
 
 Chambers are edges of the infinite rooted (q+1)-regular vertex tree and
 panels are vertices.  The tree is addressed arithmetically (level-order
-ids), so balls of a million chambers need no adjacency storage; a fully
-materialized graph cross-checks the arithmetic at small q.
+ids), so balls of a million chambers need no adjacency storage.
 
 Vertex ids: 0 is the root; level n >= 1 holds (q+1) q^(n-1) vertices in
 level order, children of earlier parents first.  Every vertex v >= 1 names
@@ -20,8 +19,7 @@ the Iwahori check is the base chamber's table, and the extension check
 lays its values out as one block per depth-one subtree.  A level of panels
 then sums as q strided slices of the level below (`_panel_failures`).
 The shell counts count the base chamber's table over the ball's range.
-`chamber_distance` and the per-chamber value functions are the
-definitions tests compare with.
+`chamber_distance` is the pairwise definition tests compare with.
 """
 
 from __future__ import annotations
@@ -32,29 +30,10 @@ from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import BudgetExceeded, NotHarmonicBase, NotInBall, read_budget
+from .errors import BudgetExceeded, NotHarmonicBase, NotInBall, check_q, read_budget
 
 MAX_RADIUS = 12
 _CHAMBER_BUDGET = 3_000_000
-
-
-def _legendre(a, p):
-    a %= p
-    if a == 0:
-        return 0
-    t = pow(a, (p - 1) // 2, p)
-    return 1 if t == 1 else -1
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
 
 
 class TreeBall:
@@ -67,13 +46,10 @@ class TreeBall:
         # ball so every star is addressable
         self.starts = [0, 1]
         for n in range(1, radius + 3):
-            self.starts.append(self.starts[-1] + self.level_size(n))
+            self.starts.append(self.starts[-1] + (q + 1) * q ** (n - 1))
         self.qpow = [q**n for n in range(radius + 4)]
 
     # -- arithmetic addressing ------------------------------------------
-
-    def level_size(self, n):
-        return 1 if n == 0 else (self.q + 1) * self.q ** (n - 1)
 
     def depth(self, v):
         if v < 0:
@@ -98,13 +74,6 @@ class TreeBall:
         base = self.starts[n + 1] + (v - self.starts[n]) * self.q
         return list(range(base, base + self.q))
 
-    def anc_at_depth_one(self, v):
-        # depth-1 subtrees occupy contiguous index ranges on every level
-        n = self.depth(v)
-        if n == 0:
-            raise ValueError("the root has no depth-one ancestor")
-        return 1 + (v - self.starts[n]) // self.qpow[n - 1]
-
     def vertex_distance(self, a, b):
         da, db = self.depth(a), self.depth(b)
         dist = 0
@@ -124,21 +93,12 @@ class TreeBall:
 
     # -- chambers ---------------------------------------------------------
 
-    def chamber_endpoints(self, c):
-        return c, self.parent(c)
-
     def chamber_distance(self, c1, c2):
+        """One more than the least distance between an end of c1 and an end of c2."""
         if c1 == c2:
             return 0
-        a, pa = self.chamber_endpoints(c1)
-        b, pb = self.chamber_endpoints(c2)
-        m = min(
-            self.vertex_distance(a, b),
-            self.vertex_distance(a, pb),
-            self.vertex_distance(pa, b),
-            self.vertex_distance(pa, pb),
-        )
-        return m + 1
+        a, b = (c1, self.parent(c1)), (c2, self.parent(c2))
+        return 1 + min(self.vertex_distance(x, y) for x in a for y in b)
 
     def chambers(self, radius=None):
         """The ids of the chambers within radius (at most the ball's, its
@@ -174,11 +134,6 @@ class TreeBall:
             levels.append((r, s[r], s[r] + self.qpow[r - 1]))
         return levels
 
-    def interior_panels(self, max_depth=None):
-        """The vertices of `panel_levels`, one by one."""
-        for _, first, stop in self.panel_levels(max_depth):
-            yield from range(first, stop)
-
     def axis_chamber(self, offset):
         """Apartment chamber at the given signed offset from the base."""
         if offset == 0:
@@ -189,27 +144,10 @@ class TreeBall:
             v = self.children(v)[0]
         return v
 
-    # -- explicit cross-check graph ----------------------------------------
-
-    def explicit_adjacency(self):
-        """Chamber adjacency lists, materialized; small balls only."""
-        ids = self.chambers()
-        if len(ids) > 100_000:
-            raise BudgetExceeded(f"explicit graph of {len(ids)} chambers, over the limit of 100000")
-        adj = {c: [] for c in ids}
-        for w in [0, *ids]:
-            star = [c for c in self.panel_chambers(w) if c in ids]
-            for i, a in enumerate(star):
-                for b in star[i + 1 :]:
-                    adj[a].append(b)
-                    adj[b].append(a)
-        return adj
-
 
 def build_ball(q, radius):
     """Construct the ball of the given radius around the base chamber."""
-    if q < 3 or q % 2 == 0:
-        raise ValueError("q must be an odd integer >= 3")
+    check_q(q)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if radius > MAX_RADIUS:
@@ -324,7 +262,7 @@ def star_distances(ball, w, ref):
 
     Reads the distance table of `verify_hctest`, built down to the children
     of w, so one call costs as much as the ball there.  Agrees with
-    chamber_distance (cross-checked in tests).
+    chamber_distance (cross-checked in tests).  No command runs it; perfbench names it.
     """
     n, s = ball.depth(w), ball.starts
     levels = [(k, s[k], s[k + 1]) for k in range(n)] + [(n, s[n], w + 1)]
@@ -348,17 +286,16 @@ def legendre_base(ball):
     """The sign cochain on the q+1 chambers at the root panel.
 
     The two apartment chambers get 0; the remaining q-1 get +/-1 split
-    evenly, by quadratic-residue labels when q is prime.
+    evenly, by quadratic-residue labels when q is prime (Euler's criterion:
+    i is a residue iff i^((q-1)/2) = 1 mod q), by alternating signs otherwise.
     """
     q = ball.q
     values = {1: Fraction(0), 2: Fraction(0)}
     others = [c for c in ball.panel_chambers(0) if c not in (1, 2)]
-    if _is_prime(q):
-        for i, c in enumerate(others, start=1):
-            values[c] = Fraction(_legendre(i, q))
-    else:
-        for i, c in enumerate(others):
-            values[c] = Fraction(1 if i % 2 == 0 else -1)
+    prime = all(q % f for f in range(2, math.isqrt(q) + 1))
+    for i, c in enumerate(others, start=1):
+        residue = pow(i, (q - 1) // 2, q) == 1 if prime else i % 2
+        values[c] = Fraction(1 if residue else -1)
     if sum(values.values()) != 0:
         raise AssertionError("panel sum of the base cochain must vanish")
     return values
@@ -373,20 +310,6 @@ def _integer_base(base_values):
         raise NotHarmonicBase("base values do not sum to zero at the root panel")
     den = math.lcm(*(Fraction(v).denominator for v in base_values.values()))
     return {a: int(Fraction(v) * den) for a, v in base_values.items()}
-
-
-def extend_base(ball, base_values):
-    """Value of the harmonic extension at any chamber of the ball."""
-    _integer_base(base_values)  # raises NotHarmonicBase on an unbalanced base
-
-    def value(c):
-        a = ball.anc_at_depth_one(c)
-        if a not in base_values:
-            raise NotInBall(f"chamber {c} does not resolve to the root panel")
-        dist = ball.depth(c) - 1
-        return base_values[a] * Fraction((-1) ** dist, ball.q**dist)
-
-    return value
 
 
 ExtensionReport = namedtuple("ExtensionReport", "q panels_checked failures")
@@ -420,16 +343,6 @@ def verify_extension(ball, base_values):
     failures = _panel_failures(ball, levels, X)
     panels = sum(stop - first for _, first, stop in levels)
     return ExtensionReport(q=ball.q, panels_checked=panels, failures=failures)
-
-
-def iwahori_values(ball):
-    """The normalized base-chamber vector as a value function."""
-
-    def value(c):
-        d = ball.chamber_distance(1, c)
-        return Fraction((-1) ** d, ball.q**d)
-
-    return value
 
 
 def verify_iwahori_harmonic(ball, panel_depth=None):

@@ -105,6 +105,8 @@ def test_chambers_within_counts():
     _, ce = base_chambers(a1)
     shells = chambers_within(ce, 2)
     assert [len(s) for s in shells] == [1, 2, 2]
+    with pytest.raises(ValueError, match="radius must be nonnegative"):  # once read as 0
+        chambers_within(ce, -1)
     a2 = build("A", 2)
     cf, _ = base_chambers(a2)
     shells = chambers_within(cf, 3)
@@ -220,7 +222,7 @@ def test_distance_doubling_from_arbitrary_chambers():
 def test_extended_simple_roots_of_base():
     sys = build("A", 2)
     _, ce = base_chambers(sys)
-    assert extended_simple_roots(ce) == sorted(sys.extended_simple_set())
+    assert extended_simple_roots(ce) == sorted([*sys.simples, _neg(sys.highest_root)])
 
 
 FACET_BALLS = [

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import pytest
 
-from steinberg_lab import apartment, cli, rootsys, suites
+from steinberg_lab import apartment, cli, cochain, prasad, rootsys, suites
 from steinberg_lab.errors import HalfIntegralityViolation
 
 
@@ -314,3 +314,30 @@ def test_verify_rootsys_names_a_plate_vector_that_is_no_root(monkeypatch, tmp_pa
     assert "rootsys    fail suite-crashed: false (expected true)" in result.stdout
     (crashed,) = [c for c in json.loads(path.read_text())["reports"][0]["checks"] if c["status"] == "fail"]
     assert crashed["description"] == "NotARoot: doubled plate vector (4, 0, 0) is not a root of B3"
+
+
+# A break of the layer function each check family reads, made from the original, for
+# the families that no other test drives to a fail: a check that cannot fail checks nothing.
+BREAKS = {
+    "negation-stability-": ("rootsys", rootsys, "strongly_orthogonal",
+                            lambda so: lambda sys, a, b: so(sys, a, b) and sys.is_positive(a)),
+    "orthogonal-long-": ("rootsys", rootsys, "strongly_orthogonal", lambda so: lambda *args: False),
+    "short-coeff-even-": ("sorth", rootsys.RootSystem, "is_long", lambda _: lambda sys, v: sum(v) > 1),
+    "two-short-": ("sorth", rootsys.RootSystem, "is_long", lambda _: lambda sys, v: False),
+    "distance-doubling-": ("apartment", apartment, "distance", lambda d: lambda a, b: d(a, b) ** 2),
+    "facet-relation-": ("apartment", apartment, "affine_relation",
+                        lambda rel: lambda ch: (rel(ch)[0], [2 * c for c in rel(ch)[1]])),
+    "triangle-A2": ("apartment", apartment, "distance", lambda d: lambda a, b: d(a, b) ** 2),
+    "chi-compat-": ("cochain", prasad, "chi_on_torus", lambda chi: lambda sys, xi: -chi(sys, xi)),
+    "panel-zeros-": ("cochain", cochain, "panel_sum", lambda _: lambda panel, f: 1),
+}
+
+
+@pytest.mark.parametrize("family", BREAKS)
+def test_every_check_family_can_fail(family, monkeypatch, tmp_path, main_cli):
+    suite, owner, name, broken = BREAKS[family]
+    monkeypatch.setattr(owner, name, broken(getattr(owner, name)))
+    path = tmp_path / "report.json"
+    assert main_cli("verify", suite, "--json", str(path)).returncode == 1
+    checks = json.loads(path.read_text())["reports"][0]["checks"]
+    assert "fail" in {c["status"] for c in checks if c["id"].startswith(family)}

@@ -7,7 +7,6 @@ import pytest
 from steinberg_lab import apartment, cochain, linalg, prasad, rootsys, suites, tables
 from steinberg_lab.cochain import (
     SignCharacter,
-    SignVector,
     a2n_class_value,
     build_constraints,
     canonical_sigma_chamber,
@@ -36,11 +35,12 @@ from steinberg_lab.suites import SIGN_CALCULUS_TYPES
 def test_sign_vector_and_character_basics():
     v = sign_vector(3, [1, 3])
     w = sign_vector(3, [3])
-    assert (v * w).support() == [1]
+    vw = sign_vector(3, [1, 3, 3])  # the indices XOR, so this is v + w in (Z/2)^3
+    assert vw.support() == [1]
     chi = SignCharacter(0b101, 3)
     assert chi.value(v) == 1  # bits 1 and 3 both flip: (-1)^2
     assert chi.value(w) == -1
-    assert chi.value(v * w) == -1
+    assert chi.value(vw) == chi.value(v) * chi.value(w) == -1
 
 
 def test_eic_values_per_family():
@@ -151,8 +151,8 @@ def test_canonical_chamber_a1():
     sys = build("A", 1)
     members = tables.sign_basis(sys)
     ch = canonical_sigma_chamber(sys, members)
-    assert ch.f((1,)) == Fraction(-1, 2)
-    assert ch.f((-1,)) == 1
+    assert Fraction(ch.value((1,)), 2) == Fraction(-1, 2)
+    assert Fraction(ch.value((-1,)), 2) == 1
 
 
 def test_canonical_chamber_c2_long_weights():
@@ -219,6 +219,8 @@ def test_iwahori_vector_values():
     assert vec[moved] == Fraction(1, 81)
     with pytest.raises(ValueError):
         iwahori_vector(ce, 4, 2)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):  # once read as 0
+        iwahori_vector(ce, 3, -2)
 
 
 def test_panel_sums_vanish_for_iwahori():
@@ -299,6 +301,8 @@ def test_extension_zero_base():
     ball = [c for shell in apartment.chambers_within(ce, 3) for c in shell]
     ext = extend_by_harmonicity(ce, Fraction(0), 3, ball)
     assert all(v == 0 for v in ext.values.values())
+    with pytest.raises(ValueError, match="q must be an odd integer >= 3"):  # q = 2 once extended
+        extend_by_harmonicity(ce, Fraction(1), 2, ball)
 
 
 def test_a2n_class_values():
@@ -306,6 +310,8 @@ def test_a2n_class_values():
     assert a2n_class_value(1, 3, 1) == Fraction(-1, 2)
     assert a2n_class_value(2, 3, 1) == Fraction(1, 2)
     assert a2n_class_value(3, 5, 1) == Fraction(1, -4) * Fraction(2, -4) * Fraction(2, -4)
+    with pytest.raises(ValueError, match="q must be an odd integer >= 3"):  # was a ZeroDivisionError
+        a2n_class_value(1, 1, 1)
 
 
 def test_r1_r2_values():

@@ -7,7 +7,8 @@ from operator import add, mul
 
 import pytest
 
-from steinberg_lab import rootsys, tables
+from oracles import classify_subsystem
+from steinberg_lab import apartment, rootsys, tables
 from steinberg_lab.errors import BudgetExceeded, InvalidRank, NonIntegralPairing, ProportionalPair
 from steinberg_lab.linalg import solve_exact
 from steinberg_lab.rootsys import (
@@ -18,7 +19,6 @@ from steinberg_lab.rootsys import (
     support_components,
     _neg,
     build,
-    classify_subsystem,
     apply_word,
     strongly_orthogonal,
     weyl_orbit,
@@ -383,12 +383,13 @@ def test_positive_sum_triples_count_in_type_a():
 
 
 def test_extended_simple_set():
-    sys = a2()
-    assert sys.extended_simple_set() == [(1, 0), (0, 1), (-1, -1)]
-    a1 = build("A", 1)
-    assert a1.extended_simple_set() == [(1,), (-1,)]
-    g2 = build("G", 2)
-    assert g2.extended_simple_set()[-1] == (-3, -2)
+    # the facet roots of the base fine chamber: the simple roots and the lowest root
+    def facets(fam, rank):
+        return apartment.extended_simple_roots(apartment.base_chambers(build(fam, rank))[1])
+
+    assert facets("A", 2) == [(-1, -1), (0, 1), (1, 0)]
+    assert facets("A", 1) == [(-1,), (1,)]
+    assert facets("G", 2) == [(-3, -2), (0, 1), (1, 0)]
 
 
 def test_highest_root_dominates():

@@ -121,6 +121,8 @@ def test_lambda_partial_sums():
 def test_lambda_rejects_even_q():
     with pytest.raises(ValueError):
         series.lambda_a2n_partial(1, 4, 4)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):  # once read as 0
+        series.lambda_a2n_partial(1, 3, -1)
 
 
 def test_lambda_tvoth():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import classify_subsystem, subsystem_simples
 from steinberg_lab import linalg, sorth, suites, tables
 from steinberg_lab.errors import BudgetExceeded, NotApplicable, NotARoot, ProportionalPair
 from steinberg_lab.rootsys import (
@@ -9,11 +10,9 @@ from steinberg_lab.rootsys import (
     _neg,
     apply_word,
     build,
-    classify_subsystem,
     parabolic_roots,
     strongly_orthogonal,
     subsystem_components,
-    subsystem_simples,
     support_components,
     weyl_orbit,
     word_to_dominant,
