@@ -64,8 +64,8 @@ def read_budget(default):
 
 
 def check_q(q):
-    """Raise ValueError unless q is odd and >= 3, as the two-scale walls need."""
-    if q < 3 or q % 2 == 0:
+    """Raise ValueError unless q is an odd int >= 3, as the two-scale walls need."""
+    if type(q) is not int or q < 3 or q % 2 == 0:
         raise ValueError("q must be an odd integer >= 3")
 
 

@@ -14,12 +14,14 @@ id range (`TreeBall.chambers`).
 
 The panel checks walk the interior panels level by level (`panel_levels`).
 Each reference chamber gets one table of chamber distances
-(`_chamber_distances`), mapped through a power table to exact scaled ints;
-the Iwahori check is the base chamber's table, and the extension check
-lays its values out as one block per depth-one subtree.  A level of panels
-then sums as q strided slices of the level below (`_panel_failures`).
-The shell counts count the base chamber's table over the ball's range.
-`chamber_distance` is the pairwise definition tests compare with.
+(`_chamber_distances`): the nested id ranges of the reference's m + 1
+ancestors make each level at most 2m + 1 constant runs (`_level_runs`),
+each mapped once through a power table to exact scaled ints.  The Iwahori
+check is the base chamber's table, and the extension check lays its values
+out as one block per depth-one subtree.  A level of panels then sums as q
+strided slices of the level below (`_panel_failures`).  The shell counts
+count the base chamber's table over the ball's range, and the axis check
+reads it along the apartment.
 """
 
 from __future__ import annotations
@@ -74,31 +76,7 @@ class TreeBall:
         base = self.starts[n + 1] + (v - self.starts[n]) * self.q
         return list(range(base, base + self.q))
 
-    def vertex_distance(self, a, b):
-        da, db = self.depth(a), self.depth(b)
-        dist = 0
-        while da > db:
-            a = self.parent(a)
-            da -= 1
-            dist += 1
-        while db > da:
-            b = self.parent(b)
-            db -= 1
-            dist += 1
-        while a != b:
-            a = self.parent(a)
-            b = self.parent(b)
-            dist += 2
-        return dist
-
     # -- chambers ---------------------------------------------------------
-
-    def chamber_distance(self, c1, c2):
-        """One more than the least distance between an end of c1 and an end of c2."""
-        if c1 == c2:
-            return 0
-        a, b = (c1, self.parent(c1)), (c2, self.parent(c2))
-        return 1 + min(self.vertex_distance(x, y) for x in a for y in b)
 
     def chambers(self, radius=None):
         """The ids of the chambers within radius (at most the ball's, its
@@ -159,19 +137,6 @@ def build_ball(q, radius):
     return TreeBall(q, radius)
 
 
-def tree_distance(ball, c1, c2):
-    inside = ball.chambers()
-    for c in (c1, c2):
-        if c < 1:
-            raise NotInBall(f"{c} names no chamber (vertex 0 is the root, chambers start at 1)")
-        if c not in inside:
-            raise NotInBall(
-                f"chamber {c} outside the ball of radius {ball.radius}"
-                f" (chamber ids {inside.start} to {inside.stop - 1})"
-            )
-    return ball.chamber_distance(c1, c2)
-
-
 def chamber_count_by_distance(ball):
     """Exact shell counts: the base chamber's distance table, counted over
     the ball's ids (E[0], the root's dummy, is no chamber)."""
@@ -185,32 +150,55 @@ def chamber_count_by_distance(ball):
 HctestReport = namedtuple("HctestReport", "q panels_checked references_checked failures")
 
 
-def _chamber_distances(ball, ref, levels):
-    """E[v] = the distance from chamber v to the chamber ref, for every
-    chamber in the stars of levels (ranges as `panel_levels` gives them).
+def _level_runs(ball, ref, depth, count):
+    """The distances to the chamber ref of the first count chambers at depth
+    (>= 1), as (distance, length) runs in id order: at most 2m + 1 runs,
+    m = depth(ref), none empty.
 
-    A chamber is one step further from ref than its parent chamber, except
-    where the path from the root to ref enters vertex v at depth n + 1:
-    v and its siblings share the path vertex at depth n, so the siblings
-    sit at m - n and v at m - n - 1 (m = depth(ref)), which is 0 at ref.
-    E[0] = m - 1 is a dummy for the root, whose q + 1 children are
-    mutually adjacent.
+    ref's ancestors a_0 (the root), ..., a_m = ref each cover one id range
+    of the level, nested: a_k (k >= 1) covers the q^(depth-k) ids from
+    s[depth] + (a_k - s[k]) q^(depth-k) on, where a_k - s[k] is
+    (ref - s[m]) // q^(m-k), and the root all of them.  With K = min(depth, m),
+    the chambers under a_k but not under a_(k+1) (k < K) sit at
+    m + depth - 2k - 1, on both sides of the range of a_K, which sits at
+    m - depth (the one vertex a_depth) or depth - m (under ref).
     """
-    q, s = ball.q, ball.starts
+    s, qpow = ball.starts, ball.qpow
     m = ball.depth(ref)
-    E = [m - 1]
+    K = min(depth, m)
+    # lo[k], hi[k]: the range of a_k, relative to the level's first id
+    lo, hi = [0], [s[depth + 1] - s[depth]]
+    for k in range(1, K + 1):
+        lo.append((ref - s[m]) // qpow[m - k] * qpow[depth - k])
+        hi.append(lo[k] + qpow[depth - k])
+    runs = [(m + depth - 2 * k - 1, lo[k + 1] - lo[k]) for k in range(K)]
+    runs.append((abs(m - depth), hi[K] - lo[K]))
+    runs += [(m + depth - 2 * k - 1, hi[k] - hi[k + 1]) for k in reversed(range(K))]
+    cut = []
+    for d, length in runs:
+        length = min(length, count)
+        if length:
+            cut.append((d, length))
+            count -= length
+    return cut
+
+
+def _chamber_distances(ball, ref, levels, power=int):
+    """E[v] = power(the distance from chamber v to the chamber ref), for
+    every chamber in the stars of levels (ranges as `panel_levels` gives
+    them, each beginning its level); power defaults to the distance itself.
+
+    The stars of a level of panels at depth n are the first ids of depth
+    n + 1, which `_level_runs` gives as at most 2m + 1 constant runs, so
+    each run is mapped through power once.  E[0] = power(m - 1) is a dummy
+    for the root, whose q + 1 children are mutually adjacent.
+    """
+    q = ball.q
+    E = [power(ball.depth(ref) - 1)]
     for n, first, stop in levels:
-        width, down = (q + 1 if n == 0 else q), len(E)
-        grown = [e + 1 for e in E[first:stop]]
-        E += [0] * (width * len(grown))
-        for j in range(width):
-            E[down + j :: width] = grown
-        if n < m:
-            v = s[n + 1] + (ref - s[m]) // ball.qpow[m - n - 1]
-            if v < len(E):
-                block = v - (v - down) % width
-                E[block : block + width] = [m - n] * width
-                E[v] = m - n - 1
+        width = q + 1 if n == 0 else q
+        for d, length in _level_runs(ball, ref, n + 1, width * (stop - first)):
+            E += [power(d)] * length
     return E
 
 
@@ -250,8 +238,7 @@ def _hctest(ball, refs, panel_depth):
     top = ball.depth(max(refs)) + len(levels)
     power = [(-1) ** d * q ** (top - d) for d in range(top + 1)].__getitem__
     failures = sum(
-        _panel_failures(ball, levels, list(map(power, _chamber_distances(ball, ref, levels))))
-        for ref in refs
+        _panel_failures(ball, levels, _chamber_distances(ball, ref, levels, power)) for ref in refs
     )
     panels = sum(stop - first for _, first, stop in levels)
     return HctestReport(q=q, panels_checked=panels, references_checked=len(refs), failures=failures)
@@ -261,8 +248,8 @@ def star_distances(ball, w, ref):
     """Distances from every chamber of the panel star of w to the chamber ref.
 
     Reads the distance table of `verify_hctest`, built down to the children
-    of w, so one call costs as much as the ball there.  Agrees with
-    chamber_distance (cross-checked in tests).  No command runs it; perfbench names it.
+    of w as at most 2m + 1 runs a level (m = depth(ref)).  Agrees with the
+    pairwise distance (cross-checked in tests).  No command runs it; perfbench names it.
     """
     n, s = ball.depth(w), ball.starts
     levels = [(k, s[k], s[k + 1]) for k in range(n)] + [(n, s[n], w + 1)]

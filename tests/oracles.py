@@ -1,6 +1,7 @@
 """References the tests compare the package against, which no command runs: the
-Cartan-matrix classifier of a closed subsystem, the materialized chamber graph of a
-tree ball, and the harmonic extension evaluated chamber by chamber."""
+Cartan-matrix classifier of a closed subsystem, the pairwise chamber distance and the
+materialized chamber graph of a tree ball, and the harmonic extension evaluated chamber
+by chamber."""
 
 from fractions import Fraction
 
@@ -94,6 +95,47 @@ def classify_subsystem(sys, roots):
 def interior_panels(ball, max_depth=None):
     """The vertices of `TreeBall.panel_levels`, as one list."""
     return [w for _, first, stop in ball.panel_levels(max_depth) for w in range(first, stop)]
+
+
+def vertex_distance(ball, a, b):
+    """Edges between two vertices of the tree, walking parents up to their meeting point."""
+    da, db = ball.depth(a), ball.depth(b)
+    dist = 0
+    while da > db:
+        a = ball.parent(a)
+        da -= 1
+        dist += 1
+    while db > da:
+        b = ball.parent(b)
+        db -= 1
+        dist += 1
+    while a != b:
+        a = ball.parent(a)
+        b = ball.parent(b)
+        dist += 2
+    return dist
+
+
+def chamber_distance(ball, c1, c2):
+    """One more than the least distance between an end of c1 and an end of c2."""
+    if c1 == c2:
+        return 0
+    a, b = (c1, ball.parent(c1)), (c2, ball.parent(c2))
+    return 1 + min(vertex_distance(ball, x, y) for x in a for y in b)
+
+
+def tree_distance(ball, c1, c2):
+    """chamber_distance, for two chambers of the ball only."""
+    inside = ball.chambers()
+    for c in (c1, c2):
+        if c < 1:
+            raise NotInBall(f"{c} names no chamber (vertex 0 is the root, chambers start at 1)")
+        if c not in inside:
+            raise NotInBall(
+                f"chamber {c} outside the ball of radius {ball.radius}"
+                f" (chamber ids {inside.start} to {inside.stop - 1})"
+            )
+    return chamber_distance(ball, c1, c2)
 
 
 def explicit_adjacency(ball):

@@ -221,6 +221,8 @@ def test_iwahori_vector_values():
         iwahori_vector(ce, 4, 2)
     with pytest.raises(ValueError, match="radius must be nonnegative"):  # once read as 0
         iwahori_vector(ce, 3, -2)
+    with pytest.raises(ValueError, match="q must be an odd integer >= 3"):  # once a TypeError
+        iwahori_vector(ce, 5.0, 1)
 
 
 def test_panel_sums_vanish_for_iwahori():

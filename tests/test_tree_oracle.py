@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import explicit_adjacency, extend_base, interior_panels
+from oracles import chamber_distance, explicit_adjacency, extend_base, interior_panels, tree_distance
 from steinberg_lab import tree_oracle as T
 from steinberg_lab.errors import BudgetExceeded, NotHarmonicBase, NotInBall
 
@@ -25,14 +25,19 @@ def test_build_ball_validation():
         T.build_ball(2, 3)
     with pytest.raises(BudgetExceeded):
         T.build_ball(3, 13)
+    with pytest.raises(ValueError, match="q must be an odd integer >= 3"):  # once built a float ball
+        T.build_ball(5.0, 2)
 
 
 def test_axis_matches_apartment_line():
     ball = T.build_ball(3, 6)
     for i in range(-5, 6):
         for j in range(-5, 6):
-            d = T.tree_distance(ball, ball.axis_chamber(i), ball.axis_chamber(j))
+            d = tree_distance(ball, ball.axis_chamber(i), ball.axis_chamber(j))
             assert d == abs(i - j)
+    for i in range(-5, 6):
+        E = T._chamber_distances(ball, ball.axis_chamber(i), ball.panel_levels())
+        assert [E[ball.axis_chamber(j)] for j in range(-6, 7)] == [abs(i - j) for j in range(-6, 7)]
 
 
 def test_distance_is_symmetric():
@@ -41,15 +46,15 @@ def test_distance_is_symmetric():
     ids = list(ball.chambers())
     for _ in range(50):
         a, b = rng.choice(ids), rng.choice(ids)
-        assert ball.chamber_distance(a, b) == ball.chamber_distance(b, a)
-    assert ball.chamber_distance(ids[0], ids[0]) == 0
+        assert chamber_distance(ball, a, b) == chamber_distance(ball, b, a)
+    assert chamber_distance(ball, ids[0], ids[0]) == 0
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_shell_counts_count_walk_distances(q):
     for radius in range(5):
         ball = T.build_ball(q, radius)
-        walk = [ball.chamber_distance(1, c) for c in ball.chambers()]
+        walk = [chamber_distance(ball, 1, c) for c in ball.chambers()]
         assert T.chamber_count_by_distance(ball) == [walk.count(d) for d in range(radius + 1)]
 
 
@@ -58,7 +63,7 @@ def test_ball_range_is_the_chambers_within_each_radius(q, radius):
     # a chamber at depth n is at least n - 1 from the base
     ball = T.build_ball(q, radius)
     for r in range(radius + 1):
-        within = [c for c in range(1, ball.starts[r + 2]) if ball.chamber_distance(1, c) <= r]
+        within = [c for c in range(1, ball.starts[r + 2]) if chamber_distance(ball, 1, c) <= r]
         assert list(ball.chambers(r)) == within
     assert ball.chambers() == ball.chambers(radius)
 
@@ -80,12 +85,12 @@ def test_not_in_ball():
     ball = T.build_ball(3, 2)
     outside = ball.starts[4]
     with pytest.raises(NotInBall):
-        T.tree_distance(ball, 1, outside + 10**6)
+        tree_distance(ball, 1, outside + 10**6)
     # the ball is the ids 1 to 1 + 6 + 18
     inside = ball.chambers()
-    assert T.tree_distance(ball, 1, inside[-1]) == ball.chamber_distance(1, inside[-1]) == 2
+    assert tree_distance(ball, 1, inside[-1]) == chamber_distance(ball, 1, inside[-1]) == 2
     with pytest.raises(NotInBall, match=r"radius 2 \(chamber ids 1 to 25\)"):
-        T.tree_distance(ball, inside.stop, 1)
+        tree_distance(ball, inside.stop, 1)
 
 
 @pytest.mark.parametrize("c", [0, -1, -5])
@@ -93,9 +98,9 @@ def test_ids_below_one_name_no_chamber(c):
     # vertex 0 is the root and negative ids address nothing
     ball = T.build_ball(3, 2)
     with pytest.raises(NotInBall):
-        T.tree_distance(ball, c, 1)
+        tree_distance(ball, c, 1)
     with pytest.raises(NotInBall):
-        T.tree_distance(ball, 1, c)
+        tree_distance(ball, 1, c)
     if c < 0:
         with pytest.raises(NotInBall):
             ball.depth(c)
@@ -118,14 +123,14 @@ def test_distances_match_explicit_bfs():
     adj = explicit_adjacency(ball)
     from_base = _bfs(adj, 1)
     for c in ball.chambers():
-        assert from_base[c] == ball.chamber_distance(1, c)
+        assert from_base[c] == chamber_distance(ball, 1, c)
     rng = random.Random(9)
     ids = list(ball.chambers())
     for _ in range(20):
         a = rng.choice(ids)
         table = _bfs(adj, a)
         b = rng.choice(ids)
-        assert table[b] == ball.chamber_distance(a, b)
+        assert table[b] == chamber_distance(ball, a, b)
 
 
 def test_star_distances_agree_with_pairwise():
@@ -137,25 +142,47 @@ def test_star_distances_agree_with_pairwise():
         w = rng.choice(panels)
         ref = rng.choice(ids)
         assert T.star_distances(ball, w, ref) == [
-            ball.chamber_distance(c, ref) for c in ball.panel_chambers(w)
+            chamber_distance(ball, c, ref) for c in ball.panel_chambers(w)
         ]
 
 
-@pytest.mark.parametrize("q, radius", [(3, 4), (5, 3)])
+@pytest.mark.parametrize("q, radius", [(3, 4), (5, 3), (7, 2)])
 def test_chamber_distances_agree_with_pairwise_and_bfs(q, radius):
+    # panel_levels(d) ends on a full level for d < radius, and at d = radius
+    # on the partial one under vertex 1
     ball = T.build_ball(q, radius)
-    levels = ball.panel_levels()
-    star_chambers = sorted({c for w in interior_panels(ball) for c in ball.panel_chambers(w)})
+    cuts = [ball.panel_levels(d) for d in range(radius + 1)]
+    stars = [
+        sorted({c for _, first, stop in levels for w in range(first, stop) for c in ball.panel_chambers(w)})
+        for levels in cuts
+    ]
     ids = list(ball.chambers())
     for ref in ids:
-        E = T._chamber_distances(ball, ref, levels)
-        assert all(E[c] == ball.chamber_distance(c, ref) for c in star_chambers)
+        pairwise = {c: chamber_distance(ball, c, ref) for c in stars[-1]}
+        for levels, star_chambers in zip(cuts, stars):
+            E = T._chamber_distances(ball, ref, levels)
+            assert len(E) == star_chambers[-1] + 1
+            assert all(E[c] == pairwise[c] for c in star_chambers)
     adj = explicit_adjacency(ball)
     rng = random.Random(q * 100 + radius)
     for ref in rng.sample(ids, 8):
         table = _bfs(adj, ref)
-        E = T._chamber_distances(ball, ref, levels)
-        assert all(E[c] == table[c] for c in star_chambers)
+        E = T._chamber_distances(ball, ref, cuts[-1])
+        assert all(E[c] == table[c] for c in stars[-1])
+
+
+@pytest.mark.parametrize("q, radius", [(3, 4), (5, 3), (7, 2)])
+def test_level_runs_are_at_most_2m_plus_1(q, radius):
+    # a level's runs cover the stars' prefix of it exactly, nothing empty
+    ball = T.build_ball(q, radius)
+    for ref in ball.chambers():
+        m = ball.depth(ref)
+        for n, first, stop in ball.panel_levels():
+            count = (q + 1 if n == 0 else q) * (stop - first)
+            runs = T._level_runs(ball, ref, n + 1, count)
+            assert len(runs) <= 2 * m + 1
+            assert all(length > 0 for _, length in runs)
+            assert sum(length for _, length in runs) == count
 
 
 @pytest.mark.parametrize("q, radius, r_inner", [(3, 5, 2), (5, 4, 1)])
@@ -172,7 +199,7 @@ def test_strided_panel_sums_match_pairwise_star_sums(q, radius, r_inner):
     total = 0
     for ref in refs:
         X = [P[e] for e in T._chamber_distances(ball, ref, levels)]
-        pairwise = sum(1 for star in stars if sum(P[ball.chamber_distance(c, ref)] for c in star))
+        pairwise = sum(1 for star in stars if sum(P[chamber_distance(ball, c, ref)] for c in star))
         assert T._panel_failures(ball, levels, X) == pairwise
         total += pairwise
     assert 0 < total < len(refs) * len(stars)
@@ -264,7 +291,7 @@ def test_integer_panel_sums_match_fraction_sums(q, radius):
     E = T._chamber_distances(ball, 1, levels)
     for star in stars:
         terms = [(-1) ** E[c] * q ** (top - E[c]) for c in star]
-        iwahori = [Fraction(-1, q) ** ball.chamber_distance(1, c) for c in star]
+        iwahori = [Fraction(-1, q) ** chamber_distance(ball, 1, c) for c in star]
         assert terms == [v * q**top for v in iwahori]
         assert Fraction(sum(terms), q**top) == sum(iwahori)
 
