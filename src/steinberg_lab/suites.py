@@ -578,9 +578,10 @@ def suite_tree(q=3, radius=RADIUS_DEFAULTS["tree"]):
         0,
         "derived",
     )
-    # the base chamber's distance table, as chamber_count_by_distance builds it
-    E = tree_oracle._chamber_distances(ball, 1, ball.panel_levels() or [(0, 0, 1)])
-    axis_ok = all(E[ball.axis_chamber(k)] == abs(k) for k in range(-radius, radius + 1))
+    axis_ok = all(
+        tree_oracle._run_distance(ball, 1, ball.axis_chamber(k)) == abs(k)
+        for k in range(-radius, radius + 1)
+    )
     rep.add(
         f"axis-distance-q{q}",
         "axis distances agree with the apartment line",

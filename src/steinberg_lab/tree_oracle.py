@@ -19,9 +19,10 @@ ancestors make each level at most 2m + 1 constant runs (`_level_runs`),
 each mapped once through a power table to exact scaled ints.  The Iwahori
 check is the base chamber's table, and the extension check lays its values
 out as one block per depth-one subtree.  A level of panels then sums as q
-strided slices of the level below (`_panel_failures`).  The shell counts
-count the base chamber's table over the ball's range, and the axis check
-reads it along the apartment.
+strided slices of the level below (`_panel_failures`).  No other check
+builds a table: the shell counts add up the base chamber's runs over the
+ball's range, and one chamber's distance is the last run of its level cut
+at it (`_run_distance`), which the axis check reads along the apartment.
 """
 
 from __future__ import annotations
@@ -60,14 +61,6 @@ class TreeBall:
         if n >= len(self.starts) - 1:
             raise NotInBall(f"vertex {v} beyond the constructed ball")
         return n
-
-    def parent(self, v):
-        n = self.depth(v)
-        if n == 0:
-            raise ValueError("the root has no parent")
-        if n == 1:
-            return 0
-        return self.starts[n - 1] + (v - self.starts[n]) // self.q
 
     def children(self, v):
         n = self.depth(v)
@@ -113,21 +106,19 @@ class TreeBall:
         return levels
 
     def axis_chamber(self, offset):
-        """Apartment chamber at the given signed offset from the base."""
-        if offset == 0:
-            return 1
-        v = 1 if offset > 0 else 2
-        steps = offset if offset > 0 else -offset - 1
-        for _ in range(steps):
-            v = self.children(v)[0]
-        return v
+        """Apartment chamber at the given signed offset from the base, on the
+        first-child chains below vertex 1 (offset >= 0) and vertex 2."""
+        n = offset + 1 if offset >= 0 else -offset
+        if n > len(self.starts) - 2:
+            raise NotInBall(f"axis offset {offset} beyond the constructed ball")
+        return self.starts[n] if offset >= 0 else self.starts[n] + self.qpow[n - 1]
 
 
 def build_ball(q, radius):
     """Construct the ball of the given radius around the base chamber."""
     check_q(q)
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    if type(radius) is not int or radius < 0:
+        raise ValueError(f"radius must be a nonnegative int, not {radius!r}")
     if radius > MAX_RADIUS:
         raise BudgetExceeded(f"radius {radius} beyond the supported {MAX_RADIUS}")
     total = 1 + sum(2 * q**n for n in range(1, radius + 1))
@@ -138,13 +129,15 @@ def build_ball(q, radius):
 
 
 def chamber_count_by_distance(ball):
-    """Exact shell counts: the base chamber's distance table, counted over
-    the ball's ids (E[0], the root's dummy, is no chamber)."""
-    inside = ball.chambers()
-    # at radius 0 no panel is interior, but the root's star still holds the base
-    E = _chamber_distances(ball, 1, ball.panel_levels() or [(0, 0, 1)])
-    shells = E[inside.start : inside.stop]
-    return [shells.count(d) for d in range(ball.radius + 1)]
+    """Exact shell counts: the base chamber's level runs (`_level_runs`) added up
+    by distance over the ball's ids, depths 1 to r and the first q^r at r + 1."""
+    r, s = ball.radius, ball.starts
+    counts = [0] * (r + 1)
+    for n in range(1, r + 2):
+        width = s[n + 1] - s[n] if n <= r else ball.qpow[r]
+        for d, length in _level_runs(ball, 1, n, width):
+            counts[d] += length
+    return counts
 
 
 HctestReport = namedtuple("HctestReport", "q panels_checked references_checked failures")
@@ -181,6 +174,13 @@ def _level_runs(ball, ref, depth, count):
             cut.append((d, length))
             count -= length
     return cut
+
+
+def _run_distance(ball, ref, c):
+    """The distance from chamber c to the chamber ref: the runs of c's level,
+    cut to the prefix that ends at c, end with c's run."""
+    n = ball.depth(c)
+    return _level_runs(ball, ref, n, c - ball.starts[n] + 1)[-1][0]
 
 
 def _chamber_distances(ball, ref, levels, power=int):
@@ -245,16 +245,11 @@ def _hctest(ball, refs, panel_depth):
 
 
 def star_distances(ball, w, ref):
-    """Distances from every chamber of the panel star of w to the chamber ref.
-
-    Reads the distance table of `verify_hctest`, built down to the children
-    of w as at most 2m + 1 runs a level (m = depth(ref)).  Agrees with the
+    """Distances from every chamber of the panel star of w to the chamber ref,
+    each the last of its level's runs (`_run_distance`).  Agrees with the
     pairwise distance (cross-checked in tests).  No command runs it; perfbench names it.
     """
-    n, s = ball.depth(w), ball.starts
-    levels = [(k, s[k], s[k + 1]) for k in range(n)] + [(n, s[n], w + 1)]
-    E = _chamber_distances(ball, ref, levels)
-    return [E[c] for c in ball.panel_chambers(w)]
+    return [_run_distance(ball, ref, c) for c in ball.panel_chambers(w)]
 
 
 def verify_hctest(ball, r_inner, panel_depth=None):

@@ -27,6 +27,9 @@ def test_build_ball_validation():
         T.build_ball(3, 13)
     with pytest.raises(ValueError, match="q must be an odd integer >= 3"):  # once built a float ball
         T.build_ball(5.0, 2)
+    for radius in (2.0, True, -1):  # 2.0 once raised a TypeError from range, True built a ball
+        with pytest.raises(ValueError, match="radius must be a nonnegative int"):
+            T.build_ball(3, radius)
 
 
 def test_axis_matches_apartment_line():
@@ -38,6 +41,21 @@ def test_axis_matches_apartment_line():
     for i in range(-5, 6):
         E = T._chamber_distances(ball, ball.axis_chamber(i), ball.panel_levels())
         assert [E[ball.axis_chamber(j)] for j in range(-6, 7)] == [abs(i - j) for j in range(-6, 7)]
+
+
+def test_axis_chamber_is_the_first_child_chain_in_the_addressable_ball():
+    # the chain once ran on past the last addressable depth, r + 2: to 161 and 242 at q = 3, r = 2
+    ball = T.build_ball(3, 2)
+    r = ball.radius
+    for k in range(r + 1):
+        assert ball.axis_chamber(k + 1) == ball.children(ball.axis_chamber(k))[0]
+    for k in range(-1, -(r + 2), -1):
+        assert ball.axis_chamber(k - 1) == ball.children(ball.axis_chamber(k))[0]
+    assert (ball.axis_chamber(0), ball.axis_chamber(-1)) == (1, 2)
+    assert ball.depth(ball.axis_chamber(r + 1)) == ball.depth(ball.axis_chamber(-(r + 2))) == r + 2
+    for k in (r + 2, -(r + 3)):
+        with pytest.raises(NotInBall, match=f"axis offset {k} beyond"):
+            ball.axis_chamber(k)
 
 
 def test_distance_is_symmetric():
@@ -159,6 +177,7 @@ def test_chamber_distances_agree_with_pairwise_and_bfs(q, radius):
     ids = list(ball.chambers())
     for ref in ids:
         pairwise = {c: chamber_distance(ball, c, ref) for c in stars[-1]}
+        assert all(T._run_distance(ball, ref, c) == pairwise[c] for c in stars[-1])
         for levels, star_chambers in zip(cuts, stars):
             E = T._chamber_distances(ball, ref, levels)
             assert len(E) == star_chambers[-1] + 1
