@@ -12,15 +12,17 @@ The chambers within r of the base are the ids 1 up to the q^r chambers
 under vertex 1 at depth r + 1, which begin their level, so a ball is one
 id range (`TreeBall.chambers`).
 
-The panel checks walk the interior panels level by level (`panel_levels`).
-Each reference chamber gets one table of chamber distances
-(`_chamber_distances`): the nested id ranges of the reference's m + 1
-ancestors make each level at most 2m + 1 constant runs (`_level_runs`),
-each mapped once through a power table to exact scaled ints.  The Iwahori
-check is the base chamber's table, and the extension check lays its values
-out as one block per depth-one subtree.  A level of panels then sums as q
-strided slices of the level below (`_panel_failures`).  No other check
-builds a table: the shell counts add up the base chamber's runs over the
+The panel checks walk the interior panels level by level (`panel_levels`)
+and read each level's chamber values as constant runs, never as a table.
+The distances to a reference chamber are at most 2m + 1 runs per level
+(`_level_runs`): the nested id ranges of the reference's m + 1 ancestors.
+The hctest maps each run through a power table to an exact scaled
+int, the Iwahori check is the hctest with the base chamber as its one
+reference, and the harmonic extension is one exact `Fraction` run per
+depth-one subtree (`_extension_runs`).  A level of panels folds the runs
+of its children, q ids to a panel, into runs of star sums
+(`_panel_failures`), so a stretch of panels with constant values passes or
+fails at once.  The shell counts add up the base chamber's runs over the
 ball's range, and one chamber's distance is the last run of its level cut
 at it (`_run_distance`), which the axis check reads along the apartment.
 """
@@ -28,7 +30,6 @@ at it (`_run_distance`), which the axis check reads along the apartment.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
@@ -64,6 +65,8 @@ class TreeBall:
 
     def children(self, v):
         n = self.depth(v)
+        if n == len(self.starts) - 2:
+            raise NotInBall(f"vertex {v} at the last constructed depth {n} has no addressable children")
         if n == 0:
             return list(range(1, self.q + 2))
         base = self.starts[n + 1] + (v - self.starts[n]) * self.q
@@ -154,7 +157,8 @@ def _level_runs(ball, ref, depth, count):
     (ref - s[m]) // q^(m-k), and the root all of them.  With K = min(depth, m),
     the chambers under a_k but not under a_(k+1) (k < K) sit at
     m + depth - 2k - 1, on both sides of the range of a_K, which sits at
-    m - depth (the one vertex a_depth) or depth - m (under ref).
+    m - depth (the one vertex a_depth) or depth - m (under ref).  The hctest
+    maps each run through its power table, and `_panel_failures` sums them.
     """
     s, qpow = ball.starts, ball.qpow
     m = ball.depth(ref)
@@ -183,45 +187,52 @@ def _run_distance(ball, ref, c):
     return _level_runs(ball, ref, n, c - ball.starts[n] + 1)[-1][0]
 
 
-def _chamber_distances(ball, ref, levels, power=int):
-    """E[v] = power(the distance from chamber v to the chamber ref), for
-    every chamber in the stars of levels (ranges as `panel_levels` gives
-    them, each beginning its level); power defaults to the distance itself.
+def _panel_failures(ball, levels, runs):
+    """How many panels in levels have a nonzero sum over their star, where
+    runs(n, count) gives the values of the first count chambers at depth n
+    as (value, length) runs in id order.
 
-    The stars of a level of panels at depth n are the first ids of depth
-    n + 1, which `_level_runs` gives as at most 2m + 1 constant runs, so
-    each run is mapped through power once.  E[0] = power(m - 1) is a dummy
-    for the root, whose q + 1 children are mutually adjacent.
+    The root's star is the q + 1 chambers at depth 1.  A panel w at depth
+    n >= 1 has the star w plus its q children, the next q ids of depth
+    n + 1, so the children's runs fold into runs of per-panel sums
+    (`_child_sums`).  Merged with the panels' own runs, both values are
+    constant over each stretch, which fails as a whole or not at all.
     """
     q = ball.q
-    E = [power(ball.depth(ref) - 1)]
-    for n, first, stop in levels:
-        width = q + 1 if n == 0 else q
-        for d, length in _level_runs(ball, ref, n + 1, width * (stop - first)):
-            E += [power(d)] * length
-    return E
-
-
-def _panel_failures(ball, levels, X):
-    """How many panels in levels have a nonzero sum of X over their star.
-
-    A panel w at depth n >= 1 has the star w plus its q children, which
-    sit at stride q in the next level; so a level of panels sums as its
-    own slice of X plus q strided slices of the level below.
-    """
-    q, s = ball.q, ball.starts
     failures = 0
     for n, first, stop in levels:
         if n == 0:
-            failures += sum(X[1 : q + 2]) != 0
+            failures += sum(x * length for x, length in runs(1, q + 1)) != 0
             continue
-        down = s[n + 1]
-        end = down + q * (stop - first)
-        sums = X[first:stop]
-        for j in range(q):
-            sums = list(map(operator.add, sums, X[down + j : end : q]))
-        failures += len(sums) - sums.count(0)
+        own = iter(runs(n, stop - first))
+        left = 0
+        for total, panels in _child_sums(runs(n + 1, q * (stop - first)), q):
+            while panels:
+                if not left:
+                    x, left = next(own)
+                step = min(left, panels)
+                if x + total:
+                    failures += step
+                left -= step
+                panels -= step
     return failures
+
+
+def _child_sums(children, q):
+    """The runs of a level's children, q ids to a panel, folded into
+    (sum, panels) runs; a panel whose children straddle a run boundary gets
+    a run of its own."""
+    total = filled = 0
+    for x, length in children:
+        if filled:
+            step = min(q - filled, length)
+            total, filled, length = total + x * step, filled + step, length - step
+            if filled < q:
+                continue
+            yield total, 1
+        if length >= q:
+            yield x * q, length // q
+        total, filled = x * (length % q), length % q
 
 
 def _hctest(ball, refs, panel_depth):
@@ -236,10 +247,12 @@ def _hctest(ball, refs, panel_depth):
     q = ball.q
     levels = ball.panel_levels(panel_depth)
     top = ball.depth(max(refs)) + len(levels)
-    power = [(-1) ** d * q ** (top - d) for d in range(top + 1)].__getitem__
-    failures = sum(
-        _panel_failures(ball, levels, _chamber_distances(ball, ref, levels, power)) for ref in refs
-    )
+    power = [(-1) ** d * q ** (top - d) for d in range(top + 1)]
+
+    def power_runs(ref):
+        return lambda n, count: [(power[d], length) for d, length in _level_runs(ball, ref, n, count)]
+
+    failures = sum(_panel_failures(ball, levels, power_runs(ref)) for ref in refs)
     panels = sum(stop - first for _, first, stop in levels)
     return HctestReport(q=q, panels_checked=panels, references_checked=len(refs), failures=failures)
 
@@ -256,11 +269,11 @@ def verify_hctest(ball, r_inner, panel_depth=None):
     """Sum of (-q)^(-d(C, C')) over each panel's chambers, for many C'.
 
     Every sum must vanish exactly; sums are evaluated in scaled integers.
-    The references C' are the chambers within r_inner of the base; each
-    gets one distance table over the interior panels (down to panel_depth).
+    The references C' are the chambers within r_inner of the base; their
+    distance runs are summed over the interior panels (down to panel_depth).
     """
     if not 0 <= r_inner < ball.radius:
-        raise ValueError("need 0 <= r_inner and r_inner + 1 <= radius")
+        raise ValueError(f"r_inner {r_inner} at radius {ball.radius}: need 0 <= r_inner < radius")
     return _hctest(ball, ball.chambers(r_inner), panel_depth)
 
 
@@ -283,46 +296,29 @@ def legendre_base(ball):
     return values
 
 
-def _integer_base(base_values):
-    """The base values times their common denominator, as ints.
-
-    Raises NotHarmonicBase unless they sum to zero at the root panel.
-    """
-    if sum(base_values.values(), Fraction(0)) != 0:
-        raise NotHarmonicBase("base values do not sum to zero at the root panel")
-    den = math.lcm(*(Fraction(v).denominator for v in base_values.values()))
-    return {a: int(Fraction(v) * den) for a, v in base_values.items()}
-
-
 ExtensionReport = namedtuple("ExtensionReport", "q panels_checked failures")
 
 
-def _extension_values(ball, b, depth):
-    """q^(depth-1) times the harmonic extension of the integer base b, over
-    every vertex id of depth <= depth (the root, no chamber, gets 0).
-
-    A chamber at depth k under the depth-one chamber a has the value
-    b[a] (-q)^(1-k).  Depth-one subtrees fill contiguous blocks of q^(k-1)
-    ids on each level, so a level is q + 1 repeated blocks.
-    """
-    q = ball.q
-    X = [0]
-    for k in range(1, depth + 1):
-        scale = (-1) ** (k - 1) * q ** (depth - k)
-        for a in range(1, q + 2):
-            X += [b[a] * scale] * q ** (k - 1)
-    return X
+def _extension_runs(ball, base, depth, count):
+    """The harmonic extension of base over the first count chambers at depth
+    (>= 1), as (value, length) runs: a chamber under the depth-one chamber a
+    has the value base[a] (-1/q)^(depth-1), and depth-one subtrees fill
+    contiguous blocks of q^(depth-1) ids."""
+    decay = Fraction(-1, ball.q) ** (depth - 1)
+    full, rest = divmod(count, ball.qpow[depth - 1])
+    runs = [(base[a] * decay, ball.qpow[depth - 1]) for a in range(1, full + 1)]
+    return runs + [(base[full + 1] * decay, rest)] if rest else runs
 
 
 def verify_extension(ball, base_values):
     """Panel sums of the harmonic extension vanish at every interior panel."""
-    b = _integer_base(base_values)
+    if sum(base_values.values(), Fraction(0)) != 0:
+        raise NotHarmonicBase("base values do not sum to zero at the root panel")
     for a in range(1, ball.q + 2):
-        if a not in b:
+        if a not in base_values:
             raise NotInBall(f"chamber {a} does not resolve to the root panel")
     levels = ball.panel_levels()
-    X = _extension_values(ball, b, len(levels))
-    failures = _panel_failures(ball, levels, X)
+    failures = _panel_failures(ball, levels, lambda n, k: _extension_runs(ball, base_values, n, k))
     panels = sum(stop - first for _, first, stop in levels)
     return ExtensionReport(q=ball.q, panels_checked=panels, failures=failures)
 

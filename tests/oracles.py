@@ -5,9 +5,8 @@ evaluated chamber by chamber."""
 
 from fractions import Fraction
 
-from steinberg_lab.errors import BudgetExceeded, NotInBall
+from steinberg_lab.errors import BudgetExceeded, NotHarmonicBase, NotInBall
 from steinberg_lab.rootsys import _RANK_BOUNDS, _sub, build, subsystem_components
-from steinberg_lab.tree_oracle import _integer_base
 
 
 def subsystem_simples(sys, roots):
@@ -165,8 +164,9 @@ def explicit_adjacency(ball):
 
 def extend_base(ball, base_values):
     """Value of the harmonic extension at any chamber of the ball; a chamber walks its
-    parents to its depth-one ancestor, not the block layout `_extension_values` reads."""
-    _integer_base(base_values)  # raises NotHarmonicBase on an unbalanced base
+    parents to its depth-one ancestor, not the subtree blocks `_extension_runs` reads."""
+    if sum(base_values.values(), Fraction(0)) != 0:
+        raise NotHarmonicBase("base values do not sum to zero at the root panel")
 
     def value(c):
         a, dist = c, 0

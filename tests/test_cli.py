@@ -325,6 +325,16 @@ def _first_run_off_by_one(runs):
     return broken
 
 
+def _last_run_doubled_at_depth_two(runs):
+    """The extension's last run at depth 2, under chamber q + 1, doubled; chamber 1,
+    under the first run, has the base value 0, where doubling changes nothing."""
+    def broken(ball, base, depth, count):
+        *rest, (x, length) = runs(ball, base, depth, count)
+        return [*rest, (x * (1 + (depth == 2)), length)]
+
+    return broken
+
+
 # A break of the layer function each check family reads, made from the original, for
 # the families that no other test drives to a fail: a check that cannot fail checks nothing.
 BREAKS = {
@@ -343,6 +353,7 @@ BREAKS = {
     "iwahori-harmonic-q": ("tree", tree_oracle, "_level_runs", _first_run_off_by_one),
     "shell-counts-q": ("tree", tree_oracle, "_level_runs", _first_run_off_by_one),
     "axis-distance-q": ("tree", tree_oracle, "_level_runs", _first_run_off_by_one),
+    "extension-q": ("tree", tree_oracle, "_extension_runs", _last_run_doubled_at_depth_two),
 }
 
 

@@ -1,12 +1,24 @@
 import random
 from collections import deque
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from oracles import chamber_distance, explicit_adjacency, extend_base, interior_panels, tree_distance
+from steinberg_lab import suites
 from steinberg_lab import tree_oracle as T
 from steinberg_lab.errors import BudgetExceeded, NotHarmonicBase, NotInBall
+
+
+def _expanded(ball, runs, levels):
+    """E[c] for every chamber c in the stars of levels, runs(n, count) expanded
+    level by level (each level of stars begins its depth); E[0] stands for the root."""
+    E = [None]
+    for n, first, stop in levels:
+        for value, length in runs(n + 1, (ball.q + 1 if n == 0 else ball.q) * (stop - first)):
+            E += [value] * length
+    return E
 
 
 def test_build_ball_counts():
@@ -39,8 +51,26 @@ def test_axis_matches_apartment_line():
             d = tree_distance(ball, ball.axis_chamber(i), ball.axis_chamber(j))
             assert d == abs(i - j)
     for i in range(-5, 6):
-        E = T._chamber_distances(ball, ball.axis_chamber(i), ball.panel_levels())
+        E = _expanded(ball, partial(T._level_runs, ball, ball.axis_chamber(i)), ball.panel_levels())
         assert [E[ball.axis_chamber(j)] for j in range(-6, 7)] == [abs(i - j) for j in range(-6, 7)]
+
+
+def test_children_stop_at_the_last_addressable_depth():
+    # at q = 3, r = 2, children(53) once handed out 161 to 163, which depth() refuses
+    ball = T.build_ball(3, 2)
+    r, s = ball.radius, ball.starts
+    assert ball.children(s[r + 1]) == [s[r + 2], s[r + 2] + 1, s[r + 2] + 2]
+    assert ball.depth(ball.children(s[r + 2] - 1)[-1]) == r + 2
+    for v in (s[r + 2], s[r + 3] - 1):
+        with pytest.raises(NotInBall, match=f"vertex {v} at the last constructed depth {r + 2}"):
+            ball.children(v)
+
+
+@pytest.mark.parametrize("q, radius", [(3, 12), (7, 7), (9, 6)])
+def test_largest_accepted_balls_pass_the_tree_suite(q, radius):
+    # the radius limit MAX_RADIUS and the chamber budget: the largest balls verify tree accepts
+    report = suites.run_suite("tree", q=q, radius=radius)
+    assert [c["id"] for c in report.checks if c["status"] != "pass"] == []
 
 
 def test_axis_chamber_is_the_first_child_chain_in_the_addressable_ball():
@@ -179,14 +209,14 @@ def test_chamber_distances_agree_with_pairwise_and_bfs(q, radius):
         pairwise = {c: chamber_distance(ball, c, ref) for c in stars[-1]}
         assert all(T._run_distance(ball, ref, c) == pairwise[c] for c in stars[-1])
         for levels, star_chambers in zip(cuts, stars):
-            E = T._chamber_distances(ball, ref, levels)
+            E = _expanded(ball, partial(T._level_runs, ball, ref), levels)
             assert len(E) == star_chambers[-1] + 1
             assert all(E[c] == pairwise[c] for c in star_chambers)
     adj = explicit_adjacency(ball)
     rng = random.Random(q * 100 + radius)
     for ref in rng.sample(ids, 8):
         table = _bfs(adj, ref)
-        E = T._chamber_distances(ball, ref, cuts[-1])
+        E = _expanded(ball, partial(T._level_runs, ball, ref), cuts[-1])
         assert all(E[c] == table[c] for c in stars[-1])
 
 
@@ -204,7 +234,7 @@ def test_level_runs_are_at_most_2m_plus_1(q, radius):
             assert sum(length for _, length in runs) == count
 
 
-@pytest.mark.parametrize("q, radius, r_inner", [(3, 5, 2), (5, 4, 1)])
+@pytest.mark.parametrize("q, radius, r_inner", [(3, 5, 2), (5, 4, 1), (3, 4, 3), (7, 2, 1)])
 def test_strided_panel_sums_match_pairwise_star_sums(q, radius, r_inner):
     # A star has one chamber at some distance d and q at d + 1, so adding
     # 1 at odd and -q at even distances keeps a panel sum 0 exactly when d
@@ -217,11 +247,26 @@ def test_strided_panel_sums_match_pairwise_star_sums(q, radius, r_inner):
     stars = [ball.panel_chambers(w) for w in interior_panels(ball)]
     total = 0
     for ref in refs:
-        X = [P[e] for e in T._chamber_distances(ball, ref, levels)]
+
+        def runs(n, count):
+            return [(P[d], length) for d, length in T._level_runs(ball, ref, n, count)]
+
         pairwise = sum(1 for star in stars if sum(P[chamber_distance(ball, c, ref)] for c in star))
-        assert T._panel_failures(ball, levels, X) == pairwise
+        assert T._panel_failures(ball, levels, runs) == pairwise
         total += pairwise
     assert 0 < total < len(refs) * len(stars)
+    # Distance runs split at most one panel's children per level; values
+    # drawn per chamber, one run each, split every panel's children.
+    rng = random.Random(q * 100 + radius)
+    s = ball.starts
+    X = [rng.choice((-1, 0, 1)) for _ in range(s[radius + 2])]
+
+    def runs(n, count):
+        return [(X[c], 1) for c in range(s[n], s[n] + count)]
+
+    pairwise = sum(1 for star in stars if sum(X[c] for c in star))
+    assert T._panel_failures(ball, levels, runs) == pairwise
+    assert 0 < pairwise < len(stars)
 
 
 def test_panel_levels_cut_at_max_depth():
@@ -292,22 +337,24 @@ def test_integer_panel_sums_match_fraction_sums(q, radius):
     levels = ball.panel_levels()
     depth = len(levels)
     stars = [ball.panel_chambers(w) for w in interior_panels(ball)]
-    # a balanced base over the common denominator 6 (q - 1), to exercise the scaling
+    # a balanced base over the common denominator 6 (q - 1), so the runs carry fractions
     others = list(range(3, q + 2))
     base = {1: Fraction(1, 2), 2: Fraction(-1, 3)}
     base.update({c: Fraction(-1, 6 * len(others)) for c in others})
-    b = T._integer_base(base)
-    den = 6 * len(others)
-    assert all(Fraction(b[a], den) == base[a] for a in base)
     value = extend_base(ball, base)
-    X = T._extension_values(ball, b, depth)
-    scale = den * q ** (depth - 1)
+    X = _expanded(ball, partial(T._extension_runs, ball, base), levels)
     for star in stars:
-        assert [X[c] for c in star] == [value(c) * scale for c in star]
-        assert Fraction(sum(X[c] for c in star), scale) == sum(value(c) for c in star)
+        assert [X[c] for c in star] == [value(c) for c in star]
+        assert sum(X[c] for c in star) == sum(value(c) for c in star)
+    # a prefix ending inside a subtree's block, which no level of panels reads
+    s = ball.starts
+    for n in range(2, depth + 1):
+        count = s[n + 1] - s[n] - 1
+        flat = [x for x, length in T._extension_runs(ball, base, n, count) for _ in range(length)]
+        assert flat == [value(c) for c in range(s[n], s[n] + count)]
     # the Iwahori check is the hctest with the base chamber as its one reference
     top = 1 + depth
-    E = T._chamber_distances(ball, 1, levels)
+    E = _expanded(ball, partial(T._level_runs, ball, 1), levels)
     for star in stars:
         terms = [(-1) ** E[c] * q ** (top - E[c]) for c in star]
         iwahori = [Fraction(-1, q) ** chamber_distance(ball, 1, c) for c in star]
@@ -329,6 +376,13 @@ def test_extension_rejects_unbalanced_base():
     bad = {c: Fraction(1) for c in ball.panel_chambers(0)}
     with pytest.raises(NotHarmonicBase):
         T.verify_extension(ball, bad)
+    with pytest.raises(NotHarmonicBase):
+        extend_base(ball, bad)
+    # the balance is checked first, then that every depth-one chamber has a value
+    with pytest.raises(NotHarmonicBase):
+        T.verify_extension(ball, {1: Fraction(1)})
+    with pytest.raises(NotInBall, match="chamber 3 does not resolve"):
+        T.verify_extension(ball, {1: Fraction(1), 2: Fraction(-1)})
 
 
 def test_zero_base_extends_to_zero():
