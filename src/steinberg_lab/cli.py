@@ -87,6 +87,12 @@ def cmd_verify(args):
             tree_oracle.build_ball(args.q, radius)  # O(radius): sizes the ball, enumerates nothing
         except BudgetExceeded as exc:
             _fail_usage(f"tree ball at q={args.q}, radius {radius}: {exc}")
+    json_out = None
+    if args.json:
+        try:  # opened before any suite runs, so an unwritable path is a usage error
+            json_out = open(args.json, "w", encoding="utf-8")
+        except OSError as exc:
+            _fail_usage(f"cannot write --json {args.json}: {exc.strerror}")
     reports = []
     for name in sorted(names):
         try:
@@ -97,9 +103,9 @@ def cmd_verify(args):
             reports.append(crashed)
     payload = {"reports": [r.to_dict() for r in reports]}
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    if json_out:
+        with json_out:
+            json_out.write(text + "\n")
     for rep in reports:
         for c in rep.checks:
             print(f"{rep.suite:10s} {c['status']:4s} {c['id']}: {c['value']} (expected {c['expected']})")

@@ -75,7 +75,7 @@ def eic_character(sys):
     fam, d = sys.type.family, sys.type.rank
     if tables.is_a2n(sys):
         raise NotApplicable("no sign character in type A of even rank")
-    r = tables.expected_sigma_a_size(sys)
+    r = len(tables.sigma_a_table(sys))
     neg = range(1, r + 1)
     if fam == "B":
         neg = [i for i in neg if i % 2 == 0 or i == d]

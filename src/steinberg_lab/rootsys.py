@@ -44,6 +44,8 @@ class RootSystemType(namedtuple("RootSystemType", "family rank")):
         if family not in _RANK_BOUNDS:
             raise InvalidRank(f"unknown family {family!r}")
         lo, hi = _RANK_BOUNDS[family]
+        if type(rank) is not int:
+            raise InvalidRank(f"rank {rank!r} of family {family} is not an int")
         if rank < lo or (hi is not None and rank > hi):
             raise InvalidRank(f"rank {rank} out of bounds for family {family}")
         return super().__new__(cls, family, rank)
@@ -362,7 +364,7 @@ class RootSystem:
         return f"RootSystem({self.type})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: build("A", True) is refused, not served build("A", 1)
 def build(family, rank):
     """Construct (and cache) the root system of the given type."""
     return RootSystem(RootSystemType(family, rank))

@@ -129,7 +129,7 @@ def lambda_tvoth(sys, q, ch_da_count):
     if ch_da_count <= 0:
         raise ValueError("the chamber count must be positive")
     # the fixed facet's dimension: the rank less the size of the tabled set
-    d_prime = sys.type.rank - tables.expected_sigma_a_size(sys)
+    d_prime = sys.type.rank - len(tables.sigma_a_table(sys))
     if d_prime == 0:
         return Fraction(ch_da_count)
     rr = r1_r2(sys)

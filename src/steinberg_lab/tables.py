@@ -142,18 +142,6 @@ def sign_basis(sys):
     return [table[i] for i in _SIGN_ORDER.get(str(sys.type), range(len(table)))]
 
 
-def expected_sigma_a_size(sys):
-    """Cardinality of the classified set, from the tables."""
-    fam, d = sys.type.family, sys.type.rank
-    if fam == "A":
-        return (d + 1) // 2
-    if fam == "D" and d % 2 == 1:
-        return d - 1
-    if fam == "E" and d == 6:
-        return 4
-    return d
-
-
 def chi_test_coweights(sys):
     """Representatives of Y / Y^2 used by the character-compatibility check.
 

@@ -13,18 +13,18 @@ under vertex 1 at depth r + 1, which begin their level, so a ball is one
 id range (`TreeBall.chambers`).
 
 The panel checks walk the interior panels level by level (`panel_levels`)
-and read each level's chamber values as constant runs, never as a table.
-The distances to a reference chamber are at most 2m + 1 runs per level
-(`_level_runs`): the nested id ranges of the reference's m + 1 ancestors.
-The hctest maps each run through a power table to an exact scaled
-int, the Iwahori check is the hctest with the base chamber as its one
-reference, and the harmonic extension is one exact `Fraction` run per
-depth-one subtree (`_extension_runs`).  A level of panels folds the runs
-of its children, q ids to a panel, into runs of star sums
-(`_panel_failures`), so a stretch of panels with constant values passes or
-fails at once.  The shell counts add up the base chamber's runs over the
-ball's range, and one chamber's distance is the last run of its level cut
-at it (`_run_distance`), which the axis check reads along the apartment.
+and build each depth's chamber values once, as constant runs, never as a
+table.  The distances to a reference chamber are at most 2m + 1 runs per
+level (`_level_runs`): the nested id ranges of the reference's m + 1
+ancestors.  The hctest maps each run through a power table to an exact
+scaled int, the Iwahori check is the hctest with the base chamber as its
+one reference, and the harmonic extension is one exact `Fraction` run per
+depth-one subtree (`_extension_runs`).  A level folds its children's runs,
+q ids to a panel, into runs of star sums, and the next level reads the same
+runs as its own (`_panel_failures`): panels over constant runs pass or fail
+at once.  The shell counts add up the base chamber's runs over the ball's
+range, and one chamber's distance is the last run of its level cut at it
+(`_run_distance`), which the axis check reads along the apartment.
 """
 
 from __future__ import annotations
@@ -94,18 +94,17 @@ class TreeBall:
         return [w] + self.children(w)
 
     def panel_levels(self, max_depth=None):
-        """Vertices whose full star lies inside the ball, as (depth, first, stop) ranges.
+        """Vertices whose full star lies inside the ball, as (depth, width)
+        levels from the root down, each the first width ids of its depth.
 
         These are all vertices of depth < radius plus, at depth radius, the
         ones under vertex 1 (whose child chambers sit at distance radius).
-        Every range begins its level, so the children of a range are the
-        first ids of the next level.
         """
         r, s = self.radius, self.starts
         top = r - 1 if max_depth is None else min(r - 1, max_depth)
-        levels = [(n, s[n], s[n + 1]) for n in range(top + 1)]
+        levels = [(n, s[n + 1] - s[n]) for n in range(top + 1)]
         if r and (max_depth is None or max_depth >= r):
-            levels.append((r, s[r], s[r] + self.qpow[r - 1]))
+            levels.append((r, self.qpow[r - 1]))
         return levels
 
     def axis_chamber(self, offset):
@@ -190,23 +189,24 @@ def _run_distance(ball, ref, c):
 def _panel_failures(ball, levels, runs):
     """How many panels in levels have a nonzero sum over their star, where
     runs(n, count) gives the values of the first count chambers at depth n
-    as (value, length) runs in id order.
+    as (value, length) runs in id order; each depth is asked once.
 
     The root's star is the q + 1 chambers at depth 1.  A panel w at depth
-    n >= 1 has the star w plus its q children, the next q ids of depth
-    n + 1, so the children's runs fold into runs of per-panel sums
-    (`_child_sums`).  Merged with the panels' own runs, both values are
-    constant over each stretch, which fails as a whole or not at all.
+    n >= 1 has the star w plus the next q ids of depth n + 1, so the runs
+    of depth n + 1 fold into runs of per-panel sums (`_child_sums`) and are
+    then the next level's own runs.  Both values are constant over each
+    stretch of the merge, which fails as a whole or not at all.
     """
+    if not levels:
+        return 0
     q = ball.q
-    failures = 0
-    for n, first, stop in levels:
-        if n == 0:
-            failures += sum(x * length for x, length in runs(1, q + 1)) != 0
-            continue
-        own = iter(runs(n, stop - first))
+    children = runs(1, q + 1)
+    failures = int(sum(x * length for x, length in children) != 0)
+    for n, width in levels[1:]:
+        own = iter(children)
+        children = runs(n + 1, q * width)
         left = 0
-        for total, panels in _child_sums(runs(n + 1, q * (stop - first)), q):
+        for total, panels in _child_sums(children, q):
             while panels:
                 if not left:
                     x, left = next(own)
@@ -253,7 +253,7 @@ def _hctest(ball, refs, panel_depth):
         return lambda n, count: [(power[d], length) for d, length in _level_runs(ball, ref, n, count)]
 
     failures = sum(_panel_failures(ball, levels, power_runs(ref)) for ref in refs)
-    panels = sum(stop - first for _, first, stop in levels)
+    panels = sum(width for _, width in levels)
     return HctestReport(q=q, panels_checked=panels, references_checked=len(refs), failures=failures)
 
 
@@ -319,7 +319,7 @@ def verify_extension(ball, base_values):
             raise NotInBall(f"chamber {a} does not resolve to the root panel")
     levels = ball.panel_levels()
     failures = _panel_failures(ball, levels, lambda n, k: _extension_runs(ball, base_values, n, k))
-    panels = sum(stop - first for _, first, stop in levels)
+    panels = sum(width for _, width in levels)
     return ExtensionReport(q=ball.q, panels_checked=panels, failures=failures)
 
 

@@ -93,7 +93,8 @@ def classify_subsystem(sys, roots):
 
 def interior_panels(ball, max_depth=None):
     """The vertices of `TreeBall.panel_levels`, as one list."""
-    return [w for _, first, stop in ball.panel_levels(max_depth) for w in range(first, stop)]
+    s = ball.starts
+    return [w for n, width in ball.panel_levels(max_depth) for w in range(s[n], s[n] + width)]
 
 
 def parent(ball, v):

@@ -238,6 +238,20 @@ def test_verify_radius_below_tree_minimum_exits_2(args, minimum, main_cli):
     assert out.stdout == ""
 
 
+def test_verify_unwritable_json_path_exits_2(tmp_path, monkeypatch, main_cli):
+    # once ran every suite first, then ended in a FileNotFoundError traceback and exit 1
+    def no_suite(name, **kwargs):
+        raise AssertionError(f"suite {name} ran before the --json path was checked")
+
+    monkeypatch.setattr(suites, "run_suite", no_suite)
+    path = tmp_path / "missing" / "x.json"
+    out = main_cli("verify", "tree", "--q", "3", "--radius", "4", "--json", str(path))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ") and str(path) in out.stderr
+    assert not path.parent.exists()
+
+
 @pytest.mark.parametrize(
     "args, env, count, budget",
     [

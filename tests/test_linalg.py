@@ -16,8 +16,9 @@ from steinberg_lab.suites import ACCEPTANCE_TYPES, SIGN_CALCULUS_TYPES
 def _full_rank_sigma_tables(types):
     for fam, rank in types:
         sys = build(fam, rank)
-        if tables.expected_sigma_a_size(sys) == rank:
-            yield sys, tuple(tables.sigma_a_table(sys))
+        table = tuple(tables.sigma_a_table(sys))
+        if len(table) == rank:
+            yield sys, table
 
 
 def test_from_ambient_matches_solve_exact_on_plate_roots():

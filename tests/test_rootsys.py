@@ -53,6 +53,16 @@ def test_invalid_ranks():
         RootSystemType("E", 8)._replace(rank=9)
 
 
+def test_rank_must_be_an_int():
+    # True once built a system named ATrue, which the cache then served for
+    # ("A", 1); 2.0 and "3" raised a TypeError from the bounds comparison
+    assert str(build("A", 1).type) == "A1"
+    for rank in (True, 2.0, "3"):
+        with pytest.raises(InvalidRank, match=f"rank {rank!r} of family A is not an int"):
+            build("A", rank)
+    assert str(build("A", 1).type) == "A1"
+
+
 # every type a suite builds, the benchmark's A7, B6-B8, C5-C8 and D7-D8 among them
 SUITE_TYPES = sorted(set(ACCEPTANCE_TYPES) | set(SIGN_CALCULUS_TYPES) | set(TRICHOTOMY_TYPES))
 ORACLE_TYPES = SUITE_TYPES + [("A", 8), ("B", 12), ("D", 16)]

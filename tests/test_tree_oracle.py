@@ -15,8 +15,8 @@ def _expanded(ball, runs, levels):
     """E[c] for every chamber c in the stars of levels, runs(n, count) expanded
     level by level (each level of stars begins its depth); E[0] stands for the root."""
     E = [None]
-    for n, first, stop in levels:
-        for value, length in runs(n + 1, (ball.q + 1 if n == 0 else ball.q) * (stop - first)):
+    for n, width in levels:
+        for value, length in runs(n + 1, (ball.q + 1 if n == 0 else ball.q) * width):
             E += [value] * length
     return E
 
@@ -201,8 +201,8 @@ def test_chamber_distances_agree_with_pairwise_and_bfs(q, radius):
     ball = T.build_ball(q, radius)
     cuts = [ball.panel_levels(d) for d in range(radius + 1)]
     stars = [
-        sorted({c for _, first, stop in levels for w in range(first, stop) for c in ball.panel_chambers(w)})
-        for levels in cuts
+        sorted({c for w in interior_panels(ball, d) for c in ball.panel_chambers(w)})
+        for d in range(radius + 1)
     ]
     ids = list(ball.chambers())
     for ref in ids:
@@ -226,8 +226,8 @@ def test_level_runs_are_at_most_2m_plus_1(q, radius):
     ball = T.build_ball(q, radius)
     for ref in ball.chambers():
         m = ball.depth(ref)
-        for n, first, stop in ball.panel_levels():
-            count = (q + 1 if n == 0 else q) * (stop - first)
+        for n, width in ball.panel_levels():
+            count = (q + 1 if n == 0 else q) * width
             runs = T._level_runs(ball, ref, n + 1, count)
             assert len(runs) <= 2 * m + 1
             assert all(length > 0 for _, length in runs)
@@ -269,13 +269,36 @@ def test_strided_panel_sums_match_pairwise_star_sums(q, radius, r_inner):
     assert 0 < pairwise < len(stars)
 
 
+def _depths_asked(ball, levels, runs):
+    """The depths _panel_failures asks runs for, in order, and its count."""
+    asked = []
+
+    def recorded(n, count):
+        asked.append(n)
+        return runs(n, count)
+
+    return asked, T._panel_failures(ball, levels, recorded)
+
+
+@pytest.mark.parametrize("q, radius", [(3, 5), (5, 3)])
+def test_panel_walk_asks_each_depth_once(q, radius):
+    # the runs built for depth n + 1 are level n's children and then level
+    # n + 1's own chambers, so no depth is built twice
+    ball = T.build_ball(q, radius)
+    levels = ball.panel_levels()
+    depths = list(range(1, len(levels) + 1))
+    asked, _ = _depths_asked(ball, levels, partial(T._level_runs, ball, ball.axis_chamber(-2)))
+    assert asked == depths
+    asked, failures = _depths_asked(ball, levels, partial(T._extension_runs, ball, T.legendre_base(ball)))
+    assert (asked, failures) == (depths, 0)
+
+
 def test_panel_levels_cut_at_max_depth():
     ball = T.build_ball(3, 4)
-    assert [n for n, _, _ in ball.panel_levels()] == [0, 1, 2, 3, 4]
-    assert [n for n, _, _ in ball.panel_levels(2)] == [0, 1, 2]
+    assert [n for n, _ in ball.panel_levels()] == [0, 1, 2, 3, 4]
+    assert [n for n, _ in ball.panel_levels(2)] == [0, 1, 2]
     # at depth radius only the panels under vertex 1 are interior
-    n, first, stop = ball.panel_levels()[-1]
-    assert (first, stop - first) == (ball.starts[4], 27)
+    assert ball.panel_levels()[-1] == (4, 27)
     assert T.build_ball(3, 0).panel_levels() == []
 
 
