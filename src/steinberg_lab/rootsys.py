@@ -12,6 +12,10 @@ row of values (<alpha_j, xi>)_j on the simple roots, integers on P_vee =
 Hom(Q, Z).  Each root beta gets one such coroot row (<alpha_j, beta_vee>)_j,
 computed once; the Cartan matrix is the simple roots' rows, and every pairing
 and reflection is a dot product with a row, so none needs rational arithmetic.
+Orthogonality is held the same way: `orthogonal_row` gives each root, once and
+only when something reads it, two bitmasks over the indices of `roots`, its
+orthogonal roots and its strongly orthogonal ones, so a test over all pairs
+of roots ANDs rows instead of testing pairs.
 """
 
 from __future__ import annotations
@@ -214,6 +218,7 @@ class RootSystem:
         self.gram = tuple(tuple(2 * x // g for x in row) for row in raw)
         self.simples = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
         self._coroots = {}
+        self._orthogonal_rows = {}
         self.cartan = tuple(map(self.coroot, self.simples))
         # negation reverses lexicographic order, and negatives sort before positives
         self.positive_roots = _positive_roots(self.cartan)
@@ -284,6 +289,24 @@ class RootSystem:
             if any(2 * x % bb for x in g_beta):
                 raise AssertionError("non-integral root pairing")
             row = self._coroots[beta] = tuple(2 * x // bb for x in g_beta)
+        return row
+
+    def orthogonal_row(self, beta):
+        """(orth, strong) for a root beta, two bitmasks over the indices of `roots`:
+        bit j of orth is set when (beta, roots[j]) = 0, and bit j of strong when
+        also beta + roots[j] is not a root.  Neither has a bit for +/- beta.  Built
+        once per root, from one Gram row of beta."""
+        row = self._orthogonal_rows.get(beta)
+        if row is None:
+            g_beta = [sum(map(mul, g, beta)) for g in self.gram]
+            index = self.root_index
+            orth = strong = 0
+            for j, r in enumerate(self.roots):
+                if sum(map(mul, r, g_beta)) == 0:
+                    orth |= 1 << j
+                    if tuple(map(add, beta, r)) not in index:
+                        strong |= 1 << j
+            row = self._orthogonal_rows[beta] = (orth, strong)
         return row
 
     def root_pairing(self, alpha, beta):

@@ -40,15 +40,10 @@ def so_set(sys, members):
 
 
 def so_complement(sys, members):
-    """Roots strongly orthogonal to every member; a closed subsystem."""
-    members = [sys.check_root(m) for m in members]
-    out = []
-    for r in sys.roots:
-        if any(r == m or r == _neg(m) for m in members):
-            continue
-        if all(strongly_orthogonal(sys, r, m) for m in members):
-            out.append(r)
-    comp = tuple(sorted(out))
+    """Roots strongly orthogonal to every member, in root order; a closed subsystem.
+    A non-root member raises NotARoot."""
+    mask = _common_row(sys, members, strong=True)
+    comp = tuple(r for j, r in enumerate(sys.roots) if mask >> j & 1)
     comp_set = set(comp)
     for r in comp:
         if _neg(r) not in comp_set:
@@ -89,18 +84,28 @@ def _sigma_rec(sys, support):
     return out
 
 
+def _common_row(sys, members, *, strong):
+    """The AND of the members' orthogonal rows, or of their strongly orthogonal
+    rows when strong is true; every root for no member.  Raises NotARoot, naming
+    the vector, for a member that is not a root."""
+    mask = (1 << len(sys.roots)) - 1
+    for m in members:
+        mask &= sys.orthogonal_row(sys.check_root(m))[strong]
+    return mask
+
+
 def satisfies_c1(sys, members):
     """First witness (alpha in members, beta in Phi) of condition (C1), or None.
 
-    members is a sequence of roots, such as `so_set` returns.  beta must be
-    orthogonal to every member except alpha, with <alpha, beta_vee> odd.
+    members is a sequence of roots, such as `so_set` returns; a non-root raises
+    NotARoot.  beta must be orthogonal to every member except alpha, with
+    <alpha, beta_vee> odd; the first such beta in root order is the witness.
     """
+    members = [sys.check_root(m) for m in members]
     for alpha in members:
-        others = [m for m in members if m != alpha]
-        for beta in sys.roots:
-            if sys.root_pairing(alpha, beta) % 2 == 0:
-                continue
-            if all(sys.root_pairing(m, beta) == 0 for m in others):
+        mask = _common_row(sys, [m for m in members if m != alpha], strong=False)
+        for j, beta in enumerate(sys.roots):
+            if mask >> j & 1 and sys.root_pairing(alpha, beta) % 2:
                 return C1Witness(alpha=alpha, beta=beta)
     return None
 
@@ -215,22 +220,23 @@ def enumerate_so_sets(sys):
     budget = read_budget(_DEFAULT_BUDGET)
     if sys.weyl_order() > budget:
         raise BudgetExceeded(f"|W({sys.type})| = {sys.weyl_order()} exceeds the budget of {budget}")
-    pos = list(sys.positive_roots)
+    pos = sys.positive_roots
     n = len(pos)
-    so = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if strongly_orthogonal(sys, pos[i], pos[j]):
-                so[i][j] = so[j][i] = True
+    # the positive roots are the last n of sys.roots
+    adjacent = [sys.orthogonal_row(r)[1] >> n for r in pos]
     cliques = [()]
 
     def grow(prefix, candidates):
-        for idx, c in enumerate(candidates):
+        # lowest index first, so each clique follows the cliques it extends
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            c = low.bit_length() - 1
             nxt = prefix + (c,)
             cliques.append(nxt)
-            grow(nxt, [d for d in candidates[idx + 1 :] if so[c][d]])
+            grow(nxt, candidates & adjacent[c])
 
-    grow((), list(range(n)))
+    grow((), (1 << n) - 1)
     seen_canon = {}
     for clique in cliques:
         members = [pos[i] for i in clique]
@@ -251,14 +257,10 @@ def is_maximal_so(sys, members):
 
 
 def is_maximal_orthogonal(sys, members):
-    """No root outside +/- the set is plainly orthogonal to all members."""
-    member_set = {m for m in members} | {_neg(m) for m in members}
-    for r in sys.roots:
-        if r in member_set:
-            continue
-        if all(sys.root_pairing(r, m) == 0 for m in members):
-            return False
-    return True
+    """No root outside +/- the set is plainly orthogonal to all members; a
+    non-root member raises NotARoot.  A root is not orthogonal to itself, so
+    the members' rows already leave +/- the members out."""
+    return _common_row(sys, members, strong=False) == 0
 
 
 class AnismaxReport(namedtuple("AnismaxReport", "system clauses classes")):

@@ -78,7 +78,7 @@ def _render(v):
 
 
 def suite_rootsys():
-    from .rootsys import _neg, build, strongly_orthogonal
+    from .rootsys import build
     rep = SuiteReport("rootsys")
     for fam, rank in ACCEPTANCE_TYPES + [("A", 2), ("A", 4)]:
         sys = build(fam, rank)
@@ -108,20 +108,16 @@ def suite_rootsys():
         )
     for fam, rank in [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2)]:
         sys = build(fam, rank)
-        neg_ok = True
-        sto_ok = True
-        for a in sys.roots:
-            for b in sys.roots:
-                if a == b or a == _neg(b):
-                    continue
-                if strongly_orthogonal(sys, a, b) and not strongly_orthogonal(sys, _neg(a), b):
-                    neg_ok = False
-                if (
-                    sys.root_pairing(a, b) == 0
-                    and (sys.is_long(a) or sys.is_long(b))
-                    and not strongly_orthogonal(sys, a, b)
-                ):
-                    sto_ok = False
+        n = len(sys.roots)
+        everything = (1 << n) - 1
+        long_mask = sum(1 << j for j, r in enumerate(sys.roots) if sys.is_long(r))
+        rows = list(map(sys.orthogonal_row, sys.roots))
+        # roots[n - 1 - i] is -roots[i]
+        neg_ok = not any(strong & ~rows[n - 1 - i][1] for i, (_, strong) in enumerate(rows))
+        sto_ok = not any(
+            orth & (everything if sys.is_long(a) else long_mask) & ~strong
+            for a, (orth, strong) in zip(sys.roots, rows)
+        )
         rep.add(
             f"negation-stability-{fam}{rank}",
             "strong orthogonality survives negating one member",

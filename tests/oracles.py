@@ -1,12 +1,28 @@
-"""References the tests compare the package against, which no command runs: the
-Cartan-matrix classifier of a closed subsystem, the parent walk, the pairwise chamber
-distance and the materialized chamber graph of a tree ball, and the harmonic extension
-evaluated chamber by chamber."""
+"""References the tests compare the package against, which no command runs: exact
+solves for many right-hand sides at once, the Cartan-matrix classifier of a closed
+subsystem, the parent walk, the pairwise chamber distance and the materialized chamber
+graph of a tree ball, and the harmonic extension evaluated chamber by chamber."""
 
 from fractions import Fraction
 
 from steinberg_lab.errors import BudgetExceeded, NotHarmonicBase, NotInBall
+from steinberg_lab.linalg import _rref
 from steinberg_lab.rootsys import _RANK_BOUNDS, _sub, build, subsystem_components
+
+
+def solve_many(columns, rhss):
+    """`linalg.solve_exact` for every rhs in rhss from one Fraction reduction of
+    [columns | rhss]: a coefficient list per rhs, or None where it is inconsistent.
+    Raises ValueError when the columns are linearly dependent."""
+    k, n = len(columns), len(columns[0])
+    rows = [[Fraction(c[i]) for c in columns] + [Fraction(v[i]) for v in rhss] for i in range(n)]
+    if len(_rref(rows, k)) < k:
+        raise ValueError("columns are linearly dependent")
+    # full column rank puts pivot j in row j; a nonzero entry below row k is inconsistent
+    return [
+        None if any(row[t] for row in rows[k:]) else [row[t] for row in rows[:k]]
+        for t in range(k, k + len(rhss))
+    ]
 
 
 def subsystem_simples(sys, roots):

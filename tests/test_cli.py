@@ -352,9 +352,10 @@ def _last_run_doubled_at_depth_two(runs):
 # A break of the layer function each check family reads, made from the original, for
 # the families that no other test drives to a fail: a check that cannot fail checks nothing.
 BREAKS = {
-    "negation-stability-": ("rootsys", rootsys, "strongly_orthogonal",
-                            lambda so: lambda sys, a, b: so(sys, a, b) and sys.is_positive(a)),
-    "orthogonal-long-": ("rootsys", rootsys, "strongly_orthogonal", lambda so: lambda *args: False),
+    "negation-stability-": ("rootsys", rootsys.RootSystem, "orthogonal_row",
+                            lambda row: lambda sys, b: (row(sys, b)[0], row(sys, b)[1] * sys.is_positive(b))),
+    "orthogonal-long-": ("rootsys", rootsys.RootSystem, "orthogonal_row",
+                         lambda row: lambda sys, beta: (row(sys, beta)[0], 0)),
     "short-coeff-even-": ("sorth", rootsys.RootSystem, "is_long", lambda _: lambda sys, v: sum(v) > 1),
     "two-short-": ("sorth", rootsys.RootSystem, "is_long", lambda _: lambda sys, v: False),
     "distance-doubling-": ("apartment", apartment, "distance", lambda d: lambda a, b: d(a, b) ** 2),

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import solve_many
 from steinberg_lab import tables
 from steinberg_lab.apartment import facet_functional
 from steinberg_lab.errors import NotARoot
@@ -26,10 +27,25 @@ def test_from_ambient_matches_solve_exact_on_plate_roots():
     # coordinates of one over the other unchanged
     for fam, rank in ACCEPTANCE_TYPES:
         sys = build(fam, rank)
-        for v in _ambient_all_roots(fam, rank):
-            expected = solve_exact(sys._ambient_simples, v)
+        plates = _ambient_all_roots(fam, rank)
+        for v, expected in zip(plates, solve_many(sys._ambient_simples, plates), strict=True):
             assert all(x.denominator == 1 for x in expected)
             assert sys.from_ambient([Fraction(x, 2) for x in v]) == tuple(int(x) for x in expected)
+
+
+def test_solve_many_matches_solve_exact():
+    # the one-reduction reference the cross-checks below use, against the per-rhs solve
+    e6 = build("E", 6)
+    cases = [
+        (e6._ambient_simples, _ambient_all_roots("E", 6) + [(1,) * 8, (0,) * 8]),
+        (tables.sigma_a_table(build("B", 3)), build("B", 3).roots),
+        ([(1, 0, 1), (0, 1, 1)], [(1, 1, 2), (1, 1, 1), (2, -3, -1)]),
+    ]
+    for columns, rhss in cases:
+        assert solve_many(columns, rhss) == [solve_exact(columns, v) for v in rhss]
+    assert None in solve_many(*cases[0])
+    with pytest.raises(ValueError, match="dependent"):
+        solve_many([(1, 0, 1), (2, 0, 2)], [(1, 0, 1)])
 
 
 def test_from_ambient_rejects_off_span_and_non_integral():
@@ -45,8 +61,7 @@ def test_coroot_pairings_are_the_doubled_coordinates_over_orthogonal_sets():
     # over an orthogonal basis beta_i, 2 alpha = sum_i <alpha, beta_i_vee> beta_i
     checked = []
     for sys, table in _full_rank_sigma_tables(sorted(set(ACCEPTANCE_TYPES) | set(SIGN_CALCULUS_TYPES))):
-        for alpha in sys.roots:
-            coords = solve_exact(table, alpha)
+        for alpha, coords in zip(sys.roots, solve_many(table, sys.roots), strict=True):
             assert [sys.root_pairing(alpha, b) for b in table] == [2 * c for c in coords]
         checked.append(str(sys.type))
     assert len(checked) == 22
@@ -59,8 +74,7 @@ def test_facet_expansion_matches_solve_exact():
     for sys, members in _full_rank_sigma_tables(ACCEPTANCE_TYPES):
         values = [Fraction(2 * i + 1, 2) for i in range(len(members))]
         fn = facet_functional(sys, members, dict(zip(members, values)))
-        for alpha in sys.roots:
-            expected = solve_exact(members, alpha)
+        for alpha, expected in zip(sys.roots, solve_many(members, sys.roots), strict=True):
             assert type(fn[alpha]) is int
             assert fn[alpha] == 2 * sum(c * v for c, v in zip(expected, values))
         sets += 1

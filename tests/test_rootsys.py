@@ -17,6 +17,7 @@ from steinberg_lab.rootsys import (
     parabolic_roots,
     subsystem_components,
     support_components,
+    _add,
     _neg,
     build,
     apply_word,
@@ -263,7 +264,23 @@ def test_strongly_orthogonal_examples():
         strongly_orthogonal(sys, (1, 0), (-1, 0))
 
 
+def test_orthogonal_rows_match_the_pairwise_tests():
+    for fam, rank in TRICHOTOMY_TYPES + [("B", 4), ("C", 4), ("D", 5), ("E", 6)]:
+        sys = build(fam, rank)
+        for a in sys.roots:
+            row = orth, strong = sys.orthogonal_row(a)
+            assert sys.orthogonal_row(a) is row
+            for j, b in enumerate(sys.roots):
+                is_orth = sys.root_pairing(a, b) == 0
+                assert orth >> j & 1 == is_orth
+                assert strong >> j & 1 == (is_orth and _add(a, b) not in sys.root_index)
+                if a not in (b, _neg(b)):
+                    assert strong >> j & 1 == strongly_orthogonal(sys, a, b)
+
+
 def test_negation_preserves_strong_orthogonality():
+    """The pairwise reference for the negation-stability check, which reads
+    orthogonal rows."""
     for fam, rank in [("B", 3), ("C", 3), ("D", 4), ("G", 2)]:
         sys = build(fam, rank)
         for a in sys.roots:
@@ -275,6 +292,8 @@ def test_negation_preserves_strong_orthogonality():
 
 
 def test_orthogonal_plus_long_is_strong():
+    """The pairwise reference for the orthogonal-long check, which reads
+    orthogonal rows."""
     for fam, rank in [("B", 2), ("C", 3), ("F", 4), ("G", 2)]:
         sys = build(fam, rank)
         for a in sys.roots:

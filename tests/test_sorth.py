@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -94,6 +95,41 @@ def test_so_set_checks_its_members():
         sorth.so_set(b2, [(1, 1), (1, 1)])
     # e1 + e2 and e1 - e2, as a tuple of root tuples
     assert sorth.so_set(b2, [[1, 2], (1, 0)]) == ((1, 2), (1, 0))
+
+
+def test_row_readers_refuse_non_roots():
+    # each member is checked before any row is read: no coroot row exists for the
+    # zero vector, and (5, 5, 5) pairs with roots but is none
+    b3 = build("B", 3)
+    for read in (sorth.satisfies_c1, sorth.is_maximal_orthogonal, sorth.so_complement):
+        for v in [(5, 5, 5), (0, 0, 0)]:
+            with pytest.raises(NotARoot, match=re.escape(f"{v} is not a root of B3")):
+                read(b3, [b3.highest_root, v])
+
+
+def test_row_readers_match_their_pairwise_definitions():
+    for fam, rank in TRICHOTOMY_TYPES + [("C", 4), ("D", 5)]:
+        sys = build(fam, rank)
+        for rep in sorth.enumerate_so_sets(sys):
+            signed = set(rep) | {_neg(m) for m in rep}
+            assert sorth.so_complement(sys, rep) == tuple(
+                r for r in sys.roots
+                if r not in signed and all(strongly_orthogonal(sys, r, m) for m in rep)
+            )
+            assert sorth.is_maximal_orthogonal(sys, rep) == all(
+                any(sys.root_pairing(r, m) for m in rep) for r in sys.roots if r not in signed
+            )
+            expected = next(
+                (
+                    (alpha, beta)
+                    for alpha in rep
+                    for beta in sys.roots
+                    if sys.root_pairing(alpha, beta) % 2
+                    and not any(sys.root_pairing(m, beta) for m in rep if m != alpha)
+                ),
+                None,
+            )
+            assert sorth.satisfies_c1(sys, rep) == expected
 
 
 def test_so_complement_types():
