@@ -8,7 +8,8 @@ chamber iff 0 <= h(a) + h(b) - h(a+b) <= ceiling for positive a, b, a+b
 (Shi 1987).  Crossing the wall of a root a raises h(a) by the ceiling, so
 one pass over the slacks of those inequalities finds the d+1 facet roots;
 the gallery metric, translations, reflections and the special chambers of
-type A with even rank all operate on these integer tuples.
+type A with even rank all operate on these integer tuples.  Central chambers
+are a closed form, checked against the brute filter over 2^d fine chambers.
 """
 
 from __future__ import annotations
@@ -224,36 +225,25 @@ def is_central(chamber):
 
 
 def central_chamber(sys, cf):
-    """The unique fine chamber of cf with no wall in a coarse wall (type A, even rank)."""
+    """The unique fine chamber of cf with no wall in a coarse wall (type A, rank 2n): the
+    one holding cf's barycentre.  Start from s[k] = k over the 0-indexed coordinates; each
+    positive root eps_k - eps_l of coarse value v moves v // 2 from s[l] to s[k].  The
+    barycentre orders the coordinates cyclically by s mod 2n + 1, which is odd, so it lies
+    on no fine wall: the fine value on eps_k - eps_l is v less one iff (s[k] - s[l]) mod
+    (2n + 1) <= n.  At the base this is the interleaving sigma, whose slot of coordinate k
+    (counted from 1) is 2k mod 2n + 1.  The brute filter (e_chambers_in_f_chamber with
+    is_central) is the reference; Humphreys, Reflection Groups and Coxeter Groups, ch. 4."""
     if not (sys.type.family == "A" and sys.type.rank % 2 == 0):
         raise NotTypeA2n(f"central chambers exist only in type A of even rank, not {sys.type}")
-    hits = [c for c in e_chambers_in_f_chamber(cf) if is_central(c)]
-    if len(hits) != 1:
-        raise AssertionError(f"expected exactly one central chamber, found {len(hits)}")
-    return hits[0]
-
-
-def central_chamber_sigma(sys):
-    """Closed-form central chamber of the base coarse chamber of A_{2n}.
-
-    Builds the interleaving permutation sigma (even slots to 1..n, odd slots
-    to n+1..2n+1) and reads off f from the slot parities: for slots i < j,
-    2 f(eps_sigma(i) - eps_sigma(j)) = i%2 - j%2, and the opposite root adds
-    the fine ceiling 1.
-    """
-    if not (sys.type.family == "A" and sys.type.rank % 2 == 0):
-        raise NotTypeA2n(str(sys.type))
+    if cf.level != F_LEVEL:
+        raise LevelMismatch("expected a coarse-level chamber")
     n = sys.type.rank // 2
-
-    def slot(k):  # sigma^-1(k)
-        return 2 * k if k <= n else 2 * (k - n) - 1
-
-    h = []
-    for r in sys.positive_roots:
-        # r = eps_k - eps_l = alpha_k + ... + alpha_{l-1}
-        k = r.index(1) + 1
-        i, j = slot(k), slot(k + sum(r))
-        h.append((i > j) + i % 2 - j % 2)
+    s = list(range(2 * n + 1))
+    ends = [(r.index(1), r.index(1) + sum(r)) for r in sys.positive_roots]
+    for (k, l), v in zip(ends, cf.h):
+        s[k] += v // 2
+        s[l] -= v // 2
+    h = (v - ((s[k] - s[l]) % (2 * n + 1) <= n) for (k, l), v in zip(ends, cf.h))
     return Chamber(sys, E_LEVEL, h)
 
 

@@ -7,7 +7,6 @@ from collections import namedtuple
 from . import tables
 from .errors import BudgetExceeded, read_budget
 from .rootsys import (
-    _add,
     _neg,
     apply_word,
     canonical_set,
@@ -41,18 +40,18 @@ def so_set(sys, members):
 
 def so_complement(sys, members):
     """Roots strongly orthogonal to every member, in root order; a closed subsystem.
-    A non-root member raises NotARoot."""
+    A non-root member raises NotARoot.  Every signed root sum is a positive sum triple
+    read with signs, so a symmetric set is closed iff no triple has exactly two inside."""
     mask = _common_row(sys, members, strong=True)
     comp = tuple(r for j, r in enumerate(sys.roots) if mask >> j & 1)
     comp_set = set(comp)
     for r in comp:
         if _neg(r) not in comp_set:
             raise AssertionError("complement not symmetric")
-    for a in comp:
-        for b in comp:
-            s = _add(a, b)
-            if sys.is_root(s) and s not in comp_set:
-                raise AssertionError("complement not closed")
+    half = len(sys.positive_roots)  # bit half + i is positive root i
+    inside = [mask >> j & 1 for j in range(half, 2 * half)]
+    if any(inside[i] + inside[j] + inside[k] == 2 for i, j, k in sys.positive_sum_triples):
+        raise AssertionError("complement not closed")
     return comp
 
 

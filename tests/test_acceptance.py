@@ -72,7 +72,7 @@ def test_criterion_04_central_chambers():
         central = [c for c in inside if apartment.is_central(c)]
         if len(inside) != cells or len(central) != 1:
             ok = False
-        if apartment.central_chamber_sigma(sys) != central[0]:
+        if apartment.central_chamber(sys, cf) != central[0]:
             ok = False
     sys3 = build("A", 3)
     cf3, _ = apartment.base_chambers(sys3)

@@ -11,7 +11,6 @@ from steinberg_lab.apartment import (
     Chamber,
     base_chambers,
     central_chamber,
-    central_chamber_sigma,
     chambers_within,
     check_concave,
     distance,
@@ -150,6 +149,13 @@ def test_fine_chambers_walk_matches_every_drop_pattern(fam, rank):
         assert e_chambers_in_f_chamber(coarse) == sorted(brute, key=lambda ch: ch.h)
 
 
+def brute_central(cf):
+    """The one fine chamber of cf that is_central accepts, by the brute filter."""
+    hits = [c for c in e_chambers_in_f_chamber(cf) if is_central(c)]
+    assert len(hits) == 1
+    return hits[0]
+
+
 def test_central_chamber_a2_values():
     sys = build("A", 2)
     cf, _ = base_chambers(sys)
@@ -157,7 +163,7 @@ def test_central_chamber_a2_values():
     assert c.value((-1, 0)) == 1
     assert c.value((0, -1)) == 1
     assert c.value((1, 1)) == -1
-    assert central_chamber_sigma(sys) == c
+    assert brute_central(cf) == c
 
 
 def test_central_chamber_counts():
@@ -165,14 +171,27 @@ def test_central_chamber_counts():
     cf, _ = base_chambers(a4)
     cells = e_chambers_in_f_chamber(cf)
     assert sum(1 for c in cells if is_central(c)) == 1
-    assert central_chamber_sigma(a4) == central_chamber(a4, cf)
+    assert central_chamber(a4, cf) == brute_central(cf)
     a3 = build("A", 3)
     cf3, _ = base_chambers(a3)
     assert sum(1 for c in e_chambers_in_f_chamber(cf3) if is_central(c)) == 0
     with pytest.raises(NotTypeA2n):
         central_chamber(a3, cf3)
+    b2 = build("B", 2)
     with pytest.raises(NotTypeA2n):
-        central_chamber_sigma(build("B", 2))
+        central_chamber(b2, base_chambers(b2)[0])
+
+
+@pytest.mark.parametrize("rank, radius", [(2, 12), (4, 5), (6, 2)])
+def test_central_chamber_closed_form_matches_brute_filter(rank, radius):
+    # every coarse chamber of the ball, against the filter over its 2^d fine chambers
+    sys = build("A", rank)
+    cf, ce = base_chambers(sys)
+    for shell in chambers_within(cf, radius):
+        for coarse in shell:
+            assert central_chamber(sys, coarse) == brute_central(coarse)
+    with pytest.raises(LevelMismatch):
+        central_chamber(sys, ce)
 
 
 def test_central_distance_three_across_walls():

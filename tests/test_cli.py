@@ -95,7 +95,9 @@ REPORT_SHA256 = {
     "tree": "44563172a2676701fd462ec5dfd62c4a3d55e3f739788d9620406056c7c01f4f",
 }
 # the one non-default report of the chambers benchmark workload: radius 12
-# makes the lambda-tail check non-vacuous (236 central_chamber calls)
+# makes the lambda-tail check non-vacuous (236 central_chamber calls, each one
+# closed-form pass over the three positive roots of A2: about 1 ms in all, warm,
+# on a 2-vCPU VM)
 SERIES_Q5_R12_SHA256 = "23c31e62f3eb630a8bd45fa29f1e0fb7f07b457fdb440d3caa2115012b492a9f"
 # the q > 3 branch of the tree suite (r_inner 1, panel depth 5), which the
 # default q = 3 report does not reach; the tree benchmark workload runs it
@@ -362,6 +364,13 @@ BREAKS = {
     "facet-relation-": ("apartment", apartment, "affine_relation",
                         lambda rel: lambda ch: (rel(ch)[0], [2 * c for c in rel(ch)[1]])),
     "triangle-A2": ("apartment", apartment, "distance", lambda d: lambda a, b: d(a, b) ** 2),
+    # a corner chamber of cf, the last of its 2^d fine chambers, is never the central one
+    "central-formula-": ("apartment", apartment, "central_chamber",
+                         lambda _: lambda sys, cf: apartment.e_chambers_in_f_chamber(cf)[-1]),
+    "central-distance-A2": ("apartment", apartment, "central_chamber",
+                            lambda _: lambda sys, cf: apartment.e_chambers_in_f_chamber(cf)[-1]),
+    "lambda-A2-q": ("series", apartment, "central_chamber",
+                    lambda _: lambda sys, cf: apartment.e_chambers_in_f_chamber(cf)[-1]),
     "chi-compat-": ("cochain", prasad, "chi_on_torus", lambda chi: lambda sys, xi: -chi(sys, xi)),
     "panel-zeros-": ("cochain", cochain, "panel_sum", lambda _: lambda panel, f: 1),
     "hctest-q": ("tree", tree_oracle, "_level_runs", _first_run_off_by_one),

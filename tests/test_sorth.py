@@ -146,6 +146,32 @@ def test_so_complement_types():
     assert classify_subsystem(d5, comp5) == [("A", 3)]
 
 
+def test_so_complement_refuses_a_set_that_is_not_closed(monkeypatch):
+    # feed the self-check every symmetric set of A3 as its mask; its verdict must
+    # match closure under root sums read pair by pair
+    sys = build("A", 3)
+    half = len(sys.positive_roots)
+    verdicts = set()
+    for picks in range(1 << half):
+        # negatives fill the first half of the sorted roots, mirroring the positives
+        mask = sum(1 << half + i | 1 << half - 1 - i for i in range(half) if picks >> i & 1)
+        inside = {r for j, r in enumerate(sys.roots) if mask >> j & 1}
+        closed = all(
+            s in inside for a in inside for b in inside if sys.is_root(s := tuple(map(sum, zip(a, b))))
+        )
+        verdicts.add(closed)
+        monkeypatch.setattr(sorth, "_common_row", lambda *_, mask=mask, **__: mask)
+        if closed:
+            assert set(sorth.so_complement(sys, [])) == inside
+        else:
+            with pytest.raises(AssertionError, match="not closed"):
+                sorth.so_complement(sys, [])
+    assert verdicts == {True, False}
+    monkeypatch.setattr(sorth, "_common_row", lambda *_, **__: 1)
+    with pytest.raises(AssertionError, match="not symmetric"):
+        sorth.so_complement(sys, [])
+
+
 def test_conjugacy_invariant_screen():
     b2 = build("B", 2)
     short = sorth.so_set(b2, [b2.from_ambient([1, 0])])
