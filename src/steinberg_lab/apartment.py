@@ -86,7 +86,8 @@ class Chamber:
 
 def check_concave(chamber):
     """Shi's alcove test on the positive sum triples; h(-a) = ceiling - h(a) turns
-    every other sign and order pattern of a root sum into one of its two bounds."""
+    every other sign and order pattern of a root sum into one of its two bounds.
+    The tests' alcove test; no command runs it, and perfbench reads it by name."""
     h, top = chamber.h, chamber.ceiling
     return all(0 <= h[i] + h[j] - h[k] <= top for i, j, k in chamber.system.positive_sum_triples)
 

@@ -3,13 +3,13 @@
 The sign calculus runs once per type: solved_character returns the sign
 basis and the simple-coroot actions on it with the character they solve to.
 
-The building is never materialized above rank one.  A panel is given by the
-two adjacent apartment chambers on it.  Panel sums use the near/far
-multiplicity model (the chamber nearer the cochain's base carries the near
-value, the remaining q chambers of the panel the far value), which is
-faithful for cochains invariant under the panel fixator; the rank-one tree
-oracle validates the model independently.  The harmonic extension starts
-from one chamber and scales its value by -1/q per step of gallery distance.
+The building is never materialized above rank one.  A cochain is invariant
+under retraction onto the apartment centred at its base chamber, so it is its
+profile of values by gallery distance from the base.  A panel is given by two
+adjacent apartment chambers.  Panel sums use the near/far model (the chamber
+nearer the base carries the near value, the other q chambers of the panel the
+far value); the rank-one tree oracle validates it independently.  The harmonic
+extension builds its profile from the panel equation near + q * far = 0.
 """
 
 from __future__ import annotations
@@ -123,7 +123,8 @@ def canonical_sigma_chamber(sys, members):
 
     Weights count all simple roots when the basis mixes lengths, and only the
     long simple roots when the system is non-simply-laced with an all-long
-    basis.  The resulting f takes integer values on every member.
+    basis.  The resulting f takes integer values on every member, and as both weights
+    are linear every sum-triple slack is 0: Shi's alcove test holds (tests run it).
     """
     simply_laced = all(sys.is_long(s) for s in sys.simples)
     if not simply_laced and all(sys.is_long(m) for m in members):
@@ -131,8 +132,6 @@ def canonical_sigma_chamber(sys, members):
     else:
         weight = sys.height
     chamber = apartment.Chamber(sys, apartment.E_LEVEL, (-weight(r) for r in sys.positive_roots))
-    if not apartment.check_concave(chamber):
-        raise AssertionError("canonical chamber candidate is not concave")
     for m in members:
         if chamber.value(m) % 2 != 0:
             raise AssertionError("canonical chamber must be integral on the set")
@@ -233,57 +232,52 @@ def solved_character(sys):
 # -- cochains ----------------------------------------------------------------
 
 
-class Cochain:
-    """Finitely supported chamber function with exact rational values."""
+class Cochain(namedtuple("Cochain", "base q profile")):
+    """A chamber function invariant under retraction onto the apartment centred at its
+    base: profile[d] is its value at gallery distance d from the base, 0 past the end."""
 
-    def __init__(self, values, base, q, retraction_invariant=False):
-        self.values = values
-        self.base = base
-        self.q = q
-        self.retraction_invariant = retraction_invariant
+    __slots__ = ()
 
-    def __getitem__(self, chamber):
-        return self.values.get(chamber, Fraction(0))
+    def at(self, d):
+        return self.profile[d] if d < len(self.profile) else Fraction(0)
+
+    def value(self, chamber):
+        return self.at(apartment.distance(self.base, chamber))
 
 
 def iwahori_vector(c0, q, radius):
     """The normalized vector C -> (-q)^(-d(C0, C)) within the given radius."""
     check_q(q)
-    values = {}
-    for dist, shell in enumerate(apartment.chambers_within(c0, radius)):
-        for c in shell:
-            values[c] = Fraction((-1) ** dist, q**dist)
-    return Cochain(values=values, base=c0, q=q, retraction_invariant=True)
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    return Cochain(c0, q, tuple(Fraction((-1) ** d, q**d) for d in range(radius + 1)))
 
 
 def panel_sum(panel, f):
     """Near value + q * far value across one panel.
 
-    panel is a pair of adjacent chambers, in either order.  Requires a
-    declared retraction-invariant cochain.
+    panel is a pair of adjacent chambers, in either order.  Crossing one wall
+    moves one coordinate of h by the ceiling, so the two chambers lie at
+    distances d and d + 1 from the base, never at equal distances.
     """
-    if not f.retraction_invariant:
-        raise UnsupportedPanel("cochain carries no retraction declaration")
     a, b = panel
     dist = apartment.distance(a, b)
     if dist != 1:
         raise UnsupportedPanel(f"panel chambers are at distance {dist}, not 1")
-    d1 = apartment.distance(f.base, a)
-    d2 = apartment.distance(f.base, b)
-    if d1 == d2:
-        raise UnsupportedPanel("panel is equidistant from the base")
-    near, far = (a, b) if d1 < d2 else (b, a)
-    return f[near] + f.q * f[far]
+    d = min(apartment.distance(f.base, a), apartment.distance(f.base, b))
+    return f.at(d) + f.q * f.at(d + 1)
 
 
-def extend_by_harmonicity(c0, value, q, chambers):
-    """Extend a value at one chamber outward by the factor (-1/q) per step."""
+def extend_by_harmonicity(c0, value, q, radius):
+    """Extend a value at one chamber outward within the given radius by the panel
+    equation near + q * far = 0: each step multiplies the last value by -1/q."""
     check_q(q)
-    values = {c0: value}
-    for c in chambers:
-        dist = apartment.distance(c, c0)
-        values[c] = value * Fraction((-1) ** dist, q**dist)
-    return Cochain(values=values, base=c0, q=q, retraction_invariant=True)
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    profile = [Fraction(value)]
+    for _ in range(radius):
+        profile.append(-profile[-1] / q)
+    return Cochain(c0, q, tuple(profile))
 
 
 # -- class values and wall ratios ---------------------------------------------

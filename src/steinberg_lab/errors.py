@@ -90,8 +90,7 @@ class NotHarmonicBase(ValueError):
 
 
 class UnsupportedPanel(ValueError):
-    """Panel sum outside the near/far model: no retraction declaration, chambers
-    that are not adjacent, or a panel equidistant from the base."""
+    """Panel sum outside the near/far model: two chambers that are not adjacent."""
 
 
 class NotInBall(ValueError):

@@ -1,9 +1,11 @@
 """References the tests compare the package against, which no command runs: exact
 solves for many right-hand sides at once, the Cartan-matrix classifier of a closed
-subsystem, the parent walk, the pairwise chamber distance and the materialized chamber
-graph of a tree ball, and the harmonic extension evaluated chamber by chamber."""
+subsystem, the parent of a tree vertex, the root paths of a tree ball's vertices with
+the pairwise chamber distance read off them, the materialized chamber graph of a tree
+ball, and the harmonic extension evaluated chamber by chamber."""
 
 from fractions import Fraction
+from weakref import WeakKeyDictionary
 
 from steinberg_lab.errors import BudgetExceeded, NotHarmonicBase, NotInBall
 from steinberg_lab.linalg import _rref
@@ -123,31 +125,40 @@ def parent(ball, v):
     return ball.starts[n - 1] + (v - ball.starts[n]) // ball.q
 
 
-def vertex_distance(ball, a, b):
-    """Edges between two vertices of the tree, walking parents up to their meeting point."""
-    da, db = ball.depth(a), ball.depth(b)
-    dist = 0
-    while da > db:
-        a = parent(ball, a)
-        da -= 1
-        dist += 1
-    while db > da:
-        b = parent(ball, b)
-        db -= 1
-        dist += 1
-    while a != b:
-        a = parent(ball, a)
-        b = parent(ball, b)
-        dist += 2
-    return dist
+_CHAINS = WeakKeyDictionary()
+
+
+def ancestor_chains(ball):
+    """The root path (0, ..., parent(v), v) of every vertex v down to depth radius + 1,
+    the deepest chambers of the ball's stars, as one list indexed by v; built once per
+    ball, each path from its parent's."""
+    chains = _CHAINS.get(ball)
+    if chains is None:
+        chains = [(0,)]
+        for v in range(1, ball.starts[-2]):
+            chains.append(chains[parent(ball, v)] + (v,))
+        _CHAINS[ball] = chains
+    return chains
 
 
 def chamber_distance(ball, c1, c2):
-    """One more than the least distance between an end of c1 and an end of c2."""
+    """One more than the least distance between an end of c1 and an end of c2 (a
+    chamber's ends are its vertex and its parent), read off their root paths.  When
+    one chamber lies on the other's path, that is from the upper one's vertex down to
+    the lower one's parent; otherwise from parent to parent through the last vertex
+    the two paths share."""
     if c1 == c2:
         return 0
-    a, b = (c1, parent(ball, c1)), (c2, parent(ball, c2))
-    return 1 + min(vertex_distance(ball, x, y) for x in a for y in b)
+    chains = ancestor_chains(ball)
+    a, b = chains[c1], chains[c2]
+    common = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        common += 1
+    if common == min(len(a), len(b)):
+        return abs(len(a) - len(b))
+    return len(a) + len(b) - 2 * common - 1
 
 
 def tree_distance(ball, c1, c2):

@@ -254,6 +254,20 @@ def test_verify_unwritable_json_path_exits_2(tmp_path, monkeypatch, main_cli):
     assert not path.parent.exists()
 
 
+def test_verify_cochain_radius_over_limit_exits_2(monkeypatch, main_cli):
+    # once unbounded: verify cochain --radius 80 ran for about 4 s
+    def no_suite(name, **kwargs):
+        raise AssertionError(f"suite {name} ran before --radius was checked")
+
+    monkeypatch.setattr(suites, "run_suite", no_suite)
+    limit = suites.COCHAIN_MAX_RADIUS
+    out = main_cli("verify", "cochain", "--radius", str(limit + 1))
+    assert out.returncode == 2
+    assert "radius" in out.stderr
+    assert f"--radius {limit + 1} is above the cochain limit {limit}" in out.stderr
+    assert out.stdout == ""
+
+
 @pytest.mark.parametrize(
     "args, env, count, budget",
     [
@@ -351,6 +365,15 @@ def _last_run_doubled_at_depth_two(runs):
     return broken
 
 
+def _signs_flipped_at_odd_distance(extend):
+    """The extension's profile times (-1)^d: still +1 at the base, wrong at odd distance."""
+    def broken(c0, value, q, radius):
+        f = extend(c0, value, q, radius)
+        return f._replace(profile=tuple(v * (-1) ** d for d, v in enumerate(f.profile)))
+
+    return broken
+
+
 # A break of the layer function each check family reads, made from the original, for
 # the families that no other test drives to a fail: a check that cannot fail checks nothing.
 BREAKS = {
@@ -373,6 +396,8 @@ BREAKS = {
                     lambda _: lambda sys, cf: apartment.e_chambers_in_f_chamber(cf)[-1]),
     "chi-compat-": ("cochain", prasad, "chi_on_torus", lambda chi: lambda sys, xi: -chi(sys, xi)),
     "panel-zeros-": ("cochain", cochain, "panel_sum", lambda _: lambda panel, f: 1),
+    "extension-matches-iwahori": ("cochain", cochain, "extend_by_harmonicity",
+                                  _signs_flipped_at_odd_distance),
     "hctest-q": ("tree", tree_oracle, "_level_runs", _first_run_off_by_one),
     "iwahori-harmonic-q": ("tree", tree_oracle, "_level_runs", _first_run_off_by_one),
     "shell-counts-q": ("tree", tree_oracle, "_level_runs", _first_run_off_by_one),

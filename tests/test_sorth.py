@@ -395,20 +395,20 @@ def test_normal_form_two_short_members_in_c4(monkeypatch):
     assert sorth.verify_certificate(c4, members, word, nf)
 
 
-def test_suite_sorth_expands_each_positive_root_once(monkeypatch):
-    # the half-integral-expansion checks pair each positive root with each
-    # member of the 14 full-rank classified sets, and solve nothing
+def test_suite_sorth_expansion_reads_each_member_coroot_row(monkeypatch):
+    # the half-integral-expansion checks sum the coroot rows of the members of
+    # the 14 full-rank classified sets into one matrix, and solve nothing
     solves = []
     solve = linalg.solve_exact
     monkeypatch.setattr(linalg, "solve_exact", lambda *args: solves.append(args) or solve(*args))
-    pairs = set()
-    pairing = RootSystem.root_pairing
+    rows = set()
+    coroot = RootSystem.coroot
 
-    def spy(sys, alpha, beta):
-        pairs.add((sys.type, alpha, beta))
-        return pairing(sys, alpha, beta)
+    def spy(sys, beta):
+        rows.add((sys.type, beta))
+        return coroot(sys, beta)
 
-    monkeypatch.setattr(RootSystem, "root_pairing", spy)
+    monkeypatch.setattr(RootSystem, "coroot", spy)
     rep = suites.suite_sorth()
     checks = [c for c in rep.checks if c["id"].startswith("half-integral-expansion-")]
     assert len(checks) == 14 and all(c["status"] == "pass" for c in checks)
@@ -417,4 +417,29 @@ def test_suite_sorth_expands_each_positive_root_once(monkeypatch):
         fam, rank = c["id"][-2], int(c["id"][-1])
         sys = build(fam, rank)
         table = tables.sigma_a_table(sys)
-        assert all((sys.type, a, b) in pairs for a in sys.positive_roots for b in table)
+        assert all((sys.type, b) in rows for b in table)
+
+
+def _expands_root_by_root(sys, members):
+    """sum_b <a, b_vee> b = 2a, checked on every positive root a in turn."""
+    return all(
+        [sum(sys.root_pairing(a, b) * b[i] for b in members) for i in range(len(a))]
+        == [2 * c for c in a]
+        for a in sys.positive_roots
+    )
+
+
+def test_expansion_matrix_form_matches_root_by_root_form():
+    # on the full-rank classified sets both hold; the simple roots are a
+    # full-rank set that is orthogonal only in A1, where both hold too
+    full_rank = 0
+    for fam, rank in ACCEPTANCE_TYPES:
+        sys = build(fam, rank)
+        table = sorth.so_set(sys, tables.sigma_a_table(sys))
+        if len(table) == rank:
+            full_rank += 1
+            assert suites._doubles_every_root(sys, table) is _expands_root_by_root(sys, table) is True
+        simples = sys.simples
+        expected = (fam, rank) == ("A", 1)
+        assert suites._doubles_every_root(sys, simples) is _expands_root_by_root(sys, simples) is expected
+    assert full_rank == 14
