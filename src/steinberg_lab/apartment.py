@@ -6,10 +6,14 @@ even h.  The level fixes the negative half: h(-a) = ceiling - h(a), with
 ceiling 1 at the fine level and 2 at the coarse level.  A vector is a
 chamber iff 0 <= h(a) + h(b) - h(a+b) <= ceiling for positive a, b, a+b
 (Shi 1987).  Crossing the wall of a root a raises h(a) by the ceiling, so
-one pass over the slacks of those inequalities finds the d+1 facet roots;
-the gallery metric, translations, reflections and the special chambers of
-type A with even rank all operate on these integer tuples.  Central chambers
-are a closed form, checked against the brute filter over 2^d fine chambers.
+one pass over the slacks of those inequalities finds the d+1 facet roots.
+The gallery distance is the sum of |h - h'| over the ceiling, so each wall
+step moves the distance from any fixed chamber by exactly one: a ball is
+walked outward on the tuples alone, shell n + 1 being the steps out of
+shell n that move h away from the centre.  The gallery metric, translations,
+reflections and the special chambers of type A with even rank all operate
+on these integer tuples.  Central chambers are a closed form, checked
+against the brute filter over 2^d fine chambers.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul, sub
 
 from .errors import (
     HalfIntegralityViolation,
@@ -104,7 +109,7 @@ def distance(c1, c2):
         raise LevelMismatch("chambers from different systems")
     if c1.level != c2.level:
         raise LevelMismatch("chambers at different levels")
-    total = sum(abs(a - b) for a, b in zip(c1.h, c2.h))
+    total = sum(map(abs, map(sub, c1.h, c2.h)))
     return total if c1.level == E_LEVEL else total // 2
 
 
@@ -133,13 +138,12 @@ def reflect(chamber, wall):
     return Chamber(sys, chamber.level, h)
 
 
-def wall_neighbors(chamber):
-    """The neighbours of a chamber (the input must be one), keyed by its facet roots in
-    root order.  Crossing the wall of r moves h(r) by the ceiling.  On a chamber each sum
-    triple's slack h(i) + h(j) - h(k) is 0 or the ceiling, so one pass over the slacks finds
-    the facet roots: raising h(p) keeps Shi's test iff the slack is the ceiling where k = p
-    and 0 where p is i or j, lowering iff the reverse."""
-    sys, h, top = chamber.system, chamber.h, chamber.ceiling
+def _facet_steps(sys, h, top):
+    """(root index, position p, step) for each facet root of the chamber h at ceiling
+    top, in root order: crossing that root's wall moves h[p] by step.  On a chamber
+    each sum triple's slack h(i) + h(j) - h(k) is 0 or the ceiling, so one pass over
+    the slacks finds the facet roots: raising h(p) keeps Shi's test iff the slack is
+    the ceiling where k = p and 0 where p is i or j, lowering iff the reverse."""
     half = len(h)
     no_raise, no_lower = bytearray(half), bytearray(half)
     for i, j, k in sys.positive_sum_triples:
@@ -147,14 +151,24 @@ def wall_neighbors(chamber):
             no_raise[i] = no_raise[j] = no_lower[k] = 1
         else:
             no_lower[i] = no_lower[j] = no_raise[k] = 1
-    out = {}
-    for i, r in enumerate(sys.roots):
-        # negatives fill the first half of the sorted roots, at the mirror
-        # index of their opposites; raising h(-a) lowers h(a)
-        p, step, blocked = (i - half, top, no_raise) if i >= half else (half - 1 - i, -top, no_lower)
-        if not blocked[p]:
-            out[r] = Chamber(sys, chamber.level, h[:p] + (h[p] + step,) + h[p + 1 :])
-    return out
+    # negatives fill the first half of the sorted roots, at the mirror index of
+    # their opposites; raising h(-a) lowers h(a)
+    for p in reversed(range(half)):
+        if not no_lower[p]:
+            yield half - 1 - p, p, -top
+    for p in range(half):
+        if not no_raise[p]:
+            yield half + p, p, top
+
+
+def wall_neighbors(chamber):
+    """The neighbours of a chamber (the input must be one), keyed by its facet roots in
+    root order.  Crossing the wall of r moves h(r) by the ceiling."""
+    sys, level, h = chamber.system, chamber.level, chamber.h
+    return {
+        sys.roots[i]: Chamber(sys, level, h[:p] + (h[p] + step,) + h[p + 1 :])
+        for i, p, step in _facet_steps(sys, h, chamber.ceiling)
+    }
 
 
 def extended_simple_roots(chamber):
@@ -162,22 +176,31 @@ def extended_simple_roots(chamber):
     return sorted(wall_neighbors(chamber))
 
 
-def chambers_within(c0, radius):
-    """All chambers at gallery distance <= radius, grouped by distance."""
+def _h_shells(c0, radius):
+    """The h tuples of the shells of `chambers_within`, each shell sorted."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    shells = [[c0]]
-    seen = {c0}
+    sys, h0, top = c0.system, c0.h, c0.ceiling
+    shells = [[h0]]
     for _ in range(radius):
-        nxt = []
-        for c in shells[-1]:
-            for cand in wall_neighbors(c).values():
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-        nxt.sort(key=lambda ch: ch.h)
-        shells.append(nxt)
+        nxt = set()
+        for h in shells[-1]:
+            for _, p, step in _facet_steps(sys, h, top):
+                v = h[p] + step
+                if abs(v - h0[p]) > abs(h[p] - h0[p]):
+                    nxt.add(h[:p] + (v,) + h[p + 1 :])
+        shells.append(sorted(nxt))
     return shells
+
+
+def chambers_within(c0, radius):
+    """All chambers at gallery distance <= radius, grouped by distance, each shell
+    sorted by h.  Crossing a wall moves one coordinate of h by the ceiling, so it
+    moves the distance from c0 by exactly one: shell n + 1 is the steps out of shell
+    n that move h away from c0.h.  The walk runs on h tuples with no visited set
+    (`_h_shells`) and builds one Chamber per chamber it returns."""
+    sys, level = c0.system, c0.level
+    return [[c0]] + [[Chamber(sys, level, h) for h in shell] for shell in _h_shells(c0, radius)[1:]]
 
 
 def affine_relation(chamber):
@@ -274,9 +297,11 @@ def facet_functional(sys, members, values):
         if (2 * v).denominator != 1 or (2 * v).numerator % 2 == 0:
             raise ValueError(f"value {v} at {m} must be a proper half-integer")
         vals2.append(int(2 * v))
+    # sum_i v_i <alpha, beta_i_vee> is alpha's dot product with one row
+    row = [sum(map(mul, vals2, col)) for col in zip(*map(sys.coroot, members))]
     out = {}
     for alpha in sys.positive_roots:
-        v2, odd = divmod(sum(sys.root_pairing(alpha, m) * v for m, v in zip(members, vals2)), 2)
+        v2, odd = divmod(sum(map(mul, alpha, row)), 2)
         if odd:
             raise HalfIntegralityViolation(f"functional value at {alpha} is not a half-integer")
         out[alpha] = v2

@@ -79,6 +79,8 @@ def cmd_verify(args):
             _fail_usage(f"suite {args.suite} takes no --radius")
         if "cochain" in names and args.radius > suites.COCHAIN_MAX_RADIUS:
             _fail_usage(f"--radius {args.radius} is above the cochain limit {suites.COCHAIN_MAX_RADIUS}")
+        if "series" in names and args.radius > suites.SERIES_MAX_RADIUS:
+            _fail_usage(f"--radius {args.radius} is above the series limit {suites.SERIES_MAX_RADIUS}")
     if "tree" in names:
         radius = suites.RADIUS_DEFAULTS["tree"] if args.radius is None else args.radius
         tree_min = suites.tree_hctest_depths(args.q)[0] + 1

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import combinations, product, starmap
 from math import gcd, prod
 from operator import add, mul
 
@@ -210,6 +210,7 @@ class RootSystem:
         self.type = type_
         d = type_.rank
         doubled = self._ambient_simples = _ambient_simples(type_.family, d)
+        self._ambient_columns = tuple(zip(*doubled))
         # long roots at length 2 make x into 2 x / top
         raw = [[sum(map(mul, a, b)) for b in doubled] for a in doubled]
         top = max(raw[i][i] for i in range(d))
@@ -318,7 +319,7 @@ class RootSystem:
         its row of values on the simple roots.  The one integrality check of a
         coweight pairing: raises NonIntegralPairing, naming v and the value,
         when a fractional row makes it a fraction."""
-        val = sum(a * x for a, x in zip(v, xi, strict=True))
+        val = sum(starmap(mul, zip(v, xi, strict=True)))
         if val.denominator != 1:
             raise NonIntegralPairing(f"<{tuple(v)}, xi> = {val}")
         return int(val)
@@ -356,11 +357,13 @@ class RootSystem:
         """Twice the ambient coordinates of a lattice vector, as ints: the integer
         combination of the doubled simple roots.  The one map between the two
         coordinate systems."""
-        return tuple(sum(map(mul, v, column)) for column in zip(*self._ambient_simples))
+        return tuple(sum(map(mul, v, column)) for column in self._ambient_columns)
 
     @cached_property
     def _roots_by_ambient(self):
-        return {self.to_ambient(r): r for r in self.roots}
+        # the map is linear: each negative root's image is its opposite's negated
+        images = {self.to_ambient(r): r for r in self.positive_roots}
+        return images | {_neg(a): _neg(r) for a, r in images.items()}
 
     def from_ambient(self, vec):
         """The root with ambient coordinates vec, looked up by its doubled image;

@@ -40,13 +40,14 @@ def poincare_closed(sys, n):
 def poincare_bfs(sys, n):
     """Alcove counts by gallery distance, from a coarse-level ball.
 
-    The ball's size is read off the closed form before any alcove is built.
+    The ball's size is read off the closed form before any alcove is visited;
+    the walk then counts h tuples and builds no Chamber.
     """
     total = sum(poincare_closed(sys, n))
     if total > _ALCOVE_BUDGET:
         raise BudgetExceeded(f"{total} alcoves exceed the budget of {_ALCOVE_BUDGET}")
     base_f, _ = apartment.base_chambers(sys)
-    return [len(s) for s in apartment.chambers_within(base_f, n)]
+    return [len(s) for s in apartment._h_shells(base_f, n)]
 
 
 def poincare_value(sys, x):
@@ -66,15 +67,22 @@ def tail_bound(sys, q, radius):
     Evaluates the closed-form series at 1/q and subtracts the prefix, so the
     bound is exact, positive, and monotone decreasing in the radius.
     """
+    return _tail_bounds(sys, q, radius)[-1]
+
+
+def _tail_bounds(sys, q, radius):
+    """`tail_bound` at every radius 0..radius, from one series value and a running prefix."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     x = Fraction(1, q)
-    total = poincare_value(sys, x)
-    prefix = sum(c * x**l for l, c in enumerate(poincare_closed(sys, radius)))
-    bound = q ** len(sys.positive_roots) * (total - prefix)
-    if bound < 0:
+    rest = poincare_value(sys, x)
+    bounds = []
+    for l, c in enumerate(poincare_closed(sys, radius)):
+        rest -= c * x**l
+        bounds.append(q ** len(sys.positive_roots) * rest)
+    if rest < 0:
         raise AssertionError("tail bound must be nonnegative")
-    return bound
+    return bounds
 
 
 class LambdaReport(namedtuple("LambdaReport", "target partial_sums tail_bounds")):
@@ -106,12 +114,12 @@ def lambda_a2n_partial(n, q, radius):
     partials = []
     running = Fraction(0)
     for dist, shell in enumerate(shells):
-        for cf in shell:
-            central = apartment.central_chamber(sys, cf)
-            de = apartment.distance(c0, central)
-            running += Fraction(q**dist) * Fraction((-1) ** de, q**de)
+        des = [apartment.distance(c0, apartment.central_chamber(sys, cf)) for cf in shell]
+        # sum_cf (-1)^de q^(dist - de) over the shell, as one fraction over q^max(de)
+        top = max(des)
+        running += Fraction(sum((-1) ** de * q ** (dist + top - de) for de in des), q**top)
         partials.append(running)
-    bounds = [tail_bound(sys, q, r) for r in range(radius + 1)]
+    bounds = _tail_bounds(sys, q, radius)
     return LambdaReport(target=Fraction(1), partial_sums=partials, tail_bounds=bounds)
 
 

@@ -1,12 +1,14 @@
 """References the tests compare the package against, which no command runs: exact
 solves for many right-hand sides at once, the Cartan-matrix classifier of a closed
-subsystem, the parent of a tree vertex, the root paths of a tree ball's vertices with
-the pairwise chamber distance read off them, the materialized chamber graph of a tree
-ball, and the harmonic extension evaluated chamber by chamber."""
+subsystem, the visited-set gallery BFS of an apartment ball, the parent of a tree
+vertex, the root paths of a tree ball's vertices with the pairwise chamber distance
+read off them, the materialized chamber graph of a tree ball, and the harmonic
+extension evaluated chamber by chamber."""
 
 from fractions import Fraction
 from weakref import WeakKeyDictionary
 
+from steinberg_lab.apartment import wall_neighbors
 from steinberg_lab.errors import BudgetExceeded, NotHarmonicBase, NotInBall
 from steinberg_lab.linalg import _rref
 from steinberg_lab.rootsys import _RANK_BOUNDS, _sub, build, subsystem_components
@@ -107,6 +109,25 @@ def classify_subsystem(sys, roots):
             raise AssertionError("unclassifiable component")
         out.append(found)
     return sorted(out)
+
+
+def bfs_shells(c0, radius):
+    """`apartment.chambers_within` as a breadth-first search over `wall_neighbors`: each
+    shell is the neighbours of the last that no earlier shell holds, sorted by h."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    shells = [[c0]]
+    seen = {c0}
+    for _ in range(radius):
+        nxt = []
+        for c in shells[-1]:
+            for cand in wall_neighbors(c).values():
+                if cand not in seen:
+                    seen.add(cand)
+                    nxt.append(cand)
+        nxt.sort(key=lambda ch: ch.h)
+        shells.append(nxt)
+    return shells
 
 
 def interior_panels(ball, max_depth=None):

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from oracles import bfs_shells
 
 from steinberg_lab import apartment, linalg, tables
 from steinberg_lab.apartment import (
@@ -110,6 +111,21 @@ def test_chambers_within_counts():
     cf, _ = base_chambers(a2)
     shells = chambers_within(cf, 3)
     assert [len(s) for s in shells] == [1, 3, 6, 9]
+
+
+WALK_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize("fam, rank", WALK_TYPES)
+def test_outward_walk_matches_visited_set_bfs(fam, rank):
+    # shell by shell, as Chamber lists, from the base and from a chamber off it
+    # (the last of shell 2), at both levels
+    sys = build(fam, rank)
+    for c0 in base_chambers(sys):
+        off = bfs_shells(c0, 2)[2][-1]
+        for centre in (c0, off):
+            for radius in range(5):
+                assert chambers_within(centre, radius) == bfs_shells(centre, radius)
 
 
 def test_distance_formula_matches_bfs_gallery():
@@ -428,20 +444,26 @@ def _spy(monkeypatch, owner, name):
 
 
 def test_facet_functional_expands_each_positive_root_once(monkeypatch):
-    # no solve: each pair of members is paired once to check orthogonality, and
-    # each positive root once with each member, on the 14 full-rank classified sets
+    # no solve and no pairing per positive root: each pair of members is paired once
+    # to check orthogonality (reading the second member's coroot row), and each
+    # member's coroot row is read once more to build the one row every positive root
+    # is dotted with, on the 14 full-rank classified sets
     solves = _spy(monkeypatch, linalg, "solve_exact")
     pairings = _spy(monkeypatch, RootSystem, "root_pairing")
-    sets = expected = 0
+    rows = _spy(monkeypatch, RootSystem, "coroot")
+    sets = expected_pairings = expected_rows = 0
     for fam, rank in ACCEPTANCE_TYPES:
         sys = build(fam, rank)
         members = tables.sigma_a_table(sys)
         if len(members) == rank:
             facet_functional(sys, members, {m: Fraction(1, 2) for m in members})
+            assert rows[-rank:] == [(sys, m) for m in members]
             sets += 1
-            expected += rank * (rank - 1) // 2 + len(sys.positive_roots) * rank
+            expected_pairings += rank * (rank - 1) // 2
+            expected_rows += rank * (rank - 1) // 2 + rank
     assert (sets, len(solves)) == (14, 0)
-    assert len(pairings) == expected == len(set(pairings))
+    assert len(pairings) == expected_pairings == len(set(pairings))
+    assert len(rows) == expected_rows
 
 
 def test_affine_relation_identity(monkeypatch):

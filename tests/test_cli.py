@@ -268,6 +268,19 @@ def test_verify_cochain_radius_over_limit_exits_2(monkeypatch, main_cli):
     assert out.stdout == ""
 
 
+def test_verify_series_radius_over_limit_exits_2(monkeypatch, main_cli):
+    # once clamped in silence: verify series --radius 20 ran the lambda check at 12
+    def no_suite(name, **kwargs):
+        raise AssertionError(f"suite {name} ran before --radius was checked")
+
+    monkeypatch.setattr(suites, "run_suite", no_suite)
+    limit = suites.SERIES_MAX_RADIUS
+    out = main_cli("verify", "series", "--radius", str(limit + 1))
+    assert out.returncode == 2
+    assert f"--radius {limit + 1} is above the series limit {limit}" in out.stderr
+    assert out.stdout == ""
+
+
 @pytest.mark.parametrize(
     "args, env, count, budget",
     [
@@ -365,6 +378,15 @@ def _last_run_doubled_at_depth_two(runs):
     return broken
 
 
+def _top_shell_short_by_one(walk):
+    """The apartment walk without the last chamber of its top shell."""
+    def broken(c0, radius):
+        *inner, top = walk(c0, radius)
+        return [*inner, top[:-1]]
+
+    return broken
+
+
 def _signs_flipped_at_odd_distance(extend):
     """The extension's profile times (-1)^d: still +1 at the base, wrong at odd distance."""
     def broken(c0, value, q, radius):
@@ -394,6 +416,7 @@ BREAKS = {
                             lambda _: lambda sys, cf: apartment.e_chambers_in_f_chamber(cf)[-1]),
     "lambda-A2-q": ("series", apartment, "central_chamber",
                     lambda _: lambda sys, cf: apartment.e_chambers_in_f_chamber(cf)[-1]),
+    "poincare-": ("series", apartment, "_h_shells", _top_shell_short_by_one),
     "chi-compat-": ("cochain", prasad, "chi_on_torus", lambda chi: lambda sys, xi: -chi(sys, xi)),
     "panel-zeros-": ("cochain", cochain, "panel_sum", lambda _: lambda panel, f: 1),
     "extension-matches-iwahori": ("cochain", cochain, "extend_by_harmonicity",

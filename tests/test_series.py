@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from steinberg_lab import series
+from steinberg_lab.apartment import base_chambers, central_chamber, chambers_within, distance
 from steinberg_lab.errors import BudgetExceeded, DomainError, NotApplicable
 from steinberg_lab.rootsys import build
 from steinberg_lab.suites import SIGN_CALCULUS_TYPES
@@ -72,6 +73,7 @@ def test_poincare_bfs_sizes_the_ball_before_enumerating(monkeypatch):
         raise AssertionError("the ball was enumerated")
 
     monkeypatch.setattr("steinberg_lab.apartment.chambers_within", unreachable)
+    monkeypatch.setattr("steinberg_lab.apartment._h_shells", unreachable)
     with pytest.raises(BudgetExceeded, match="93513976 alcoves exceed the budget of 2000000"):
         series.poincare_bfs(build("E", 8), 30)
 
@@ -116,6 +118,27 @@ def test_lambda_partial_sums():
     for r in range(6, 9):
         assert abs(lam.partial_sums[r] - 1) <= lam.tail_bounds[r]
     assert lam.certified_radii()
+
+
+@pytest.mark.parametrize("n, q, radius", [(1, 3, 12), (1, 5, 12), (2, 3, 4)])
+def test_lambda_shell_sums_match_the_chamber_by_chamber_sum(n, q, radius):
+    # each coarse chamber cf at coarse distance d adds q^d (-1)^de / q^de, de the fine
+    # distance between the central chambers of the base and of cf
+    lam = series.lambda_a2n_partial(n, q, radius)
+    sys = build("A", 2 * n)
+    base_f, _ = base_chambers(sys)
+    c0 = central_chamber(sys, base_f)
+    running, partials = Fraction(0), []
+    for d, shell in enumerate(chambers_within(base_f, radius)):
+        for cf in shell:
+            de = distance(c0, central_chamber(sys, cf))
+            running += Fraction(q**d) * Fraction((-1) ** de, q**de)
+        partials.append(running)
+    assert lam.partial_sums == partials
+    assert lam.tail_bounds == [series.tail_bound(sys, q, r) for r in range(radius + 1)]
+    x = Fraction(1, q)
+    prefix = sum(c * x**l for l, c in enumerate(series.poincare_closed(sys, radius)))
+    assert lam.tail_bounds[-1] == q ** len(sys.positive_roots) * (series.poincare_value(sys, x) - prefix)
 
 
 def test_lambda_rejects_even_q():
