@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
-from operator import mul, sub
+from math import gcd
+from operator import add, mul, sub
 
 from .errors import (
     HalfIntegralityViolation,
@@ -30,7 +30,6 @@ from .errors import (
     NotAWall,
     NotTypeA2n,
 )
-from . import linalg
 from .rootsys import _neg
 
 E_LEVEL = "E"
@@ -114,10 +113,19 @@ def distance(c1, c2):
 
 
 def translate(chamber, xi):
-    """Translate by an integral coweight row xi: h(alpha) += 2 <alpha, xi>."""
+    """Translate by an integral coweight row xi: h(alpha) += 2 <alpha, xi>.
+
+    A simple root's pairing with xi is an entry of xi, so xi is integral on every
+    root iff its entries are integers: xi is checked once, and a fractional or a
+    wrong-length row raises from `RootSystem.pairing` at the first positive root, as
+    one pairing per root would.  Each root is then one dot product with the int row."""
     sys = chamber.system
-    h = (v + 2 * sys.pairing(r, xi) for v, r in zip(chamber.h, sys.positive_roots))
-    return Chamber(sys, chamber.level, h)
+    roots = sys.positive_roots
+    if len(xi) != sys.type.rank or any(x.denominator != 1 for x in xi):
+        for r in roots:
+            sys.pairing(r, xi)
+    xi2 = [2 * int(x) for x in xi]
+    return Chamber(sys, chamber.level, map(add, chamber.h, [sum(map(mul, r, xi2)) for r in roots]))
 
 
 def reflect(chamber, wall):
@@ -203,19 +211,41 @@ def chambers_within(c0, radius):
     return [[c0]] + [[Chamber(sys, level, h) for h in shell] for shell in _h_shells(c0, radius)[1:]]
 
 
+def _det(rows):
+    """Determinant of a square integer matrix by Bareiss's fraction-free elimination
+    (every division is exact)."""
+    m = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        swap = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if swap is None:
+            return 0
+        if swap != k:
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        top = m[k]
+        for row in m[k + 1 :]:
+            f = row[k]
+            for j in range(k + 1, len(m)):
+                row[j] = (row[j] * top[k] - f * top[j]) // prev
+        prev = top[k]
+    return sign * m[-1][-1]
+
+
 def affine_relation(chamber):
     """Minimal positive integer relation among the facet roots.
 
-    Returns (roots, coefficients) with sum_i coeff_i * root_i = 0.
+    Returns (roots, coefficients) with sum_i coeff_i * root_i = 0.  The d + 1 facet
+    roots span a d-dimensional space, so the relation is the integer null vector
+    of their matrix: the signed d x d cofactors (-1)^i det(the roots but root_i),
+    divided by their gcd and made positive.
     """
     ext = extended_simple_roots(chamber)
-    # every mark is nonzero, so the other d facet roots are a basis
-    coords = linalg.solve_exact(ext[1:], ext[0])
-    if coords is None:
-        raise AssertionError("facet roots are not affinely related")
-    den = lcm(*(c.denominator for c in coords))
-    rel = [den, *(int(-c * den) for c in coords)]
+    rel = [(-1) ** i * _det(ext[:i] + ext[i + 1 :]) for i in range(len(ext))]
     g = gcd(*rel)
+    if not g:
+        raise AssertionError("facet roots are not affinely related")
+    if rel[0] < 0:
+        g = -g
     rel = [c // g for c in rel]
     if any(c <= 0 for c in rel):
         raise AssertionError("facet relation is not positive")

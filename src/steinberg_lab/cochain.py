@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 
 from . import apartment, tables
 from .errors import (
@@ -121,17 +122,19 @@ def _rank_two_b2(sys, beta, alpha):
 def canonical_sigma_chamber(sys, members):
     """The distinguished fine chamber attached to the sign basis.
 
-    Weights count all simple roots when the basis mixes lengths, and only the
-    long simple roots when the system is non-simply-laced with an all-long
-    basis.  The resulting f takes integer values on every member, and as both weights
-    are linear every sum-triple slack is 0: Shi's alcove test holds (tests run it).
+    h is minus a weight, read as one row over the simple roots: all ones (the
+    height) when the basis mixes lengths, and the indicator of the long simple
+    roots when the system is non-simply-laced with an all-long basis.  The
+    resulting f takes integer values on every member, and as both weights are
+    linear every sum-triple slack is 0: Shi's alcove test holds (tests run it).
     """
-    simply_laced = all(sys.is_long(s) for s in sys.simples)
-    if not simply_laced and all(sys.is_long(m) for m in members):
-        weight = sys.long_height
+    long_simple = [int(row[i] == 2 * sys.gram_denominator) for i, row in enumerate(sys.gram)]
+    if not all(long_simple) and all(sys.is_long(m) for m in members):
+        weight = long_simple
     else:
-        weight = sys.height
-    chamber = apartment.Chamber(sys, apartment.E_LEVEL, (-weight(r) for r in sys.positive_roots))
+        weight = [1] * sys.type.rank
+    h = (-sum(map(mul, r, weight)) for r in sys.positive_roots)
+    chamber = apartment.Chamber(sys, apartment.E_LEVEL, h)
     for m in members:
         if chamber.value(m) % 2 != 0:
             raise AssertionError("canonical chamber must be integral on the set")
@@ -152,15 +155,18 @@ def build_constraints(sys, members, coroot_actions):
     for i, beta in enumerate(members, start=1):
         if _is_neg_simple(sys, beta):
             constraints.append((sign_vector(r, [i]), -1))
-    # swapping a and b negates alpha, and alpha and -alpha are never both
+    # beta_b - beta_a = 2 alpha needs equal parity vectors, so only those pairs are
+    # tried.  Swapping a and b negates alpha, and alpha and -alpha are never both
     # negated simple roots, so each pair passes in at most one order
+    by_parity = {}
+    for b, beta_b in enumerate(members, start=1):
+        by_parity.setdefault(tuple(c & 1 for c in beta_b), []).append((b, beta_b))
     for a, beta_a in enumerate(members, start=1):
-        for b, beta_b in enumerate(members, start=1):
-            diff = _sub(beta_b, beta_a)
-            if a == b or any(c % 2 for c in diff):
+        for b, beta_b in by_parity[tuple(c & 1 for c in beta_a)]:
+            if a == b:
                 continue
-            alpha = tuple(c // 2 for c in diff)
-            if not sys.is_root(alpha) or not _is_neg_simple(sys, alpha):
+            alpha = tuple(c // 2 for c in _sub(beta_b, beta_a))
+            if not _is_neg_simple(sys, alpha):
                 continue
             if not _rank_two_b2(sys, beta_b, alpha):
                 continue

@@ -1,8 +1,9 @@
 """Exact linear solves by Fraction row reduction.
 
-`solve_exact` is the program's one general solver: `apartment.affine_relation`
-takes its d x d solve per chamber from it, and tests use it as the reference
-for every coordinate the program reads off coroot pairings instead.
+`solve_exact` is the tests' reference for every coordinate the program reads
+off coroot pairings or integer cofactors instead (ambient coordinates, facet
+expansions, the affine relation among facet roots).  No command runs it; it
+stays in the package because perfbench's tracer wraps it by name.
 """
 
 from __future__ import annotations

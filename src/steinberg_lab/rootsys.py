@@ -3,9 +3,11 @@
 Roots are stored as integer coefficient vectors over the simple roots
 (Bourbaki numbering).  Euclidean data comes from the classical ambient
 realizations, held doubled so that every plate vector is integral, and
-rescaled so that long roots have squared length 2.  `to_ambient` is the one
-map between the coordinate systems; `from_ambient` and the plate table look
-roots up by their doubled images, so nothing is solved.  The Gram
+rescaled so that long roots have squared length 2.  The map between the
+coordinate systems (`to_ambient`) is linear, so the positive roots' doubled
+images are the whole table: built by height, each is the image of a root one
+step lower plus one doubled simple root, and `from_ambient` and the plate table
+look a vector up as v or -v, so nothing is solved.  The Gram
 matrix is kept as integers, scaled by its single denominator (1 for A/B/D/E
 and C2, 2 for C of rank at least 3 and F4, 3 for G2).  A coweight xi is its
 row of values (<alpha_j, xi>)_j on the simple roots, integers on P_vee =
@@ -25,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product, starmap
 from math import gcd, prod
-from operator import add, mul
+from operator import add, mul, neg, sub
 
 from .errors import BudgetExceeded, InvalidRank, NonIntegralPairing, NotARoot, ProportionalPair
 
@@ -64,19 +66,19 @@ class RootSystemType(namedtuple("RootSystemType", "family rank")):
 
 
 def _basis(dim, i):
-    return tuple(int(j == i) for j in range(dim))
+    return (0,) * i + (1,) + (0,) * (dim - i - 1)
 
 
 def _add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def _sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def _neg(u):
-    return tuple(-a for a in u)
+    return tuple(map(neg, u))
 
 
 def _scale(c, u):
@@ -93,8 +95,10 @@ def _root_key(r):
 def _positive_roots(cartan):
     """Sorted positive roots by height layers (Humphreys, Lie Algebras, 10.2):
     beta + alpha_i is a root exactly when the alpha_i-string below beta is longer
-    than <beta, alpha_i_vee> (9.4).  Each root carries its pairings with the
-    simple coroots, and a step by alpha_i adds Cartan column i to them."""
+    than <beta, alpha_i_vee> (9.4), so a negative pairing needs no walk and a
+    pairing p needs at most p + 1 steps down the string.  Each root carries its
+    pairings with the simple coroots, and a step by alpha_i adds Cartan column i
+    to them, once per root: a key already reached from another root is skipped."""
     d = len(cartan)
     units = [_root_key(_basis(d, i)) for i in range(d)]
     columns = list(zip(*cartan))
@@ -104,8 +108,10 @@ def _positive_roots(cartan):
         up = {}
         for key, pairings in layer.items():
             for unit, pair, column in zip(units, pairings, columns):
+                if key + unit in up:
+                    continue
                 p, below = 0, key - unit
-                while below in found:
+                while p <= pair and below in found:
                     p, below = p + 1, below - unit
                 if p > pair:
                     up[key + unit] = tuple(map(add, pairings, column))
@@ -210,7 +216,6 @@ class RootSystem:
         self.type = type_
         d = type_.rank
         doubled = self._ambient_simples = _ambient_simples(type_.family, d)
-        self._ambient_columns = tuple(zip(*doubled))
         # long roots at length 2 make x into 2 x / top
         raw = [[sum(map(mul, a, b)) for b in doubled] for a in doubled]
         top = max(raw[i][i] for i in range(d))
@@ -218,17 +223,20 @@ class RootSystem:
         self.gram_denominator = top // g
         self.gram = tuple(tuple(2 * x // g for x in row) for row in raw)
         self.simples = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-        self._coroots = {}
+        # coroot(alpha_i) is 2 G_ij / G_ii, read straight off the Gram matrix
+        if any(2 * x % row[i] for i, row in enumerate(self.gram) for x in row):
+            raise AssertionError("non-integral root pairing")
+        self.cartan = tuple(tuple(2 * x // row[i] for x in row) for i, row in enumerate(self.gram))
+        self._coroots = dict(zip(self.simples, self.cartan))
         self._orthogonal_rows = {}
-        self.cartan = tuple(map(self.coroot, self.simples))
         # negation reverses lexicographic order, and negatives sort before positives
         self.positive_roots = _positive_roots(self.cartan)
         self.roots = tuple(map(_neg, reversed(self.positive_roots))) + self.positive_roots
         self.root_index = {r: i for i, r in enumerate(self.roots)}
-        self.highest_root = max(self.positive_roots, key=lambda r: (sum(r), r))
-        for r in self.positive_roots:
-            if any(a > b for a, b in zip(r, self.highest_root)):
-                raise AssertionError("highest root fails to dominate")
+        # the highest root dominates every positive root: it is their column max
+        self.highest_root = tuple(map(max, zip(*self.positive_roots)))
+        if self.highest_root not in self.root_index:
+            raise AssertionError("highest root fails to dominate")
         # the exponents are the partition conjugate to the numbers of roots by height (d of height 1)
         counts = Counter(map(sum, self.positive_roots)).values()
         self.exponents = tuple(sorted(sum(c >= k for c in counts) for k in range(1, d + 1)))
@@ -257,9 +265,6 @@ class RootSystem:
     def pos_rep(self, v):
         """Representative of {v, -v} with nonnegative leading sign."""
         return v if self.is_positive(v) else _neg(v)
-
-    def height(self, v):
-        return sum(v)
 
     # -- exact euclidean data -------------------------------------------
 
@@ -355,32 +360,51 @@ class RootSystem:
 
     def to_ambient(self, v):
         """Twice the ambient coordinates of a lattice vector, as ints: the integer
-        combination of the doubled simple roots.  The one map between the two
-        coordinate systems."""
-        return tuple(sum(map(mul, v, column)) for column in self._ambient_columns)
+        combination of the doubled simple roots.  The tests' reference for the
+        ambient table, which is built by height and calls it for no root."""
+        return tuple(sum(map(mul, v, column)) for column in zip(*self._ambient_simples))
 
     @cached_property
     def _roots_by_ambient(self):
-        # the map is linear: each negative root's image is its opposite's negated
-        images = {self.to_ambient(r): r for r in self.positive_roots}
-        return images | {_neg(a): _neg(r) for a, r in images.items()}
+        # positive roots only, by height: a root one step lower plus a simple root
+        # alpha_i has that root's image plus the doubled alpha_i
+        doubled, index = self._ambient_simples, {}
+        images = {(0,) * len(doubled): (0,) * len(doubled[0])}  # root -> image, from height 0
+        for r in sorted(self.positive_roots, key=sum):
+            for i, c in enumerate(r):
+                if c:
+                    lower = r[:i] + (c - 1,) + r[i + 1 :]
+                    if lower in images:
+                        break
+            images[r] = image = tuple(map(add, images[lower], doubled[i]))
+            index[image] = r
+        return index
+
+    def _lookup(self, v):
+        """The root with doubled image v, or None: the image of -r is -v."""
+        index = self._roots_by_ambient
+        if v in index:
+            return index[v]
+        root = index.get(_neg(v))
+        return None if root is None else _neg(root)
 
     def from_ambient(self, vec):
         """The root with ambient coordinates vec, looked up by its doubled image;
         raises NotARoot, naming vec, for any other vector."""
-        root = self._roots_by_ambient.get(tuple(2 * x for x in vec))
+        root = self._lookup(tuple(2 * x for x in vec))
         if root is None:
             raise NotARoot(f"{tuple(vec)} is not a root of {self.type}")
         return root
 
     @cached_property
     def _ambient_roots(self):
-        index = self._roots_by_ambient
-        plates = _ambient_all_roots(self.type.family, self.type.rank)
-        for v in plates:
-            if v not in index:
+        roots = []
+        for v in _ambient_all_roots(self.type.family, self.type.rank):
+            root = self._lookup(v)
+            if root is None:
                 raise NotARoot(f"doubled plate vector {v} is not a root of {self.type}")
-        return tuple(sorted(map(index.__getitem__, plates)))
+            roots.append(root)
+        return tuple(sorted(roots))
 
     def ambient_root_table(self):
         """Sorted roots from the classical plate descriptions; a fresh list, built once."""

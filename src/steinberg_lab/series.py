@@ -65,7 +65,8 @@ def tail_bound(sys, q, radius):
     """Exact upper bound q^|Φ+| * sum_{l > radius} count(l) q^(-l).
 
     Evaluates the closed-form series at 1/q and subtracts the prefix, so the
-    bound is exact, positive, and monotone decreasing in the radius.
+    bound is exact, positive, and monotone decreasing in the radius.  No command
+    calls it (they read `_tail_bounds`); it stays because perfbench reads it by name.
     """
     return _tail_bounds(sys, q, radius)[-1]
 

@@ -503,10 +503,8 @@ def suite_series(q=3, radius=RADIUS_DEFAULTS["series"]):
         Fraction(3),
         "derived",
     )
-    monotone = all(
-        series.tail_bound(build("A", 2), q, r) >= series.tail_bound(build("A", 2), q, r + 1)
-        for r in range(8)
-    )
+    bounds = series._tail_bounds(build("A", 2), q, 8)
+    monotone = all(a >= b for a, b in zip(bounds, bounds[1:]))
     rep.add("tail-monotone", "tail bound decreases with the radius", monotone, True, "derived")
     return rep
 

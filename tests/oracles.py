@@ -1,17 +1,21 @@
 """References the tests compare the package against, which no command runs: exact
-solves for many right-hand sides at once, the Cartan-matrix classifier of a closed
-subsystem, the visited-set gallery BFS of an apartment ball, the parent of a tree
-vertex, the root paths of a tree ball's vertices with the pairwise chamber distance
-read off them, the materialized chamber graph of a tree ball, and the harmonic
-extension evaluated chamber by chamber."""
+solves for many right-hand sides at once, the ambient table of every root's image,
+the affine relation among facet roots by a Fraction solve, translation with one
+pairing per root, the sign constraints over all ordered pairs of members, the
+Cartan-matrix classifier of a closed subsystem, the visited-set gallery BFS of an
+apartment ball, the parent of a tree vertex, the root paths of a tree ball's
+vertices with the pairwise chamber distance read off them, the materialized chamber
+graph of a tree ball, and the harmonic extension evaluated chamber by chamber."""
 
 from fractions import Fraction
+from math import gcd, lcm
 from weakref import WeakKeyDictionary
 
-from steinberg_lab.apartment import wall_neighbors
+from steinberg_lab.apartment import Chamber, E_LEVEL, extended_simple_roots, wall_neighbors
+from steinberg_lab.cochain import _is_neg_simple, _rank_two_b2, sign_vector
 from steinberg_lab.errors import BudgetExceeded, NotHarmonicBase, NotInBall
-from steinberg_lab.linalg import _rref
-from steinberg_lab.rootsys import _RANK_BOUNDS, _sub, build, subsystem_components
+from steinberg_lab.linalg import _rref, solve_exact
+from steinberg_lab.rootsys import _RANK_BOUNDS, _ambient_all_roots, _sub, build, subsystem_components
 
 
 def solve_many(columns, rhss):
@@ -27,6 +31,74 @@ def solve_many(columns, rhss):
         None if any(row[t] for row in rows[k:]) else [row[t] for row in rows[:k]]
         for t in range(k, k + len(rhss))
     ]
+
+
+def ambient_table(sys):
+    """`RootSystem.ambient_root_table` from every root's doubled image, each one
+    `to_ambient` (a dim x rank dot product), negatives included."""
+    index = {sys.to_ambient(r): r for r in sys.roots}
+    return sorted(index[v] for v in _ambient_all_roots(sys.type.family, sys.type.rank))
+
+
+def solved_affine_relation(chamber):
+    """`apartment.affine_relation` by a Fraction solve of the first facet root over
+    the other d, its coordinates cleared of denominators and divided by their gcd."""
+    ext = extended_simple_roots(chamber)
+    coords = solve_exact(ext[1:], ext[0])
+    if coords is None:
+        raise AssertionError("facet roots are not affinely related")
+    den = lcm(*(c.denominator for c in coords))
+    rel = [den, *(int(-c * den) for c in coords)]
+    g = gcd(*rel)
+    rel = [c // g for c in rel]
+    if any(c <= 0 for c in rel):
+        raise AssertionError("facet relation is not positive")
+    return ext, rel
+
+
+def translate_by_pairings(chamber, xi):
+    """`apartment.translate` with one `RootSystem.pairing`, and its integrality
+    check, per positive root."""
+    sys = chamber.system
+    h = (v + 2 * sys.pairing(r, xi) for v, r in zip(chamber.h, sys.positive_roots))
+    return Chamber(sys, chamber.level, h)
+
+
+def sigma_chamber_by_heights(sys, members):
+    """`cochain.canonical_sigma_chamber`'s chamber from the weight functions
+    `sum` (the height) and `long_height`, root by root."""
+    simply_laced = all(sys.is_long(s) for s in sys.simples)
+    if not simply_laced and all(sys.is_long(m) for m in members):
+        weight = sys.long_height
+    else:
+        weight = sum
+    return Chamber(sys, E_LEVEL, (-weight(r) for r in sys.positive_roots))
+
+
+def all_pairs_constraints(sys, members, coroot_actions):
+    """`cochain.build_constraints` over every ordered pair of members, a pair
+    skipped when the difference is odd somewhere, on the chamber of
+    `sigma_chamber_by_heights`."""
+    r = len(members)
+    chamber = sigma_chamber_by_heights(sys, members)
+    constraints = []
+    for i, beta in enumerate(members, start=1):
+        if _is_neg_simple(sys, beta):
+            constraints.append((sign_vector(r, [i]), -1))
+    for a, beta_a in enumerate(members, start=1):
+        for b, beta_b in enumerate(members, start=1):
+            diff = _sub(beta_b, beta_a)
+            if a == b or any(c % 2 for c in diff):
+                continue
+            alpha = tuple(c // 2 for c in diff)
+            if not sys.is_root(alpha) or not _is_neg_simple(sys, alpha):
+                continue
+            if not _rank_two_b2(sys, beta_b, alpha):
+                continue
+            if (chamber.value(beta_b) - chamber.value(beta_a)) % 4 != 0:
+                continue
+            constraints.append((sign_vector(r, [a, b]), -1))
+    return constraints + [(action, 1) for action in coroot_actions]
 
 
 def subsystem_simples(sys, roots):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from oracles import bfs_shells
+from oracles import bfs_shells, solved_affine_relation, translate_by_pairings
 
 from steinberg_lab import apartment, linalg, tables
 from steinberg_lab.apartment import (
@@ -89,6 +89,44 @@ def test_translate_rejects_a_non_integral_coweight():
     _, ce = base_chambers(build("A", 2))
     with pytest.raises(NonIntegralPairing, match=re.escape("<(0, 1), xi> = -1/3")):
         translate(ce, [Fraction(2, 3), Fraction(-1, 3)])  # alpha_1_vee / 3
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NonIntegralPairing, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("fam, rank", [("A", 2), ("B", 3), ("G", 2)])
+def test_translate_matches_one_pairing_per_root(fam, rank, monkeypatch):
+    # xi is checked once and each root read as one row: the same chambers, the
+    # same exception and message for a fractional or a wrong-length row, int h
+    # for a Fraction row with integral entries, and no pairing on an integral row
+    sys = build(fam, rank)
+    third = [Fraction(1, 3)] * rank
+    rows = [
+        [1] * rank,
+        [Fraction(2 * i - 1) for i in range(rank)],
+        [*third[:-1], Fraction(-1)],
+        [*[0] * (rank - 1), Fraction(1, 2)],
+        [1] * (rank - 1),
+        [1] * (rank + 1),
+        third[:-1],
+    ]
+    cf, ce = base_chambers(sys)
+    for c in (cf, ce):
+        for xi in rows:
+            expected = _outcome(translate_by_pairings, c, xi)
+            assert _outcome(translate, c, xi) == expected
+            if isinstance(expected, Chamber):
+                assert all(type(v) is int for v in translate(c, xi).h)
+    assert [type(_outcome(translate, ce, xi)) for xi in rows] == [Chamber] * 2 + [tuple] * 5
+    pairings = []
+    pairing = RootSystem.pairing
+    monkeypatch.setattr(RootSystem, "pairing", lambda *args: pairings.append(args) or pairing(*args))
+    translate(ce, rows[1])
+    assert pairings == []
 
 
 def test_reflect_involution_and_walls():
@@ -469,7 +507,7 @@ def test_facet_functional_expands_each_positive_root_once(monkeypatch):
 def test_affine_relation_identity(monkeypatch):
     # at the base chamber the facet roots sort as -theta, alpha_d, ..., alpha_1
     # and the relation is the marks: 1 on -theta, the highest root's coefficients;
-    # each chamber costs one solve
+    # the relation is read off integer cofactors, with no solve
     solves = _spy(monkeypatch, linalg, "solve_exact")
     chambers = 0
     for fam, rank in ACCEPTANCE_TYPES:
@@ -489,7 +527,22 @@ def test_affine_relation_identity(monkeypatch):
                 assert sum(c * ch.value(r) for c, r in zip(rel, ext)) == 1
                 assert sorted(rel) == marks
                 chambers += 1
-    assert len(solves) == chambers
+    assert (chambers, len(solves)) == (46, 0)
+
+
+RELATION_BALLS = [("A", 2, 3), ("B", 2, 3), ("G", 2, 3), ("A", 3, 2), ("B", 3, 2), ("C", 3, 2)]
+
+
+def test_affine_relation_matches_the_fraction_solve():
+    # integer cofactors against the solve of the first facet root over the others,
+    # at both levels of each ball and at the base chamber of every acceptance type
+    chambers = [base_chambers(build(fam, rank))[1] for fam, rank in ACCEPTANCE_TYPES]
+    for fam, rank, radius in RELATION_BALLS:
+        for c0 in base_chambers(build(fam, rank)):
+            chambers += [c for shell in chambers_within(c0, radius) for c in shell]
+    for ch in chambers:
+        assert apartment.affine_relation(ch) == solved_affine_relation(ch)
+    assert len(chambers) == 208
 
 
 def test_triangle_inequality_sampled():

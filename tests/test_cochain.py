@@ -3,6 +3,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from oracles import all_pairs_constraints, sigma_chamber_by_heights
 
 from steinberg_lab import apartment, cochain, linalg, prasad, rootsys, suites, tables
 from steinberg_lab.cochain import (
@@ -145,6 +146,21 @@ def test_pair_constraints_are_distinct():
         assert len(pairs) == len(set(pairs)), f"{fam}{rank}"
         total += len(pairs)
     assert total > 0
+
+
+def test_build_constraints_match_the_all_pairs_oracle():
+    # pairing only members of equal parity keeps every entry in the same order, and
+    # the weight row gives the chamber the height functions give, in both branches
+    branches = set()
+    for fam, rank in SIGN_CALCULUS_TYPES:
+        sys = build(fam, rank)
+        solved = solved_character(sys)
+        chamber = canonical_sigma_chamber(sys, solved.members)
+        assert chamber == sigma_chamber_by_heights(sys, solved.members), f"{fam}{rank}"
+        branches.add(chamber.h == tuple(-sum(r) for r in sys.positive_roots))
+        expected = all_pairs_constraints(sys, solved.members, solved.coroot_actions)
+        assert _constraints(sys) == expected, f"{fam}{rank}"
+    assert branches == {True, False}
 
 
 def test_canonical_chamber_a1():

@@ -58,11 +58,20 @@ def test_verify_rootsys_loads_no_apartment_layer():
 
 @pytest.mark.parametrize(
     "argv",
-    [["verify", "rootsys"], ["verify", "prasad"], ["verify", "sorth"], ["sigma-a", "E", "8"]],
+    [
+        ["verify", "rootsys"],
+        ["verify", "prasad"],
+        ["verify", "sorth"],
+        ["sigma-a", "E", "8"],
+        ["verify", "apartment"],
+        ["verify", "cochain"],
+        ["verify", "series"],
+    ],
     ids=" ".join,
 )
 def test_root_system_commands_load_no_solver(argv):
-    # plates and orthogonal expansions are read forward, through integer maps
+    # plates and orthogonal expansions are read forward, through integer maps, and
+    # the affine relation among facet roots off integer cofactors
     _, after, code = _modules_loaded(*argv)
     assert code == 0
     assert "steinberg_lab.linalg" not in after

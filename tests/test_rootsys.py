@@ -7,9 +7,9 @@ from operator import add, mul
 
 import pytest
 
-from oracles import classify_subsystem
+from oracles import ambient_table, classify_subsystem
 from steinberg_lab import apartment, rootsys, tables
-from steinberg_lab.errors import BudgetExceeded, InvalidRank, NonIntegralPairing, ProportionalPair
+from steinberg_lab.errors import BudgetExceeded, InvalidRank, NonIntegralPairing, NotARoot, ProportionalPair
 from steinberg_lab.linalg import solve_exact
 from steinberg_lab.rootsys import (
     RootSystem,
@@ -173,6 +173,30 @@ def test_plate_table_is_integer_and_built_once(monkeypatch):
     monkeypatch.setattr(rootsys, "_ambient_all_roots", None)  # a second build would fail
     table.clear()  # callers get a fresh list, not the stored one
     assert sys.ambient_root_table() == list(sys.roots)
+
+
+AMBIENT_TYPES = (
+    [("A", d) for d in range(1, 9)]
+    + [(fam, d) for fam in "BC" for d in range(2, 9)]
+    + [("D", d) for d in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("fam, rank", AMBIENT_TYPES)
+def test_positive_half_ambient_table_matches_every_image(fam, rank):
+    # the table holds the positive roots' images only, built by height; every root,
+    # negatives included, is found again from its image, and the plate table is
+    # the one read off all images
+    sys = RootSystem(RootSystemType(fam, rank))
+    assert sys._roots_by_ambient == {sys.to_ambient(r): r for r in sys.positive_roots}
+    for r in sys.roots:
+        assert sys.from_ambient([Fraction(x, 2) for x in sys.to_ambient(r)]) == r
+    assert sys.ambient_root_table() == ambient_table(sys) == list(sys.roots)
+    dim = len(sys._ambient_simples[0])
+    for vec in [(0,) * dim, sys.to_ambient(sys.highest_root), sys.to_ambient(_neg(sys.simples[0]))]:
+        with pytest.raises(NotARoot, match=re.escape(f"{vec} is not a root of {fam}{rank}")):
+            sys.from_ambient(vec)  # 0, or twice a root
 
 
 @pytest.mark.parametrize("fam, rank", [("A", 4), ("B", 3), ("C", 4), ("D", 5), ("E", 6), ("F", 4), ("G", 2)])
