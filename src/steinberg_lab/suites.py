@@ -1,9 +1,10 @@
 """Named verification suites with machine-readable reports.
 
 Each suite runs a battery of exact checks and returns a SuiteReport, whose
-checks are the dicts of the JSON report.  RADIUS_DEFAULTS names the suites
-that take q and a radius, and their default radius.  All comparisons are
-exact (integers or reduced fractions rendered as strings).
+checks are the dicts of the JSON report.  Every check belongs to a family of
+CHECKS, which holds its description and provenance.  RADIUS_DEFAULTS names
+the suites that take q and a radius, and their default radius.  All
+comparisons are exact (integers or reduced fractions rendered as strings).
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ ACCEPTANCE_TYPES = [
     ("F", 4), ("G", 2),
 ]
 
+# the types whose roots suite_rootsys and suite_prasad read off the plates
+PLATE_TYPES = ACCEPTANCE_TYPES + [("A", 2), ("A", 4)]
+
 TRICHOTOMY_TYPES = [
     ("A", 2), ("A", 3), ("A", 4),
     ("B", 2), ("B", 3), ("C", 3),
@@ -35,6 +39,67 @@ SIGN_CALCULUS_TYPES = (
     + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 )
 
+
+# Each check family's (description, provenance); provenance is table, derived or
+# definition.  A check's id is its family, followed by "-" and a tag (a type, q or
+# n) where a suite runs the family over several of them.
+CHECKS = {
+    # rootsys
+    "closure-vs-plates": (
+        "reflection closure reproduces the classical plate enumeration", "derived"),
+    "two-rho-even": ("<2 rho, alpha_vee> is even on every coroot", "table"),
+    "coxeter-parity": ("coxeter number odd exactly in type A of even rank", "table"),
+    "negation-stability": ("strong orthogonality survives negating one member", "table"),
+    "orthogonal-long": ("orthogonal pairs with a long member are strongly orthogonal", "table"),
+    # sorth
+    "sigma-size": ("constructed set has the tabled cardinality", "table"),
+    "sigma-table": ("constructed set conjugate to the tabled one, with certificate", "table"),
+    "odd-height": ("every tabled member is a signed root of odd height", "table"),
+    "half-integral-expansion": (
+        "every root expands over the full-rank set in half-integers", "table"),
+    "short-coeff-even": ("long positive roots have even coefficients on short simples", "table"),
+    "trichotomy": ("every class is (C1)-witnessed or embeds in the maximal set", "table"),
+    "two-short": ("two short members force type C of rank at least 4", "table"),
+    # apartment
+    "distance-doubling": ("fine distance is twice the coarse distance on translations", "table"),
+    "central-count": ("exactly one fine chamber avoids every coarse wall", "derived"),
+    "central-formula": ("interleaving construction matches the brute-force filter", "table"),
+    "central-count-A3": ("no fine chamber of type A3 avoids every coarse wall", "table"),
+    "central-distance-A2": (
+        "central chambers of adjacent coarse chambers are three apart", "table"),
+    "facet-relation": ("weighted facet values of every chamber sum to one half-unit", "table"),
+    "facet-functional": ("facet functional stays half-integral on every root", "table"),
+    "triangle-A2": ("gallery distance satisfies the triangle inequality", "derived"),
+    # cochain
+    "character": ("constraints solve to the tabled character uniquely", "table"),
+    "coroot-trivial": ("solved character is +1 on every simple coroot action", "table"),
+    "chi-compat": ("solved character matches the torus character on test coweights", "table"),
+    "wall-counts": ("separating wall counts (total, even-height)", "table"),
+    "panel-zeros": ("normalized vectors sum to zero across every sampled panel", "table"),
+    "extension-matches-iwahori": (
+        "extension from one chamber reproduces the normalized vector", "derived"),
+    "class-value-k1": ("one recursion step divides by (1 - q)", "table"),
+    "class-value-k2": ("later steps multiply by 2/(1 - q)", "derived"),
+    # series
+    "poincare": ("closed form equals the alcove count to degree 10", "derived"),
+    "lambda-A2": ("partial sums stay within the exact tail bound of 1", "table"),
+    "lambda-tail": ("tail bound at the top radius", "derived"),
+    "s-value": ("type-A sum at 1/2 with one-dimensional fixed part", "derived"),
+    "tail-monotone": ("tail bound decreases with the radius", "derived"),
+    # tree
+    "shell-counts": ("chamber counts per shell are 1, then 2 q^n", "derived"),
+    "shell-sums": ("per-shell absolute sums of the base vector are constant at 2", "table"),
+    "hctest": ("panel sums of normalized vectors vanish everywhere sampled", "table"),
+    "legendre-support": ("sign cochain: two zeros and an even +/-1 split", "table"),
+    "extension": ("harmonic extension sums to zero at every interior panel", "table"),
+    "iwahori-harmonic": ("base vector panel sums vanish", "derived"),
+    "axis-distance": ("axis distances agree with the apartment line", "derived"),
+    # prasad
+    "triviality": ("lattice membership of rho matches the recomputed half-sum", "derived"),
+    "torus-value-E7": ("nonsquare torus value at the order-two coweight", "table"),
+    "d2n-identity": ("parity identity for type D of rank 2n", "table"),
+    "d2n-skip-n1": ("degenerate rank-two case reports skipped", "definition"),
+}
 
 RADIUS_DEFAULTS = {"cochain": 4, "series": 10, "tree": 8}
 COCHAIN_MAX_RADIUS = 40  # the largest --radius that verify cochain accepts
@@ -57,6 +122,12 @@ class SuiteReport:
             "id": id_, "description": description, "status": status,
             "value": value_s, "expected": expected_s, "provenance": provenance,
         })
+
+    def check(self, family, value, expected, tag=None):
+        """Record one check of a CHECKS family, with id family-tag when a tag is given."""
+        description, provenance = CHECKS[family]
+        id_ = family if tag is None else f"{family}-{tag}"
+        self.add(id_, description, value, expected, provenance)
 
     @property
     def ok(self):
@@ -82,32 +153,14 @@ def _render(v):
 def suite_rootsys():
     from .rootsys import build
     rep = SuiteReport("rootsys")
-    for fam, rank in ACCEPTANCE_TYPES + [("A", 2), ("A", 4)]:
+    for fam, rank in PLATE_TYPES:
         sys = build(fam, rank)
-        rep.add(
-            f"closure-vs-plates-{fam}{rank}",
-            "reflection closure reproduces the classical plate enumeration",
-            list(sys.roots) == sys.ambient_root_table(),
-            True,
-            "derived",
-        )
+        tag = f"{fam}{rank}"
+        rep.check("closure-vs-plates", list(sys.roots) == sys.ambient_root_table(), True, tag)
         even = all(sys.root_pairing(sys.two_rho, alpha) % 2 == 0 for alpha in sys.roots)
-        rep.add(
-            f"two-rho-even-{fam}{rank}",
-            "<2 rho, alpha_vee> is even on every coroot",
-            even,
-            True,
-            "table",
-        )
+        rep.check("two-rho-even", even, True, tag)
         odd = sys.coxeter_number() % 2 == 1
-        expected_odd = fam == "A" and rank % 2 == 0
-        rep.add(
-            f"coxeter-parity-{fam}{rank}",
-            "coxeter number odd exactly in type A of even rank",
-            odd,
-            expected_odd,
-            "table",
-        )
+        rep.check("coxeter-parity", odd, fam == "A" and rank % 2 == 0, tag)
     for fam, rank in [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2)]:
         sys = build(fam, rank)
         n = len(sys.roots)
@@ -120,20 +173,8 @@ def suite_rootsys():
             orth & (everything if sys.is_long(a) else long_mask) & ~strong
             for a, (orth, strong) in zip(sys.roots, rows)
         )
-        rep.add(
-            f"negation-stability-{fam}{rank}",
-            "strong orthogonality survives negating one member",
-            neg_ok,
-            True,
-            "table",
-        )
-        rep.add(
-            f"orthogonal-long-{fam}{rank}",
-            "orthogonal pairs with a long member are strongly orthogonal",
-            sto_ok,
-            True,
-            "table",
-        )
+        rep.check("negation-stability", neg_ok, True, f"{fam}{rank}")
+        rep.check("orthogonal-long", sto_ok, True, f"{fam}{rank}")
     return rep
 
 
@@ -155,42 +196,19 @@ def suite_sorth():
     rep = SuiteReport("sorth")
     for fam, rank in ACCEPTANCE_TYPES:
         sys = build(fam, rank)
+        tag = f"{fam}{rank}"
         sa = sorth.sigma_a(sys)
         table = sorth.so_set(sys, tables.sigma_a_table(sys))
-        rep.add(
-            f"sigma-size-{fam}{rank}",
-            "constructed set has the tabled cardinality",
-            len(sa),
-            len(table),
-            "table",
-        )
+        rep.check("sigma-size", len(sa), len(table), tag)
         res = sorth.is_conjugate_subset_of(sys, sa, table)
-        rep.add(
-            f"sigma-table-{fam}{rank}",
-            "constructed set conjugate to the tabled one, with certificate",
-            res.status == "yes",
-            True,
-            "table",
-        )
+        rep.check("sigma-table", res.status == "yes", True, tag)
         odd_ok = all(
             sum(_neg(m)) % 2 == 1 if all(c <= 0 for c in m) else sum(m) % 2 == 1
             for m in table
         )
-        rep.add(
-            f"odd-height-{fam}{rank}",
-            "every tabled member is a signed root of odd height",
-            odd_ok,
-            True,
-            "table",
-        )
+        rep.check("odd-height", odd_ok, True, tag)
         if len(sa) == rank:
-            rep.add(
-                f"half-integral-expansion-{fam}{rank}",
-                "every root expands over the full-rank set in half-integers",
-                _doubles_every_root(sys, table),
-                True,
-                "table",
-            )
+            rep.check("half-integral-expansion", _doubles_every_root(sys, table), True, tag)
     for fam, rank in [("B", 3), ("C", 4), ("F", 4)]:
         sys = build(fam, rank)
         ok = True
@@ -202,24 +220,12 @@ def suite_sorth():
                     if not sys.is_long(s)
                 ):
                     ok = False
-        rep.add(
-            f"short-coeff-even-{fam}{rank}",
-            "long positive roots have even coefficients on short simples",
-            ok,
-            True,
-            "table",
-        )
+        rep.check("short-coeff-even", ok, True, f"{fam}{rank}")
     classes = {}
     for fam, rank in TRICHOTOMY_TYPES:
         report = sorth.verify_anismax(build(fam, rank))
         classes[fam, rank] = report.classes
-        rep.add(
-            f"trichotomy-{fam}{rank}",
-            "every class is (C1)-witnessed or embeds in the maximal set",
-            report.ok,
-            True,
-            "table",
-        )
+        rep.check("trichotomy", report.ok, True, f"{fam}{rank}")
     for fam, rank in TRICHOTOMY_TYPES:
         sys = build(fam, rank)
         two_short_ok = True
@@ -227,13 +233,7 @@ def suite_sorth():
             shorts = [m for m in rep_set if not sys.is_long(m)]
             if len(shorts) >= 2 and not (fam == "C" and rank >= 4):
                 two_short_ok = False
-        rep.add(
-            f"two-short-{fam}{rank}",
-            "two short members force type C of rank at least 4",
-            two_short_ok,
-            True,
-            "table",
-        )
+        rep.check("two-short", two_short_ok, True, f"{fam}{rank}")
     return rep
 
 
@@ -256,42 +256,20 @@ def suite_apartment(seed=20240817):
             df = apartment.distance(cf, apartment.translate(cf, xi))
             if de != 2 * df:
                 ok = False
-        rep.add(
-            f"distance-doubling-{fam}{rank}",
-            "fine distance is twice the coarse distance on translations",
-            ok,
-            True,
-            "table",
-        )
+        rep.check("distance-doubling", ok, True, f"{fam}{rank}")
     # central chambers
     for rank, total in [(2, 4), (4, 16)]:
         sys = build("A", rank)
         cf, _ = apartment.base_chambers(sys)
         cells = apartment.e_chambers_in_f_chamber(cf)
         central = [c for c in cells if apartment.is_central(c)]
-        rep.add(
-            f"central-count-A{rank}",
-            "exactly one fine chamber avoids every coarse wall",
-            (len(cells), len(central)),
-            (total, 1),
-            "derived",
-        )
-        rep.add(
-            f"central-formula-A{rank}",
-            "interleaving construction matches the brute-force filter",
-            apartment.central_chamber(sys, cf) == central[0],
-            True,
-            "table",
-        )
+        rep.check("central-count", (len(cells), len(central)), (total, 1), f"A{rank}")
+        formula_ok = apartment.central_chamber(sys, cf) == central[0]
+        rep.check("central-formula", formula_ok, True, f"A{rank}")
     sys3 = build("A", 3)
     cf3, _ = apartment.base_chambers(sys3)
-    rep.add(
-        "central-count-A3",
-        "no fine chamber of type A3 avoids every coarse wall",
-        sum(1 for c in apartment.e_chambers_in_f_chamber(cf3) if apartment.is_central(c)),
-        0,
-        "table",
-    )
+    central3 = sum(1 for c in apartment.e_chambers_in_f_chamber(cf3) if apartment.is_central(c))
+    rep.check("central-count-A3", central3, 0)
     # adjacent central chambers sit at distance three
     sys = build("A", 2)
     cf, _ = apartment.base_chambers(sys)
@@ -299,13 +277,7 @@ def suite_apartment(seed=20240817):
     dists = []
     for neighbor in apartment.wall_neighbors(cf).values():
         dists.append(apartment.distance(c0, apartment.central_chamber(sys, neighbor)))
-    rep.add(
-        "central-distance-A2",
-        "central chambers of adjacent coarse chambers are three apart",
-        sorted(dists),
-        [3, 3, 3],
-        "table",
-    )
+    rep.check("central-distance-A2", sorted(dists), [3, 3, 3])
     # facet relation identity on sampled chambers
     for fam, rank in [("A", 2), ("B", 2), ("G", 2)]:
         sys = build(fam, rank)
@@ -316,13 +288,7 @@ def suite_apartment(seed=20240817):
                 ext, rel = apartment.affine_relation(ch)
                 if sum(c * ch.value(r) for c, r in zip(rel, ext)) != 1:
                     ok = False
-        rep.add(
-            f"facet-relation-{fam}{rank}",
-            "weighted facet values of every chamber sum to one half-unit",
-            ok,
-            True,
-            "table",
-        )
+        rep.check("facet-relation", ok, True, f"{fam}{rank}")
     # half-integrality of facet functionals on full-rank sets
     for fam, rank in ACCEPTANCE_TYPES:
         sys = build(fam, rank)
@@ -335,13 +301,7 @@ def suite_apartment(seed=20240817):
             ok = True
         except HalfIntegralityViolation:
             ok = False
-        rep.add(
-            f"facet-functional-{fam}{rank}",
-            "facet functional stays half-integral on every root",
-            ok,
-            True,
-            "table",
-        )
+        rep.check("facet-functional", ok, True, f"{fam}{rank}")
     # triangle inequality, sampled
     sys = build("A", 2)
     _, ce = apartment.base_chambers(sys)
@@ -349,13 +309,7 @@ def suite_apartment(seed=20240817):
     dist = [[apartment.distance(a, b) for b in ball] for a in ball]
     idx = range(len(ball))
     ok = all(row[c] <= row[b] + dist[b][c] for row in dist for b in idx for c in idx)
-    rep.add(
-        "triangle-A2",
-        "gallery distance satisfies the triangle inequality",
-        ok,
-        True,
-        "derived",
-    )
+    rep.check("triangle-A2", ok, True)
     return rep
 
 
@@ -369,46 +323,24 @@ def suite_cochain(q=3, radius=RADIUS_DEFAULTS["cochain"]):
     # sign calculus: solve, compare, gfdstab, character compatibility
     for fam, rank in SIGN_CALCULUS_TYPES:
         sys = build(fam, rank)
+        tag = f"{fam}{rank}"
         solved = cochain.solved_character(sys)
         chi = solved.character
         expected = cochain.eic_character(sys)
-        rep.add(
-            f"character-{fam}{rank}",
-            "constraints solve to the tabled character uniquely",
-            chi.values_on_basis(),
-            expected.values_on_basis(),
-            "table",
-        )
-        rep.add(
-            f"coroot-trivial-{fam}{rank}",
-            "solved character is +1 on every simple coroot action",
-            all(chi.value(action) == 1 for action in solved.coroot_actions),
-            True,
-            "table",
-        )
+        rep.check("character", chi.values_on_basis(), expected.values_on_basis(), tag)
+        trivial = all(chi.value(action) == 1 for action in solved.coroot_actions)
+        rep.check("coroot-trivial", trivial, True, tag)
         compat = True
         for xi in tables.chi_test_coweights(sys):
             lhs = chi.value(cochain.coroot_action(sys, solved.members, xi))
             rhs = prasad.chi_on_torus(sys, xi)
             if lhs != rhs:
                 compat = False
-        rep.add(
-            f"chi-compat-{fam}{rank}",
-            "solved character matches the torus character on test coweights",
-            compat,
-            True,
-            "table",
-        )
+        rep.check("chi-compat", compat, True, tag)
     # wall-count ratios
     for fam, rank, expect in [("A", 3, (4, 2)), ("D", 5, (8, 4)), ("E", 6, (8, 4))]:
         rr = cochain.r1_r2(build(fam, rank))
-        rep.add(
-            f"wall-counts-{fam}{rank}",
-            "separating wall counts (total, even-height)",
-            (rr.r1, rr.r2),
-            expect,
-            "table",
-        )
+        rep.check("wall-counts", (rr.r1, rr.r2), expect, f"{fam}{rank}")
     # panel sums of normalized vectors in small apartments
     for fam, rank in [("A", 1), ("A", 2)]:
         sys = build(fam, rank)
@@ -424,41 +356,17 @@ def suite_cochain(q=3, radius=RADIUS_DEFAULTS["cochain"]):
             for panel in panels:
                 if cochain.panel_sum(panel, vec) != 0:
                     ok = False
-        rep.add(
-            f"panel-zeros-{fam}{rank}",
-            "normalized vectors sum to zero across every sampled panel",
-            ok,
-            True,
-            "table",
-        )
+        rep.check("panel-zeros", ok, True, f"{fam}{rank}")
     # harmonic extension from a single chamber equals the normalized vector
     sys = build("A", 2)
     _, ce = apartment.base_chambers(sys)
     ball = [c for shell in apartment.chambers_within(ce, radius) for c in shell]
     ext = cochain.extend_by_harmonicity(ce, Fraction(1), q, radius)
     vec = cochain.iwahori_vector(ce, q, radius)
-    rep.add(
-        "extension-matches-iwahori",
-        "extension from one chamber reproduces the normalized vector",
-        all(ext.value(c) == vec.value(c) for c in ball),
-        True,
-        "derived",
-    )
+    rep.check("extension-matches-iwahori", all(ext.value(c) == vec.value(c) for c in ball), True)
     # support recursion values
-    rep.add(
-        "class-value-k1",
-        "one recursion step divides by (1 - q)",
-        cochain.a2n_class_value(1, 3, 1),
-        Fraction(-1, 2),
-        "table",
-    )
-    rep.add(
-        "class-value-k2",
-        "later steps multiply by 2/(1 - q)",
-        cochain.a2n_class_value(2, 3, 1),
-        Fraction(1, 2),
-        "derived",
-    )
+    rep.check("class-value-k1", cochain.a2n_class_value(1, 3, 1), Fraction(-1, 2))
+    rep.check("class-value-k2", cochain.a2n_class_value(2, 3, 1), Fraction(1, 2))
     return rep
 
 
@@ -472,40 +380,17 @@ def suite_series(q=3, radius=RADIUS_DEFAULTS["series"]):
     for fam, rank in [("A", 1), ("A", 2), ("C", 2), ("G", 2), ("A", 3)]:
         sys = build(fam, rank)
         closed = series.poincare_closed(sys, 10)
-        counted = series.poincare_bfs(sys, 10)
-        rep.add(
-            f"poincare-{fam}{rank}",
-            "closed form equals the alcove count to degree 10",
-            closed,
-            counted,
-            "derived",
-        )
+        rep.check("poincare", closed, series.poincare_bfs(sys, 10), f"{fam}{rank}")
     lam = series.lambda_a2n_partial(1, q, radius)
     top = len(lam.partial_sums) - 1
-    rep.add(
-        f"lambda-A2-q{q}",
-        "partial sums stay within the exact tail bound of 1",
-        set(range(6, top + 1)) <= set(lam.certified_radii()),
-        True,
-        "table",
-    )
-    rep.add(
-        f"lambda-tail-q{q}",
-        "tail bound at the top radius",
-        lam.tail_bounds[top] < Fraction(1, 100) if top >= 12 else "radius<12",
-        True if top >= 12 else "radius<12",
-        "derived",
-    )
-    rep.add(
-        "s-value",
-        "type-A sum at 1/2 with one-dimensional fixed part",
-        series.poincare_value(build("A", 1), Fraction(1, 2)),
-        Fraction(3),
-        "derived",
-    )
+    rep.check("lambda-A2", set(range(6, top + 1)) <= set(lam.certified_radii()), True, f"q{q}")
+    if top >= 12:
+        rep.check("lambda-tail", lam.tail_bounds[top] < Fraction(1, 100), True, f"q{q}")
+    else:
+        rep.check("lambda-tail", "radius<12", "radius<12", f"q{q}")
+    rep.check("s-value", series.poincare_value(build("A", 1), Fraction(1, 2)), Fraction(3))
     bounds = series._tail_bounds(build("A", 2), q, 8)
-    monotone = all(a >= b for a, b in zip(bounds, bounds[1:]))
-    rep.add("tail-monotone", "tail bound decreases with the radius", monotone, True, "derived")
+    rep.check("tail-monotone", all(a >= b for a, b in zip(bounds, bounds[1:])), True)
     return rep
 
 
@@ -525,66 +410,25 @@ def tree_hctest_depths(q):
 def suite_tree(q=3, radius=RADIUS_DEFAULTS["tree"]):
     from . import tree_oracle
     rep = SuiteReport("tree")
+    tag = f"q{q}"
     ball = tree_oracle.build_ball(q, radius)
     counts = tree_oracle.chamber_count_by_distance(ball)
-    rep.add(
-        f"shell-counts-q{q}",
-        "chamber counts per shell are 1, then 2 q^n",
-        counts,
-        [1] + [2 * q**n for n in range(1, radius + 1)],
-        "derived",
-    )
+    rep.check("shell-counts", counts, [1] + [2 * q**n for n in range(1, radius + 1)], tag)
     sums = tree_oracle.shell_abs_sums(q, counts)
-    rep.add(
-        f"shell-sums-q{q}",
-        "per-shell absolute sums of the base vector are constant at 2",
-        sums[1:],
-        [Fraction(2)] * radius,
-        "table",
-    )
+    rep.check("shell-sums", sums[1:], [Fraction(2)] * radius, tag)
     hc = tree_oracle.verify_hctest(ball, *tree_hctest_depths(q))
-    rep.add(
-        f"hctest-q{q}",
-        "panel sums of normalized vectors vanish everywhere sampled",
-        hc.failures,
-        0,
-        "table",
-    )
+    rep.check("hctest", hc.failures, 0, tag)
     base = tree_oracle.legendre_base(ball)
-    rep.add(
-        f"legendre-support-q{q}",
-        "sign cochain: two zeros and an even +/-1 split",
-        (sum(1 for v in base.values() if v == 0), sum(v * v for v in base.values())),
-        (2, Fraction(q - 1)),
-        "table",
-    )
-    extr = tree_oracle.verify_extension(ball, base)
-    rep.add(
-        f"extension-q{q}",
-        "harmonic extension sums to zero at every interior panel",
-        extr.failures,
-        0,
-        "table",
-    )
+    support = (sum(1 for v in base.values() if v == 0), sum(v * v for v in base.values()))
+    rep.check("legendre-support", support, (2, Fraction(q - 1)), tag)
+    rep.check("extension", tree_oracle.verify_extension(ball, base).failures, 0, tag)
     iwa = tree_oracle.verify_iwahori_harmonic(ball, panel_depth=min(radius - 1, 5))
-    rep.add(
-        f"iwahori-harmonic-q{q}",
-        "base vector panel sums vanish",
-        iwa.failures,
-        0,
-        "derived",
-    )
+    rep.check("iwahori-harmonic", iwa.failures, 0, tag)
     axis_ok = all(
         tree_oracle._run_distance(ball, 1, ball.axis_chamber(k)) == abs(k)
         for k in range(-radius, radius + 1)
     )
-    rep.add(
-        f"axis-distance-q{q}",
-        "axis distances agree with the apartment line",
-        axis_ok,
-        True,
-        "derived",
-    )
+    rep.check("axis-distance", axis_ok, True, tag)
     return rep
 
 
@@ -595,7 +439,7 @@ def suite_prasad():
     from . import prasad, tables
     from .rootsys import build
     rep = SuiteReport("prasad")
-    for fam, rank in ACCEPTANCE_TYPES + [("A", 2), ("A", 4)]:
+    for fam, rank in PLATE_TYPES:
         sys = build(fam, rank)
         # oracle: recompute the half-sum from the plate enumeration
         table = sys.ambient_root_table()
@@ -605,38 +449,14 @@ def suite_prasad():
                 for i, c in enumerate(r):
                     two_rho[i] += c
         oracle = all(c % 2 == 0 for c in two_rho)
-        rep.add(
-            f"triviality-{fam}{rank}",
-            "lattice membership of rho matches the recomputed half-sum",
-            prasad.prasad_trivial(sys),
-            oracle,
-            "derived",
-        )
+        rep.check("triviality", prasad.prasad_trivial(sys), oracle, f"{fam}{rank}")
     sys7 = build("E", 7)
     xi = tables.chi_test_coweights(sys7)[0]
-    rep.add(
-        "torus-value-E7",
-        "nonsquare torus value at the order-two coweight",
-        prasad.chi_on_torus(sys7, xi),
-        -1,
-        "table",
-    )
+    rep.check("torus-value-E7", prasad.chi_on_torus(sys7, xi), -1)
     for n in (2, 3, 4):
         out = prasad.d2n_character_identity(n)
-        rep.add(
-            f"d2n-identity-n{n}",
-            "parity identity for type D of rank 2n",
-            (out.skipped, out.holds),
-            (False, True),
-            "table",
-        )
-    rep.add(
-        "d2n-skip-n1",
-        "degenerate rank-two case reports skipped",
-        prasad.d2n_character_identity(1).skipped,
-        True,
-        "definition",
-    )
+        rep.check("d2n-identity", (out.skipped, out.holds), (False, True), f"n{n}")
+    rep.check("d2n-skip-n1", prasad.d2n_character_identity(1).skipped, True)
     return rep
 
 

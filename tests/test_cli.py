@@ -153,7 +153,7 @@ def test_tables_json_digest(table, main_cli):
 
 def test_sigma_a_json_digest(main_cli):
     digest = hashlib.sha256()
-    for fam, rank in suites.ACCEPTANCE_TYPES + [("A", 2), ("A", 4)]:
+    for fam, rank in suites.PLATE_TYPES:
         out = main_cli("sigma-a", fam, str(rank), "--format", "json")
         assert out.returncode == 0
         digest.update(out.stdout.encode())
@@ -399,41 +399,70 @@ def _signs_flipped_at_odd_distance(extend):
 # A break of the layer function each check family reads, made from the original, for
 # the families that no other test drives to a fail: a check that cannot fail checks nothing.
 BREAKS = {
-    "negation-stability-": ("rootsys", rootsys.RootSystem, "orthogonal_row",
-                            lambda row: lambda sys, b: (row(sys, b)[0], row(sys, b)[1] * sys.is_positive(b))),
-    "orthogonal-long-": ("rootsys", rootsys.RootSystem, "orthogonal_row",
-                         lambda row: lambda sys, beta: (row(sys, beta)[0], 0)),
-    "short-coeff-even-": ("sorth", rootsys.RootSystem, "is_long", lambda _: lambda sys, v: sum(v) > 1),
-    "two-short-": ("sorth", rootsys.RootSystem, "is_long", lambda _: lambda sys, v: False),
-    "distance-doubling-": ("apartment", apartment, "distance", lambda d: lambda a, b: d(a, b) ** 2),
-    "facet-relation-": ("apartment", apartment, "affine_relation",
-                        lambda rel: lambda ch: (rel(ch)[0], [2 * c for c in rel(ch)[1]])),
+    "negation-stability": ("rootsys", rootsys.RootSystem, "orthogonal_row",
+                           lambda row: lambda sys, b: (row(sys, b)[0], row(sys, b)[1] * sys.is_positive(b))),
+    "orthogonal-long": ("rootsys", rootsys.RootSystem, "orthogonal_row",
+                        lambda row: lambda sys, beta: (row(sys, beta)[0], 0)),
+    "short-coeff-even": ("sorth", rootsys.RootSystem, "is_long", lambda _: lambda sys, v: sum(v) > 1),
+    "two-short": ("sorth", rootsys.RootSystem, "is_long", lambda _: lambda sys, v: False),
+    "distance-doubling": ("apartment", apartment, "distance", lambda d: lambda a, b: d(a, b) ** 2),
+    "facet-relation": ("apartment", apartment, "affine_relation",
+                       lambda rel: lambda ch: (rel(ch)[0], [2 * c for c in rel(ch)[1]])),
     "triangle-A2": ("apartment", apartment, "distance", lambda d: lambda a, b: d(a, b) ** 2),
     # a corner chamber of cf, the last of its 2^d fine chambers, is never the central one
-    "central-formula-": ("apartment", apartment, "central_chamber",
-                         lambda _: lambda sys, cf: apartment.e_chambers_in_f_chamber(cf)[-1]),
+    "central-formula": ("apartment", apartment, "central_chamber",
+                        lambda _: lambda sys, cf: apartment.e_chambers_in_f_chamber(cf)[-1]),
     "central-distance-A2": ("apartment", apartment, "central_chamber",
                             lambda _: lambda sys, cf: apartment.e_chambers_in_f_chamber(cf)[-1]),
-    "lambda-A2-q": ("series", apartment, "central_chamber",
-                    lambda _: lambda sys, cf: apartment.e_chambers_in_f_chamber(cf)[-1]),
-    "poincare-": ("series", apartment, "_h_shells", _top_shell_short_by_one),
-    "chi-compat-": ("cochain", prasad, "chi_on_torus", lambda chi: lambda sys, xi: -chi(sys, xi)),
-    "panel-zeros-": ("cochain", cochain, "panel_sum", lambda _: lambda panel, f: 1),
+    "lambda-A2": ("series", apartment, "central_chamber",
+                  lambda _: lambda sys, cf: apartment.e_chambers_in_f_chamber(cf)[-1]),
+    "poincare": ("series", apartment, "_h_shells", _top_shell_short_by_one),
+    "chi-compat": ("cochain", prasad, "chi_on_torus", lambda chi: lambda sys, xi: -chi(sys, xi)),
+    "panel-zeros": ("cochain", cochain, "panel_sum", lambda _: lambda panel, f: 1),
     "extension-matches-iwahori": ("cochain", cochain, "extend_by_harmonicity",
                                   _signs_flipped_at_odd_distance),
-    "hctest-q": ("tree", tree_oracle, "_level_runs", _first_run_off_by_one),
-    "iwahori-harmonic-q": ("tree", tree_oracle, "_level_runs", _first_run_off_by_one),
-    "shell-counts-q": ("tree", tree_oracle, "_level_runs", _first_run_off_by_one),
-    "axis-distance-q": ("tree", tree_oracle, "_level_runs", _first_run_off_by_one),
-    "extension-q": ("tree", tree_oracle, "_extension_runs", _last_run_doubled_at_depth_two),
+    "hctest": ("tree", tree_oracle, "_level_runs", _first_run_off_by_one),
+    "iwahori-harmonic": ("tree", tree_oracle, "_level_runs", _first_run_off_by_one),
+    "shell-counts": ("tree", tree_oracle, "_level_runs", _first_run_off_by_one),
+    "axis-distance": ("tree", tree_oracle, "_level_runs", _first_run_off_by_one),
+    "extension": ("tree", tree_oracle, "_extension_runs", _last_run_doubled_at_depth_two),
 }
 
 
-@pytest.mark.parametrize("family", BREAKS)
+# A case's test id is the id stem its family's checks share: the family, then "-" and,
+# where the suite tags the family by q, "q"; an untagged family is its own id.
+CASE_IDS = {
+    "negation-stability": "negation-stability-", "orthogonal-long": "orthogonal-long-",
+    "short-coeff-even": "short-coeff-even-", "two-short": "two-short-",
+    "distance-doubling": "distance-doubling-", "facet-relation": "facet-relation-",
+    "central-formula": "central-formula-", "lambda-A2": "lambda-A2-q", "poincare": "poincare-",
+    "chi-compat": "chi-compat-", "panel-zeros": "panel-zeros-", "hctest": "hctest-q",
+    "iwahori-harmonic": "iwahori-harmonic-q", "shell-counts": "shell-counts-q",
+    "axis-distance": "axis-distance-q", "extension": "extension-q",
+}
+
+
+def family_of(check_id):
+    """The CHECKS family of a check id: the longest family that is the id, or the id's
+    stem before "-" and a tag; None when no family is."""
+    stems = [f for f in suites.CHECKS if check_id == f or check_id.startswith(f + "-")]
+    return max(stems, key=len, default=None)
+
+
+@pytest.mark.parametrize("family", BREAKS, ids=lambda family: CASE_IDS.get(family, family))
 def test_every_check_family_can_fail(family, monkeypatch, tmp_path, main_cli):
+    assert family in suites.CHECKS
     suite, owner, name, broken = BREAKS[family]
     monkeypatch.setattr(owner, name, broken(getattr(owner, name)))
     path = tmp_path / "report.json"
     assert main_cli("verify", suite, "--json", str(path)).returncode == 1
     checks = json.loads(path.read_text())["reports"][0]["checks"]
-    assert "fail" in {c["status"] for c in checks if c["id"].startswith(family)}
+    assert "fail" in {c["status"] for c in checks if family_of(c["id"]) == family}
+
+
+def test_verify_all_runs_every_check_family_and_no_other(tmp_path, main_cli):
+    path = tmp_path / "all.json"
+    assert main_cli("verify", "all", "--json", str(path)).returncode == 0
+    ids = [c["id"] for rep in json.loads(path.read_text())["reports"] for c in rep["checks"]]
+    assert [i for i in ids if family_of(i) is None] == []
+    assert sorted(set(suites.CHECKS) - {family_of(i) for i in ids}) == []
