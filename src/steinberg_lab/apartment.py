@@ -18,6 +18,7 @@ against the brute filter over 2^d fine chambers.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -36,26 +37,25 @@ E_LEVEL = "E"
 F_LEVEL = "F"
 
 
-class Chamber:
-    """An alcove of the apartment at one level; immutable and hashable.
+class Chamber(namedtuple("Chamber", "system level h")):
+    """An alcove of the apartment at one level.
 
-    h holds h(alpha) for alpha in system.positive_roots, in that order.
+    h holds h(alpha) for alpha in system.positive_roots, in that order.  Equal
+    chambers share their system object, which `rootsys.build` caches per type.
     """
 
-    __slots__ = ("system", "level", "h", "_hash")
+    __slots__ = ()
 
-    def __init__(self, system, level, h):
-        self.system = system
-        self.level = level
-        self.h = tuple(h)
-        if len(self.h) != len(system.positive_roots):
+    def __new__(cls, system, level, h):
+        h = tuple(h)
+        if len(h) != len(system.positive_roots):
             raise ValueError("h must assign a value to every positive root")
         if level == F_LEVEL:
-            if any(v % 2 for v in self.h):
+            if any(v % 2 for v in h):
                 raise ValueError("not a coarse-level chamber: odd h")
         elif level != E_LEVEL:
             raise ValueError(f"level must be {E_LEVEL!r} or {F_LEVEL!r}, not {level!r}")
-        self._hash = hash((system.type, level, self.h))
+        return super().__new__(cls, system, level, h)
 
     @property
     def ceiling(self):
@@ -72,20 +72,6 @@ class Chamber:
         if i >= half:
             return self.h[i - half]
         return self.ceiling - self.h[half - 1 - i]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Chamber)
-            and self.level == other.level
-            and self.system.type == other.system.type
-            and self.h == other.h
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Chamber({self.system.type}, {self.level}, {self.h})"
 
 
 def check_concave(chamber):
@@ -180,8 +166,9 @@ def wall_neighbors(chamber):
 
 
 def extended_simple_roots(chamber):
-    """The d+1 facet roots of the chamber, sorted."""
-    return sorted(wall_neighbors(chamber))
+    """The d+1 facet roots of the chamber, read off the slack pass in root order."""
+    sys = chamber.system
+    return [sys.roots[i] for i, _, _ in _facet_steps(sys, chamber.h, chamber.ceiling)]
 
 
 def _h_shells(c0, radius):

@@ -4,7 +4,7 @@ Roots are stored as integer coefficient vectors over the simple roots
 (Bourbaki numbering).  Euclidean data comes from the classical ambient
 realizations, held doubled so that every plate vector is integral, and
 rescaled so that long roots have squared length 2.  The map between the
-coordinate systems (`to_ambient`) is linear, so the positive roots' doubled
+coordinate systems is linear, so the positive roots' doubled
 images are the whole table: built by height, each is the image of a root one
 step lower plus one doubled simple root, and `from_ambient` and the plate table
 look a vector up as v or -v, so nothing is solved.  The Gram
@@ -280,11 +280,6 @@ class RootSystem:
     def is_long(self, v):
         return self._gram_dot(v, v) == 2 * self.gram_denominator
 
-    def long_height(self, v):
-        """Number of long simple roots in v, counted with multiplicity."""
-        long_len = 2 * self.gram_denominator
-        return sum(c for i, c in enumerate(v) if self.gram[i][i] == long_len)
-
     def coroot(self, beta):
         """The integer row (<alpha_j, beta_vee>)_j = 2 (G beta)_j / (beta, beta) of a
         root beta (Humphreys, Lie Algebras, 9.4), computed once per root."""
@@ -357,12 +352,6 @@ class RootSystem:
         return prod(m + 1 for m in self.exponents)
 
     # -- ambient translation -----------------------------------------------
-
-    def to_ambient(self, v):
-        """Twice the ambient coordinates of a lattice vector, as ints: the integer
-        combination of the doubled simple roots.  The tests' reference for the
-        ambient table, which is built by height and calls it for no root."""
-        return tuple(sum(map(mul, v, column)) for column in zip(*self._ambient_simples))
 
     @cached_property
     def _roots_by_ambient(self):

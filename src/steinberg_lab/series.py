@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from . import apartment, tables
-from .errors import BudgetExceeded, DomainError, NotApplicable, check_q
+from . import apartment
+from .errors import BudgetExceeded, DomainError, check_q
 from .rootsys import build
 
 _ALCOVE_BUDGET = 2_000_000
@@ -122,27 +122,3 @@ def lambda_a2n_partial(n, q, radius):
         partials.append(running)
     bounds = _tail_bounds(sys, q, radius)
     return LambdaReport(target=Fraction(1), partial_sums=partials, tail_bounds=bounds)
-
-
-def lambda_tvoth(sys, q, ch_da_count):
-    """Closed-form pairing value for types other than A of even rank.
-
-    Full-rank tabled sets (fixed facet a vertex) give the chamber count
-    itself; the positive-dimensional cases multiply by the type-A sum, the
-    series of A_d' at x = q^(r2 - r1).
-    """
-    from .cochain import r1_r2
-
-    if tables.is_a2n(sys):
-        raise NotApplicable("type A of even rank uses the central-chamber sum")
-    if ch_da_count <= 0:
-        raise ValueError("the chamber count must be positive")
-    # the fixed facet's dimension: the rank less the size of the tabled set
-    d_prime = sys.type.rank - len(tables.sigma_a_table(sys))
-    if d_prime == 0:
-        return Fraction(ch_da_count)
-    rr = r1_r2(sys)
-    value = ch_da_count * poincare_value(build("A", d_prime), Fraction(q) ** (rr.r2 - rr.r1))
-    if value == 0:
-        raise AssertionError("the pairing value cannot vanish")
-    return value

@@ -1,21 +1,27 @@
 """References the tests compare the package against, which no command runs: exact
-solves for many right-hand sides at once, the ambient table of every root's image,
-the affine relation among facet roots by a Fraction solve, translation with one
-pairing per root, the sign constraints over all ordered pairs of members, the
-Cartan-matrix classifier of a closed subsystem, the visited-set gallery BFS of an
-apartment ball, the parent of a tree vertex, the root paths of a tree ball's
-vertices with the pairwise chamber distance read off them, the materialized chamber
-graph of a tree ball, and the harmonic extension evaluated chamber by chamber."""
+solves for many right-hand sides at once, the ambient image of a lattice vector and
+the ambient table of every root's image, the affine relation among facet roots by a
+Fraction solve, translation with one pairing per root, the long height of a vector,
+the sign constraints over all ordered pairs of members, the closed-form pairing
+value for the types other than A of even rank, the Cartan-matrix classifier of a
+closed subsystem, the visited-set gallery BFS of an apartment ball, the parent of a
+tree vertex, the root paths of a tree ball's vertices with the pairwise chamber
+distance read off them, the materialized chamber graph of a tree ball, and the
+harmonic extension evaluated chamber by chamber."""
 
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
+from operator import mul
 from weakref import WeakKeyDictionary
 
+from steinberg_lab import tables
 from steinberg_lab.apartment import Chamber, E_LEVEL, extended_simple_roots, wall_neighbors
-from steinberg_lab.cochain import _is_neg_simple, _rank_two_b2, sign_vector
-from steinberg_lab.errors import BudgetExceeded, NotHarmonicBase, NotInBall
+from steinberg_lab.cochain import _is_neg_simple, _rank_two_b2, r1_r2, sign_vector
+from steinberg_lab.errors import BudgetExceeded, NotApplicable, NotHarmonicBase, NotInBall
 from steinberg_lab.linalg import _rref, solve_exact
 from steinberg_lab.rootsys import _RANK_BOUNDS, _ambient_all_roots, _sub, build, subsystem_components
+from steinberg_lab.series import poincare_value
 
 
 def solve_many(columns, rhss):
@@ -33,10 +39,17 @@ def solve_many(columns, rhss):
     ]
 
 
+def to_ambient(sys, v):
+    """Twice the ambient coordinates of a lattice vector, as ints: the integer
+    combination of the doubled simple roots.  The reference for the ambient table,
+    which the program builds by height."""
+    return tuple(sum(map(mul, v, column)) for column in zip(*sys._ambient_simples))
+
+
 def ambient_table(sys):
     """`RootSystem.ambient_root_table` from every root's doubled image, each one
     `to_ambient` (a dim x rank dot product), negatives included."""
-    index = {sys.to_ambient(r): r for r in sys.roots}
+    index = {to_ambient(sys, r): r for r in sys.roots}
     return sorted(index[v] for v in _ambient_all_roots(sys.type.family, sys.type.rank))
 
 
@@ -64,12 +77,18 @@ def translate_by_pairings(chamber, xi):
     return Chamber(sys, chamber.level, h)
 
 
+def long_height(sys, v):
+    """Number of long simple roots in v, counted with multiplicity."""
+    long_len = 2 * sys.gram_denominator
+    return sum(c for i, c in enumerate(v) if sys.gram[i][i] == long_len)
+
+
 def sigma_chamber_by_heights(sys, members):
     """`cochain.canonical_sigma_chamber`'s chamber from the weight functions
     `sum` (the height) and `long_height`, root by root."""
     simply_laced = all(sys.is_long(s) for s in sys.simples)
     if not simply_laced and all(sys.is_long(m) for m in members):
-        weight = sys.long_height
+        weight = partial(long_height, sys)
     else:
         weight = sum
     return Chamber(sys, E_LEVEL, (-weight(r) for r in sys.positive_roots))
@@ -99,6 +118,28 @@ def all_pairs_constraints(sys, members, coroot_actions):
                 continue
             constraints.append((sign_vector(r, [a, b]), -1))
     return constraints + [(action, 1) for action in coroot_actions]
+
+
+def lambda_tvoth(sys, q, ch_da_count):
+    """Closed-form pairing value for types other than A of even rank.
+
+    Full-rank tabled sets (fixed facet a vertex) give the chamber count
+    itself; the positive-dimensional cases multiply by the type-A sum, the
+    series of A_d' at x = q^(r2 - r1).
+    """
+    if tables.is_a2n(sys):
+        raise NotApplicable("type A of even rank uses the central-chamber sum")
+    if ch_da_count <= 0:
+        raise ValueError("the chamber count must be positive")
+    # the fixed facet's dimension: the rank less the size of the tabled set
+    d_prime = sys.type.rank - len(tables.sigma_a_table(sys))
+    if d_prime == 0:
+        return Fraction(ch_da_count)
+    rr = r1_r2(sys)
+    value = ch_da_count * poincare_value(build("A", d_prime), Fraction(q) ** (rr.r2 - rr.r1))
+    if value == 0:
+        raise AssertionError("the pairing value cannot vanish")
+    return value
 
 
 def subsystem_simples(sys, roots):

