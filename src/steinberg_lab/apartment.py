@@ -22,7 +22,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from operator import add, mul, sub
+from operator import mul, sub
 
 from .errors import (
     HalfIntegralityViolation,
@@ -99,19 +99,13 @@ def distance(c1, c2):
 
 
 def translate(chamber, xi):
-    """Translate by an integral coweight row xi: h(alpha) += 2 <alpha, xi>.
-
-    A simple root's pairing with xi is an entry of xi, so xi is integral on every
-    root iff its entries are integers: xi is checked once, and a fractional or a
-    wrong-length row raises from `RootSystem.pairing` at the first positive root, as
-    one pairing per root would.  Each root is then one dot product with the int row."""
+    """Translate by a coweight row xi: h(alpha) += 2 <alpha, xi>, one integer pairing
+    per root once `RootSystem.coweight` has checked xi, which raises for a fractional
+    or a wrong-length row."""
     sys = chamber.system
-    roots = sys.positive_roots
-    if len(xi) != sys.type.rank or any(x.denominator != 1 for x in xi):
-        for r in roots:
-            sys.pairing(r, xi)
-    xi2 = [2 * int(x) for x in xi]
-    return Chamber(sys, chamber.level, map(add, chamber.h, [sum(map(mul, r, xi2)) for r in roots]))
+    xi = sys.coweight(xi)
+    h = (v + 2 * sys.pairing(r, xi) for v, r in zip(chamber.h, sys.positive_roots))
+    return Chamber(sys, chamber.level, h)
 
 
 def reflect(chamber, wall):

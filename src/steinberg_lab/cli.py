@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import sys as _sys
+from contextlib import redirect_stdout
 
 from . import suites
 from .errors import BudgetExceeded, InvalidRank, NotApplicable, check_q, read_budget
@@ -252,10 +255,15 @@ def make_parser():
 def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)  # argparse exits with 2 on usage errors
+    with redirect_stdout(io.StringIO()) as report:  # the status is known before any write
+        try:
+            code = args.func(args)
+        except InvalidRank as exc:
+            _fail_usage(str(exc))
     try:
-        code = args.func(args)
-    except InvalidRank as exc:
-        _fail_usage(str(exc))
+        print(report.getvalue(), end="", flush=True)
+    except BrokenPipeError:  # the reader left; stdout to the null device quiets the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
     raise SystemExit(code)
 
 

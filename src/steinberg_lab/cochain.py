@@ -96,10 +96,8 @@ def eic_character(sys):
 
 def coroot_action(sys, sigma_members, xi):
     """Sign vector of a coweight row: bit j is the parity of <beta_j, xi>."""
-    bits = 0
-    for j, beta in enumerate(sigma_members):
-        if sys.pairing(beta, xi) % 2:
-            bits |= 1 << j
+    xi = sys.coweight(xi)
+    bits = sum((sys.pairing(beta, xi) % 2) << j for j, beta in enumerate(sigma_members))
     return SignVector(bits, len(sigma_members))
 
 
@@ -129,10 +127,8 @@ def canonical_sigma_chamber(sys, members):
     resulting f takes integer values on every member, and as both weights are
     linear every sum-triple slack is 0: Shi's alcove test holds (tests run it).
     """
-    long_simple = [int(row[i] == 2 * sys.gram_denominator) for i, row in enumerate(sys.gram)]
-    if not all(long_simple) and all(sys.is_long(m) for m in members):
-        weight = long_simple
-    else:
+    weight = [int(sys.is_long(s)) for s in sys.simples]
+    if all(weight) or not all(map(sys.is_long, members)):
         weight = [1] * sys.type.rank
     h = (-sum(map(mul, r, weight)) for r in sys.positive_roots)
     chamber = apartment.Chamber(sys, apartment.E_LEVEL, h)

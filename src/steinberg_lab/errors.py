@@ -17,8 +17,7 @@ class ProportionalPair(ValueError):
 
 
 class NonIntegralPairing(ValueError):
-    """A coweight pairing <v, xi> that came out fractional; raised by
-    RootSystem.pairing alone."""
+    """A coweight row with a fractional entry; raised by RootSystem.coweight alone."""
 
 
 class LevelMismatch(ValueError):

@@ -19,8 +19,8 @@ def prasad_trivial(sys):
 
 def chi_on_torus(sys, xi):
     """(-1)^<2 rho, xi>: the value at the torus element xi(u) for a nonsquare unit u,
-    for a coweight row xi."""
-    return -1 if sys.pairing(sys.two_rho, xi) % 2 else 1
+    for a coweight row xi, checked by `RootSystem.coweight`."""
+    return -1 if sys.pairing(sys.two_rho, sys.coweight(xi)) % 2 else 1
 
 
 D2nIdentity = namedtuple("D2nIdentity", "n skipped holds branch")

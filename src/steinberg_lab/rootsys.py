@@ -10,14 +10,13 @@ step lower plus one doubled simple root, and `from_ambient` and the plate table
 look a vector up as v or -v, so nothing is solved.  The Gram
 matrix is kept as integers, scaled by its single denominator (1 for A/B/D/E
 and C2, 2 for C of rank at least 3 and F4, 3 for G2).  A coweight xi is its
-row of values (<alpha_j, xi>)_j on the simple roots, integers on P_vee =
-Hom(Q, Z).  Each root beta gets one such coroot row (<alpha_j, beta_vee>)_j,
-computed once; the Cartan matrix is the simple roots' rows, and every pairing
-and reflection is a dot product with a row, so none needs rational arithmetic.
-Orthogonality is held the same way: `orthogonal_row` gives each root, once and
-only when something reads it, two bitmasks over the indices of `roots`, its
-orthogonal roots and its strongly orthogonal ones, so a test over all pairs
-of roots ANDs rows instead of testing pairs.
+row of values (<alpha_j, xi>)_j on the simple roots, integers on P_vee = Hom(Q, Z),
+checked once by `coweight`.  Each root beta gets one such coroot row
+(<alpha_j, beta_vee>)_j from its Gram row, computed once; the Cartan matrix is the
+simple roots' rows, and every pairing, reflection and orthogonality test is an
+integer dot product with a row.  `orthogonal_row` gives each root, once and only
+when something reads it, two bitmasks over the indices of `roots`, its orthogonal
+roots and its strongly orthogonal ones, so a test over all pairs of roots ANDs rows.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, product, starmap
+from itertools import combinations, product
 from math import gcd, prod
 from operator import add, mul, neg, sub
 
@@ -223,12 +222,8 @@ class RootSystem:
         self.gram_denominator = top // g
         self.gram = tuple(tuple(2 * x // g for x in row) for row in raw)
         self.simples = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-        # coroot(alpha_i) is 2 G_ij / G_ii, read straight off the Gram matrix
-        if any(2 * x % row[i] for i, row in enumerate(self.gram) for x in row):
-            raise AssertionError("non-integral root pairing")
-        self.cartan = tuple(tuple(2 * x // row[i] for x in row) for i, row in enumerate(self.gram))
-        self._coroots = dict(zip(self.simples, self.cartan))
-        self._orthogonal_rows = {}
+        self._coroots, self._orthogonal_rows = {}, {}
+        self.cartan = tuple(map(self.coroot, self.simples))
         # negation reverses lexicographic order, and negatives sort before positives
         self.positive_roots = _positive_roots(self.cartan)
         self.roots = tuple(map(_neg, reversed(self.positive_roots))) + self.positive_roots
@@ -296,14 +291,14 @@ class RootSystem:
         """(orth, strong) for a root beta, two bitmasks over the indices of `roots`:
         bit j of orth is set when (beta, roots[j]) = 0, and bit j of strong when
         also beta + roots[j] is not a root.  Neither has a bit for +/- beta.  Built
-        once per root, from one Gram row of beta."""
+        once per root, from the coroot row of beta: (beta, r) = 0 iff <r, beta_vee> = 0."""
         row = self._orthogonal_rows.get(beta)
         if row is None:
-            g_beta = [sum(map(mul, g, beta)) for g in self.gram]
+            co = self.coroot(beta)
             index = self.root_index
             orth = strong = 0
             for j, r in enumerate(self.roots):
-                if sum(map(mul, r, g_beta)) == 0:
+                if sum(map(mul, r, co)) == 0:
                     orth |= 1 << j
                     if tuple(map(add, beta, r)) not in index:
                         strong |= 1 << j
@@ -314,15 +309,22 @@ class RootSystem:
         """<alpha, beta_vee> for a root beta and any lattice vector alpha, an integer."""
         return sum(map(mul, alpha, self.coroot(beta)))
 
+    def coweight(self, xi):
+        """The coweight row xi = (<alpha_j, xi>)_j as ints: the one integrality check.  A
+        wrong length raises ValueError; a fractional row raises NonIntegralPairing as one
+        checked pairing per positive root would first.  Each simple root in the support of
+        a positive root sorts before it, and alpha_d < ... < alpha_1: the first fractional
+        pairing is at alpha_j for the largest j with xi_j fractional."""
+        if len(xi) != self.type.rank:
+            raise ValueError(f"coweight row of length {len(xi)} for rank {self.type.rank}")
+        for j in reversed(range(len(xi))):
+            if xi[j].denominator != 1:
+                raise NonIntegralPairing(f"<{self.simples[j]}, xi> = {xi[j]}")
+        return tuple(map(int, xi))
+
     def pairing(self, v, xi):
-        """<v, xi> as an int, for any lattice vector v and a coweight xi given as
-        its row of values on the simple roots.  The one integrality check of a
-        coweight pairing: raises NonIntegralPairing, naming v and the value,
-        when a fractional row makes it a fraction."""
-        val = sum(starmap(mul, zip(v, xi, strict=True)))
-        if val.denominator != 1:
-            raise NonIntegralPairing(f"<{tuple(v)}, xi> = {val}")
-        return int(val)
+        """<v, xi> for a lattice vector v and a coweight row xi checked by `coweight`."""
+        return sum(map(mul, v, xi))
 
     @cached_property
     def positive_sum_triples(self):

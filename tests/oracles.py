@@ -18,7 +18,7 @@ from weakref import WeakKeyDictionary
 from steinberg_lab import tables
 from steinberg_lab.apartment import Chamber, E_LEVEL, extended_simple_roots, wall_neighbors
 from steinberg_lab.cochain import _is_neg_simple, _rank_two_b2, r1_r2, sign_vector
-from steinberg_lab.errors import BudgetExceeded, NotApplicable, NotHarmonicBase, NotInBall
+from steinberg_lab.errors import BudgetExceeded, NonIntegralPairing, NotApplicable, NotHarmonicBase, NotInBall
 from steinberg_lab.linalg import _rref, solve_exact
 from steinberg_lab.rootsys import _RANK_BOUNDS, _ambient_all_roots, _sub, build, subsystem_components
 from steinberg_lab.series import poincare_value
@@ -70,10 +70,16 @@ def solved_affine_relation(chamber):
 
 
 def translate_by_pairings(chamber, xi):
-    """`apartment.translate` with one `RootSystem.pairing`, and its integrality
-    check, per positive root."""
+    """`apartment.translate` with one pairing <r, xi>, and its integrality check,
+    per positive root r: the first fractional pairing raises NonIntegralPairing,
+    naming r and the value, and a row of the wrong length a ValueError."""
     sys = chamber.system
-    h = (v + 2 * sys.pairing(r, xi) for v, r in zip(chamber.h, sys.positive_roots))
+    h = []
+    for v, r in zip(chamber.h, sys.positive_roots):
+        val = sum(a * x for a, x in zip(r, xi, strict=True))
+        if val.denominator != 1:
+            raise NonIntegralPairing(f"<{r}, xi> = {val}")
+        h.append(v + 2 * int(val))
     return Chamber(sys, chamber.level, h)
 
 

@@ -100,9 +100,11 @@ def _outcome(fn, *args):
 
 @pytest.mark.parametrize("fam, rank", [("A", 2), ("B", 3), ("G", 2)])
 def test_translate_matches_one_pairing_per_root(fam, rank, monkeypatch):
-    # xi is checked once and each root read as one row: the same chambers, the
-    # same exception and message for a fractional or a wrong-length row, int h
-    # for a Fraction row with integral entries, and no pairing on an integral row
+    # xi is checked once by coweight and each root paired with the int row: the
+    # same chambers, the same exception and message for a fractional row, a
+    # ValueError naming the length and the rank for a wrong-length row (where the
+    # per-root reference fails in zip), int h for a Fraction row with integral
+    # entries, and one coweight check per translation
     sys = build(fam, rank)
     third = [Fraction(1, 3)] * rank
     rows = [
@@ -118,15 +120,16 @@ def test_translate_matches_one_pairing_per_root(fam, rank, monkeypatch):
     for c in (cf, ce):
         for xi in rows:
             expected = _outcome(translate_by_pairings, c, xi)
+            if len(xi) != rank:
+                assert expected[0] is ValueError
+                expected = (ValueError, f"coweight row of length {len(xi)} for rank {rank}")
             assert _outcome(translate, c, xi) == expected
             if isinstance(expected, Chamber):
                 assert all(type(v) is int for v in translate(c, xi).h)
     assert [type(_outcome(translate, ce, xi)) for xi in rows] == [Chamber] * 2 + [tuple] * 5
-    pairings = []
-    pairing = RootSystem.pairing
-    monkeypatch.setattr(RootSystem, "pairing", lambda *args: pairings.append(args) or pairing(*args))
+    checks = _spy(monkeypatch, RootSystem, "coweight")
     translate(ce, rows[1])
-    assert pairings == []
+    assert checks == [(sys, rows[1])]
 
 
 def test_reflect_involution_and_walls():

@@ -70,6 +70,45 @@ def test_verify_unknown_suite_exits_2(main_cli):
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "args",
+    [("tables", "--eic", "--format", "csv"), ("verify", "rootsys"), ("sigma-a", "E", "8")],
+    ids=["tables-eic-csv", "verify-rootsys", "sigma-a-E8"],
+)
+def test_closed_stdout_ends_quietly_with_the_computed_status(args, unbuffered):
+    # the pipe has no reader before the command starts, so every write to it fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "steinberg_lab.cli", *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert out.stderr == ""  # no traceback, no "Exception ignored" from the exit flush
+    assert out.returncode == 0
+
+
+def test_closed_stdout_keeps_the_status_of_a_failed_check(monkeypatch):
+    suite, owner, name, broken = BREAKS["negation-stability"]
+    monkeypatch.setattr(owner, name, broken(getattr(owner, name)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["verify", suite])
+    assert exit_info.value.code == 1
+
+
 def test_verify_prasad_deterministic(tmp_path):
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"

@@ -76,6 +76,19 @@ def test_coroot_action_examples():
         coroot_action(a3, membersa, [Fraction(2, 3), Fraction(-1, 3), 0])  # alpha_1_vee / 3
 
 
+def test_solved_character_checks_each_cartan_row_once(monkeypatch):
+    # each simple coroot row is checked once where it enters coroot_action, not once
+    # per member it is paired with
+    checks = []
+    coweight = rootsys.RootSystem.coweight
+    monkeypatch.setattr(rootsys.RootSystem, "coweight", lambda sys, xi: checks.append(xi) or coweight(sys, xi))
+    for fam, rank in SIGN_CALCULUS_TYPES:
+        sys = build(fam, rank)
+        checks.clear()
+        solved_character(sys)
+        assert checks == list(sys.cartan)
+
+
 def test_solve_character_unique():
     chi = solve_character(2, [(sign_vector(2, [1]), -1), (sign_vector(2, [1, 2]), 1)])
     assert chi.values_on_basis() == [-1, -1]

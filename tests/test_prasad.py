@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,9 @@ def test_non_integral_pairing_raises():
     sys = build("A", 1)
     with pytest.raises(NonIntegralPairing):
         prasad.chi_on_torus(sys, [Fraction(1, 3)])
+    # <2 rho, xi> = 0 here, but the row itself is fractional: it is refused where it enters
+    with pytest.raises(NonIntegralPairing, match=re.escape("<(0, 1), xi> = -1/3")):
+        prasad.chi_on_torus(build("A", 2), (Fraction(1, 3), Fraction(-1, 3)))
 
 
 def test_d2n_identity():

@@ -7,7 +7,7 @@ from operator import add, mul
 
 import pytest
 
-from oracles import ambient_table, classify_subsystem, long_height, to_ambient
+from oracles import ambient_table, classify_subsystem, long_height, to_ambient, translate_by_pairings
 from steinberg_lab import apartment, rootsys, tables
 from steinberg_lab.errors import BudgetExceeded, InvalidRank, NonIntegralPairing, NotARoot, ProportionalPair
 from steinberg_lab.linalg import solve_exact
@@ -224,15 +224,41 @@ def test_cartan_entries():
 def test_pairing_with_coweights():
     sys = a2()
     a1 = sys.simples[0]
-    # coweights are rows of values on the simple roots: alpha_k_vee is cartan[k]
-    assert sys.pairing(a1, [Fraction(2), Fraction(-1)]) == 2
-    assert sys.pairing(a1, [Fraction(-1), Fraction(2)]) == -1
+    # coweights are rows of values on the simple roots: alpha_k_vee is cartan[k];
+    # a Fraction row enters through coweight, which checks it and returns ints
+    assert sys.pairing(a1, sys.coweight([Fraction(2), Fraction(-1)])) == 2
+    assert sys.pairing(a1, sys.coweight([Fraction(-1), Fraction(2)])) == -1
     assert type(sys.pairing(a1, sys.cartan[0])) is int
-    assert type(sys.pairing(a1, [Fraction(2), Fraction(-1)])) is int
-    with pytest.raises(ValueError):
-        sys.pairing(a1, [1, 0, 0])
-    with pytest.raises(NonIntegralPairing, match=re.escape("<(1, 1), xi> = 1/3")):
-        sys.pairing((1, 1), [Fraction(2, 3), Fraction(-1, 3)])
+    assert type(sys.pairing(a1, sys.coweight([Fraction(2), Fraction(-1)]))) is int
+    with pytest.raises(ValueError, match=re.escape("coweight row of length 3 for rank 2")):
+        sys.coweight([1, 0, 0])
+    with pytest.raises(NonIntegralPairing, match=re.escape("<(0, 1), xi> = -1/3")):
+        sys.coweight([Fraction(2, 3), Fraction(-1, 3)])
+
+
+@pytest.mark.parametrize("fam, rank", sorted(set(ACCEPTANCE_TYPES) | set(SIGN_CALCULUS_TYPES)))
+def test_coweight_raises_as_the_first_checked_pairing_per_positive_root(fam, rank):
+    # every simple root in a positive root's support sorts before it, and the simple
+    # roots sort alpha_d < ... < alpha_1, so the first positive root with a fractional
+    # pairing is alpha_j for the largest fractional xi_j: coweight raises what one
+    # checked pairing per positive root raises first, on rows with one or two
+    # fractional entries over an integer row
+    sys = build(fam, rank)
+    _, ce = apartment.base_chambers(sys)
+    base = [(-1) ** j * (j % 3) for j in range(rank)]
+    fracs = [Fraction(1, 2), Fraction(1, 3), Fraction(-1, 3)]
+    spots = [[(i, a)] for i in range(rank) for a in fracs]
+    spots += [[(i, a), (j, b)] for i, j in combinations(range(rank), 2) for a in fracs for b in fracs]
+    for spot in spots:
+        xi = list(base)
+        for i, a in spot:
+            xi[i] += a
+        with pytest.raises(NonIntegralPairing) as first:
+            translate_by_pairings(ce, xi)
+        with pytest.raises(NonIntegralPairing) as checked:
+            sys.coweight(xi)
+        assert str(checked.value) == str(first.value)
+        assert str(first.value).startswith(f"<{sys.simples[max(i for i, _ in spot)]}, xi> = ")
 
 
 def test_pairing_is_int_on_integral_coweights_and_matches_inner():
