@@ -259,7 +259,7 @@ def is_central(chamber):
     return all(chamber.value(r) % 2 == 1 for r in extended_simple_roots(chamber))
 
 
-def central_chamber(sys, cf):
+def central_chamber(cf):
     """The unique fine chamber of cf with no wall in a coarse wall (type A, rank 2n): the
     one holding cf's barycentre.  Start from s[k] = k over the 0-indexed coordinates; each
     positive root eps_k - eps_l of coarse value v moves v // 2 from s[l] to s[k].  The
@@ -268,6 +268,7 @@ def central_chamber(sys, cf):
     (2n + 1) <= n.  At the base this is the interleaving sigma, whose slot of coordinate k
     (counted from 1) is 2k mod 2n + 1.  The brute filter (e_chambers_in_f_chamber with
     is_central) is the reference; Humphreys, Reflection Groups and Coxeter Groups, ch. 4."""
+    sys = cf.system
     if not (sys.type.family == "A" and sys.type.rank % 2 == 0):
         raise NotTypeA2n(f"central chambers exist only in type A of even rank, not {sys.type}")
     if cf.level != F_LEVEL:

@@ -1,7 +1,5 @@
-"""Exception types shared across the package, the shared budget reader, and
-the one check of the residue field size q."""
-
-import os
+"""Exception types shared across the package, and the one check of the residue
+field size q; the limits that `verify` puts on its options are `suites.LIMITS`."""
 
 
 class InvalidRank(ValueError):
@@ -41,25 +39,7 @@ class NotApplicable(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """Enumeration would exceed the configured budget."""
-
-
-def read_budget(default):
-    """The STEINBERG_BUDGET cap, or default when it is unset.
-
-    One variable caps two sizes with different defaults: orbit images in
-    sorth and ball chambers in tree_oracle.
-    """
-    raw = os.environ.get("STEINBERG_BUDGET")
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"STEINBERG_BUDGET must be a positive integer, got {raw!r}")
-    return value
+    """Enumeration would exceed its size budget."""
 
 
 def check_q(q):

@@ -110,12 +110,12 @@ def lambda_a2n_partial(n, q, radius):
     check_q(q)
     sys = build("A", 2 * n)
     base_f, _ = apartment.base_chambers(sys)
-    c0 = apartment.central_chamber(sys, base_f)
+    c0 = apartment.central_chamber(base_f)
     shells = apartment.chambers_within(base_f, radius)
     partials = []
     running = Fraction(0)
     for dist, shell in enumerate(shells):
-        des = [apartment.distance(c0, apartment.central_chamber(sys, cf)) for cf in shell]
+        des = [apartment.distance(c0, apartment.central_chamber(cf)) for cf in shell]
         # sum_cf (-1)^de q^(dist - de) over the shell, as one fraction over q^max(de)
         top = max(des)
         running += Fraction(sum((-1) ** de * q ** (dist + top - de) for de in des), q**top)

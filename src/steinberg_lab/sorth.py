@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import tables
-from .errors import BudgetExceeded, read_budget
+from .errors import BudgetExceeded
 from .rootsys import (
     _neg,
     apply_word,
@@ -18,7 +18,7 @@ from .rootsys import (
     word_to_dominant,
 )
 
-_DEFAULT_BUDGET = 1_000_000
+_ORBIT_BUDGET = 1_000_000  # the largest Weyl group an orbit search closes
 
 
 C1Witness = namedtuple("C1Witness", "alpha beta")
@@ -189,14 +189,13 @@ def is_conjugate_subset_of(sys, members, target):
             word = tuple(word_a) + tuple(reversed(word_b))
             if verify_certificate(sys, a, word, b):
                 return ConjugacyResult("yes", word, "normal form")
-    budget = read_budget(_DEFAULT_BUDGET)
-    if sys.weyl_order() <= budget:
+    if sys.weyl_order() <= _ORBIT_BUDGET:
         target_canon_members = {sys.pos_rep(t) for t in b}
 
         def test(canon):
             return set(canon) <= target_canon_members
 
-        found = weyl_orbit(sys, a, budget, target=test)
+        found = weyl_orbit(sys, a, _ORBIT_BUDGET, target=test)
         if found is None:
             return ConjugacyResult("no", (), "orbit exhausted")
         _, word = found
@@ -216,9 +215,8 @@ def enumerate_so_sets(sys):
     The empty set is included.  Raises BudgetExceeded when the Weyl group
     is too large for a full orbit closure.
     """
-    budget = read_budget(_DEFAULT_BUDGET)
-    if sys.weyl_order() > budget:
-        raise BudgetExceeded(f"|W({sys.type})| = {sys.weyl_order()} exceeds the budget of {budget}")
+    if sys.weyl_order() > _ORBIT_BUDGET:
+        raise BudgetExceeded(f"|W({sys.type})| = {sys.weyl_order()} exceeds the budget of {_ORBIT_BUDGET}")
     pos = sys.positive_roots
     n = len(pos)
     # the positive roots are the last n of sys.roots
@@ -242,7 +240,7 @@ def enumerate_so_sets(sys):
         canon = canonical_set(sys, members)
         if canon in seen_canon:
             continue
-        orbit = weyl_orbit(sys, canon, budget)
+        orbit = weyl_orbit(sys, canon, _ORBIT_BUDGET)
         rep = min(orbit)
         for img in orbit:
             seen_canon[img] = rep

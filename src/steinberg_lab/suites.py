@@ -3,7 +3,8 @@
 Each suite runs a battery of exact checks and returns a SuiteReport, whose
 checks are the dicts of the JSON report.  Every check belongs to a family of
 CHECKS, which holds its description and provenance.  RADIUS_DEFAULTS names
-the suites that take q and a radius, and their default radius.  All
+the suites that take q and a radius, and their default radius; LIMITS holds
+every cap that `verify` puts on those options.  All
 comparisons are exact (integers or reduced fractions rendered as strings).
 """
 
@@ -102,8 +103,12 @@ CHECKS = {
 }
 
 RADIUS_DEFAULTS = {"cochain": 4, "series": 10, "tree": 8}
-COCHAIN_MAX_RADIUS = 40  # the largest --radius that verify cochain accepts
-SERIES_MAX_RADIUS = 12  # the largest --radius that verify series accepts
+# The largest value of each (suite, option) that verify accepts.  The tree works on id
+# runs, so its cost grows with q, not with its ball: 1223 is the largest odd q whose
+# radius-2 ball, 1 + 2q + 2q^2 chambers, has under three million.
+LIMITS = {
+    ("cochain", "radius"): 40, ("series", "radius"): 12, ("tree", "radius"): 12, ("tree", "q"): 1223,
+}
 
 
 class SuiteReport:
@@ -264,7 +269,7 @@ def suite_apartment(seed=20240817):
         cells = apartment.e_chambers_in_f_chamber(cf)
         central = [c for c in cells if apartment.is_central(c)]
         rep.check("central-count", (len(cells), len(central)), (total, 1), f"A{rank}")
-        formula_ok = apartment.central_chamber(sys, cf) == central[0]
+        formula_ok = apartment.central_chamber(cf) == central[0]
         rep.check("central-formula", formula_ok, True, f"A{rank}")
     sys3 = build("A", 3)
     cf3, _ = apartment.base_chambers(sys3)
@@ -273,10 +278,10 @@ def suite_apartment(seed=20240817):
     # adjacent central chambers sit at distance three
     sys = build("A", 2)
     cf, _ = apartment.base_chambers(sys)
-    c0 = apartment.central_chamber(sys, cf)
+    c0 = apartment.central_chamber(cf)
     dists = []
     for neighbor in apartment.wall_neighbors(cf).values():
-        dists.append(apartment.distance(c0, apartment.central_chamber(sys, neighbor)))
+        dists.append(apartment.distance(c0, apartment.central_chamber(neighbor)))
     rep.check("central-distance-A2", sorted(dists), [3, 3, 3])
     # facet relation identity on sampled chambers
     for fam, rank in [("A", 2), ("B", 2), ("G", 2)]:

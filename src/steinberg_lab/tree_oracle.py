@@ -34,10 +34,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import BudgetExceeded, NotHarmonicBase, NotInBall, check_q, read_budget
-
-MAX_RADIUS = 12
-_CHAMBER_BUDGET = 3_000_000
+from .errors import NotHarmonicBase, NotInBall, check_q
 
 
 class TreeBall:
@@ -121,12 +118,6 @@ def build_ball(q, radius):
     check_q(q)
     if type(radius) is not int or radius < 0:
         raise ValueError(f"radius must be a nonnegative int, not {radius!r}")
-    if radius > MAX_RADIUS:
-        raise BudgetExceeded(f"radius {radius} beyond the supported {MAX_RADIUS}")
-    total = 1 + sum(2 * q**n for n in range(1, radius + 1))
-    budget = read_budget(_CHAMBER_BUDGET)
-    if total > budget:
-        raise BudgetExceeded(f"{total} chambers exceed the budget of {budget}")
     return TreeBall(q, radius)
 
 

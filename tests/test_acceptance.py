@@ -72,7 +72,7 @@ def test_criterion_04_central_chambers():
         central = [c for c in inside if apartment.is_central(c)]
         if len(inside) != cells or len(central) != 1:
             ok = False
-        if apartment.central_chamber(sys, cf) != central[0]:
+        if apartment.central_chamber(cf) != central[0]:
             ok = False
     sys3 = build("A", 3)
     cf3, _ = apartment.base_chambers(sys3)
@@ -101,10 +101,10 @@ def test_criterion_05_distance_doubling():
 def test_criterion_06_adjacent_central_distance():
     sys = build("A", 2)
     cf, _ = apartment.base_chambers(sys)
-    c0 = apartment.central_chamber(sys, cf)
+    c0 = apartment.central_chamber(cf)
     neighbors = apartment.wall_neighbors(cf)
     ok = len(neighbors) == 3 and all(
-        apartment.distance(c0, apartment.central_chamber(sys, nb)) == 3
+        apartment.distance(c0, apartment.central_chamber(nb)) == 3
         for nb in neighbors.values()
     )
     _report("criterion 6: adjacent central chambers at distance three", ok)

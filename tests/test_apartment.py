@@ -216,7 +216,7 @@ def brute_central(cf):
 def test_central_chamber_a2_values():
     sys = build("A", 2)
     cf, _ = base_chambers(sys)
-    c = central_chamber(sys, cf)
+    c = central_chamber(cf)
     assert c.value((-1, 0)) == 1
     assert c.value((0, -1)) == 1
     assert c.value((1, 1)) == -1
@@ -228,15 +228,15 @@ def test_central_chamber_counts():
     cf, _ = base_chambers(a4)
     cells = e_chambers_in_f_chamber(cf)
     assert sum(1 for c in cells if is_central(c)) == 1
-    assert central_chamber(a4, cf) == brute_central(cf)
+    assert central_chamber(cf) == brute_central(cf)
     a3 = build("A", 3)
     cf3, _ = base_chambers(a3)
     assert sum(1 for c in e_chambers_in_f_chamber(cf3) if is_central(c)) == 0
     with pytest.raises(NotTypeA2n):
-        central_chamber(a3, cf3)
+        central_chamber(cf3)
     b2 = build("B", 2)
     with pytest.raises(NotTypeA2n):
-        central_chamber(b2, base_chambers(b2)[0])
+        central_chamber(base_chambers(b2)[0])
 
 
 @pytest.mark.parametrize("rank, radius", [(2, 12), (4, 5), (6, 2)])
@@ -246,19 +246,19 @@ def test_central_chamber_closed_form_matches_brute_filter(rank, radius):
     cf, ce = base_chambers(sys)
     for shell in chambers_within(cf, radius):
         for coarse in shell:
-            assert central_chamber(sys, coarse) == brute_central(coarse)
+            assert central_chamber(coarse) == brute_central(coarse)
     with pytest.raises(LevelMismatch):
-        central_chamber(sys, ce)
+        central_chamber(ce)
 
 
 def test_central_distance_three_across_walls():
     sys = build("A", 2)
     cf, _ = base_chambers(sys)
-    c0 = central_chamber(sys, cf)
+    c0 = central_chamber(cf)
     neighbors = wall_neighbors(cf)
     assert len(neighbors) == 3
     for nb in neighbors.values():
-        assert distance(c0, central_chamber(sys, nb)) == 3
+        assert distance(c0, central_chamber(nb)) == 3
 
 
 def test_distance_doubling_on_translations():

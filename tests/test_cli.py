@@ -3,9 +3,11 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
@@ -228,6 +230,28 @@ def test_warning_for_non_prime_power_q(main_cli):
     assert "not a prime power" in out.stderr
 
 
+def test_large_prime_q_exits_0_without_a_warning(main_cli):
+    # 2^61 - 1 is prime; trial division up to its square root once ran for minutes
+    start = time.perf_counter()
+    out = main_cli("verify", "prasad", "--q", str(2**61 - 1))
+    assert (out.returncode, out.stderr) == (0, "")
+    assert time.perf_counter() - start < 10
+
+
+def test_is_prime_power_matches_trial_division():
+    def by_trial_division(n):
+        p = next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)
+        while n % p == 0:
+            n //= p
+        return n == 1
+
+    assert all(cli._is_prime_power(n) == by_trial_division(n) for n in range(3, 20000, 2))
+    big_prime = 2**61 - 1
+    assert cli._is_prime_power(big_prime**3)
+    assert not cli._is_prime_power(big_prime * (2**31 - 1))
+    assert not cli._is_prime_power(3215031751)  # a strong pseudoprime to bases 2, 3, 5 and 7
+
+
 @pytest.mark.parametrize("table", ["--eic", "--sract", "--r1r2"])
 def test_tables_csv_rows_as_wide_as_header(table, main_cli):
     out = main_cli("tables", table, "--format", "csv")
@@ -236,14 +260,6 @@ def test_tables_csv_rows_as_wide_as_header(table, main_cli):
     assert rows
     assert all(len(row) == len(header) for row in rows)
     assert all(row[-1] == "True" for row in rows)
-
-
-@pytest.mark.parametrize("value", ["lots", "1.5", "0", "-3"])
-def test_verify_bad_budget_exits_2(value, main_cli):
-    out = main_cli("verify", "prasad", env={"STEINBERG_BUDGET": value})
-    assert out.returncode == 2
-    assert "STEINBERG_BUDGET" in out.stderr
-    assert "suite-crashed" not in out.stdout
 
 
 @pytest.mark.parametrize(
@@ -299,7 +315,7 @@ def test_verify_cochain_radius_over_limit_exits_2(monkeypatch, main_cli):
         raise AssertionError(f"suite {name} ran before --radius was checked")
 
     monkeypatch.setattr(suites, "run_suite", no_suite)
-    limit = suites.COCHAIN_MAX_RADIUS
+    limit = suites.LIMITS["cochain", "radius"]
     out = main_cli("verify", "cochain", "--radius", str(limit + 1))
     assert out.returncode == 2
     assert "radius" in out.stderr
@@ -313,7 +329,7 @@ def test_verify_series_radius_over_limit_exits_2(monkeypatch, main_cli):
         raise AssertionError(f"suite {name} ran before --radius was checked")
 
     monkeypatch.setattr(suites, "run_suite", no_suite)
-    limit = suites.SERIES_MAX_RADIUS
+    limit = suites.LIMITS["series", "radius"]
     out = main_cli("verify", "series", "--radius", str(limit + 1))
     assert out.returncode == 2
     assert f"--radius {limit + 1} is above the series limit {limit}" in out.stderr
@@ -321,18 +337,40 @@ def test_verify_series_radius_over_limit_exits_2(monkeypatch, main_cli):
 
 
 @pytest.mark.parametrize(
-    "args, env, count, budget",
-    [
-        (["--q", "5", "--radius", "9"], None, 4882811, 3000000),
-        (["--q", "7"], None, 13451201, 3000000),
-        (["--radius", "4"], {"STEINBERG_BUDGET": "100"}, 241, 100),
-    ],
+    "option, past, more",
+    [("q", 2, ["--radius", "2"]), ("q", 2, []), ("radius", 1, [])],
+    ids=["q-r2", "q", "radius"],
 )
-def test_verify_tree_over_chamber_budget_exits_2(args, env, count, budget, main_cli):
-    out = main_cli("verify", "tree", *args, env=env)
+def test_verify_tree_over_limit_exits_2(option, past, more, monkeypatch, main_cli):
+    # past: the step to the next value verify could take, the next odd q or the next radius
+    def no_suite(name, **kwargs):
+        raise AssertionError(f"suite {name} ran before --{option} was checked")
+
+    monkeypatch.setattr(suites, "run_suite", no_suite)
+    limit = suites.LIMITS["tree", option]
+    out = main_cli("verify", "tree", f"--{option}", str(limit + past), *more)
     assert out.returncode == 2
-    assert f"{count} chambers exceed the budget of {budget}" in out.stderr
+    assert f"error: --{option} {limit + past} is above the tree limit {limit}\n" in out.stderr
     assert out.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["tree", "--q", "7"],
+        ["all", "--q", "7"],
+        ["tree", "--q", "5", "--radius", "9"],
+        ["tree", "--q", "1223", "--radius", "2"],
+    ],
+    ids=["tree-q7", "all-q7", "tree-q5-r9", "tree-q1223-r2"],
+)
+def test_verify_passes_on_balls_of_millions_of_chambers(args, main_cli):
+    # once refused: a ball over 3,000,000 chambers exited 2 (13,451,201 at q = 7, radius 8),
+    # though the tree suite works on id runs and enumerates no chamber
+    out = main_cli("verify", *args)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.endswith("all checks passed\n")
+    assert out.stderr == ""
 
 
 @pytest.mark.parametrize("q, radius", [(3, 4), (5, 2)])
@@ -450,11 +488,11 @@ BREAKS = {
     "triangle-A2": ("apartment", apartment, "distance", lambda d: lambda a, b: d(a, b) ** 2),
     # a corner chamber of cf, the last of its 2^d fine chambers, is never the central one
     "central-formula": ("apartment", apartment, "central_chamber",
-                        lambda _: lambda sys, cf: apartment.e_chambers_in_f_chamber(cf)[-1]),
+                        lambda _: lambda cf: apartment.e_chambers_in_f_chamber(cf)[-1]),
     "central-distance-A2": ("apartment", apartment, "central_chamber",
-                            lambda _: lambda sys, cf: apartment.e_chambers_in_f_chamber(cf)[-1]),
+                            lambda _: lambda cf: apartment.e_chambers_in_f_chamber(cf)[-1]),
     "lambda-A2": ("series", apartment, "central_chamber",
-                  lambda _: lambda sys, cf: apartment.e_chambers_in_f_chamber(cf)[-1]),
+                  lambda _: lambda cf: apartment.e_chambers_in_f_chamber(cf)[-1]),
     "poincare": ("series", apartment, "_h_shells", _top_shell_short_by_one),
     "chi-compat": ("cochain", prasad, "chi_on_torus", lambda chi: lambda sys, xi: -chi(sys, xi)),
     "panel-zeros": ("cochain", cochain, "panel_sum", lambda _: lambda panel, f: 1),

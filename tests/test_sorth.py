@@ -241,7 +241,7 @@ def test_enumeration_budget(monkeypatch):
     # sizes differ, so the normal forms cannot settle it and |W| decides the orbit search
     res = sorth.is_conjugate_subset_of(a12, [a12.simples[0]], [a12.simples[0], a12.simples[2]])
     assert (res.status, res.method) == ("unknown", "budget")
-    monkeypatch.setenv("STEINBERG_BUDGET", "10")
+    monkeypatch.setattr(sorth, "_ORBIT_BUDGET", 10)
     with pytest.raises(BudgetExceeded, match=r"1152 exceeds the budget of 10\b"):
         sorth.enumerate_so_sets(build("F", 4))
 
