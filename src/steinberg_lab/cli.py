@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys as _sys
 from contextlib import redirect_stdout
@@ -34,18 +35,30 @@ def _is_prime(n):
 
 
 def _is_prime_power(q):
-    """Is the odd q >= 3 some p^k: for some k <= log2 q, an exact k-th root that is prime.
+    """Is the odd q >= 3 some p^k: prime, or an exact k-th power, k prime, of a prime power.
     Exact below 3.3 * 10^24 (see _is_prime); above, the warning it feeds is advisory."""
-    for k in range(1, q.bit_length() + 1):
-        r = 1 << -(-q.bit_length() // k)  # >= q^(1/k); Newton's method descends to its floor
+    top = max(q.bit_length() - 53, 0)
+    log2_q = math.log2(q >> top) + top  # read off q's top 53 bits
+    for k in (2, *range(3, q.bit_length(), 2)):
+        if k > 2 and not _is_prime(k):  # p^(ab) = (p^a)^b: a prime k finds every power
+            continue
+        # start at q^(1/k), to some 46 bits, plus one: a first Newton step lands at or above
+        # the root's floor from anywhere (AM-GM), but from far below it lands far above
+        s = max(int(log2_q / k) - 52, 0)
+        r = (int(2 ** (log2_q / k - s)) + 1) << s
+        r = ((k - 1) * r + q // r ** (k - 1)) // k
         while (y := ((k - 1) * r + q // r ** (k - 1)) // k) < r:
             r = y
-        if r**k == q and _is_prime(r):
-            return True
-    return False
+        if r < 3:  # 3^k > q for this and every larger k
+            break
+        if r**k == q:
+            return _is_prime_power(r)
+    return _is_prime(q)
 
 
 def cmd_sigma_a(args):
+    if args.rank > (limit := suites.LIMITS["sigma-a", "rank"]):
+        _fail_usage(f"rank {args.rank} is above the sigma-a limit {limit}")
     from . import sorth, tables
     from .rootsys import build
     try:
@@ -90,8 +103,7 @@ def cmd_verify(args):
         if args.suite != "all" and args.suite not in suites.RADIUS_DEFAULTS:
             _fail_usage(f"suite {args.suite} takes no --radius")
     for (suite, option), limit in suites.LIMITS.items():
-        value = getattr(args, option)
-        if suite in names and value is not None and value > limit:
+        if suite in names and (value := getattr(args, option)) is not None and value > limit:
             _fail_usage(f"--{option} {value} is above the {suite} limit {limit}")
     if "tree" in names:
         radius = suites.RADIUS_DEFAULTS["tree"] if args.radius is None else args.radius

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the one check of the residue
-field size q; the limits that `verify` puts on its options are `suites.LIMITS`."""
+field size q; the limits that `verify` and `sigma-a` put on their inputs are
+`suites.LIMITS`."""
 
 
 class InvalidRank(ValueError):

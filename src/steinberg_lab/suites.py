@@ -4,7 +4,7 @@ Each suite runs a battery of exact checks and returns a SuiteReport, whose
 checks are the dicts of the JSON report.  Every check belongs to a family of
 CHECKS, which holds its description and provenance.  RADIUS_DEFAULTS names
 the suites that take q and a radius, and their default radius; LIMITS holds
-every cap that `verify` puts on those options.  All
+every cap that `verify` puts on those options, and sigma-a's rank limit.  All
 comparisons are exact (integers or reduced fractions rendered as strings).
 """
 
@@ -103,11 +103,13 @@ CHECKS = {
 }
 
 RADIUS_DEFAULTS = {"cochain": 4, "series": 10, "tree": 8}
-# The largest value of each (suite, option) that verify accepts.  The tree works on id
-# runs, so its cost grows with q, not with its ball: 1223 is the largest odd q whose
-# radius-2 ball, 1 + 2q + 2q^2 chambers, has under three million.
+# The largest value of each (suite, option) that verify accepts, and of the rank that
+# sigma-a accepts.  The tree works on id runs, so its cost grows with q, not with its
+# ball: 1223 is the largest odd q whose radius-2 ball, 1 + 2q + 2q^2 chambers, has under
+# three million.  sigma-a C 50, the costliest family at rank 50, takes about 1 s.
 LIMITS = {
     ("cochain", "radius"): 40, ("series", "radius"): 12, ("tree", "radius"): 12, ("tree", "q"): 1223,
+    ("sigma-a", "rank"): 50,
 }
 
 
