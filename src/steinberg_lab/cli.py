@@ -26,12 +26,22 @@ _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _is_prime(n):
-    """Is the odd n >= 3 prime: Miller-Rabin on the first 13 prime bases, exact below
-    3.3 * 10^24 (Sorenson and Webster, Math. Comp. 86, 2017); above, a composite may pass."""
+    """Is n >= 2 prime: Miller-Rabin on the first 13 prime bases, exact below 3.3 * 10^24
+    (Sorenson and Webster, Math. Comp. 86, 2017); above, on base 2 alone, so a composite
+    may pass."""
+    if any(n % a == 0 for a in _PRIME_BASES):
+        return n in _PRIME_BASES
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
-    # each base's chain a^((n-1)/2), a^((n-1)/4), ..., a^d mod n
-    chains = ([pow(a, (n - 1) >> i, n) for i in range(1, s + 1)] for a in _PRIME_BASES)
-    return n in _PRIME_BASES or all(x[-1] == 1 or n - 1 in x for x in chains)
+    for a in _PRIME_BASES if n < 3317044064679887385961981 else (2,):
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1:
+            for _ in range(s - 1):  # a^d, a^2d, ..., up to a^((n-1)/2) or the first n - 1
+                if x == n - 1:
+                    break
+                x = x * x % n
+            if x != n - 1:
+                return False
+    return True
 
 
 def _is_prime_power(q):
@@ -39,9 +49,7 @@ def _is_prime_power(q):
     Exact below 3.3 * 10^24 (see _is_prime); above, the warning it feeds is advisory."""
     top = max(q.bit_length() - 53, 0)
     log2_q = math.log2(q >> top) + top  # read off q's top 53 bits
-    for k in (2, *range(3, q.bit_length(), 2)):
-        if k > 2 and not _is_prime(k):  # p^(ab) = (p^a)^b: a prime k finds every power
-            continue
+    for k in filter(_is_prime, range(2, q.bit_length())):  # p^(ab) = (p^a)^b: prime k suffice
         # start at q^(1/k), to some 46 bits, plus one: a first Newton step lands at or above
         # the root's floor from anywhere (AM-GM), but from far below it lands far above
         s = max(int(log2_q / k) - 52, 0)
@@ -61,10 +69,7 @@ def cmd_sigma_a(args):
         _fail_usage(f"rank {args.rank} is above the sigma-a limit {limit}")
     from . import sorth, tables
     from .rootsys import build
-    try:
-        system = build(args.family, args.rank)
-    except InvalidRank as exc:
-        _fail_usage(str(exc))
+    system = build(args.family, args.rank)
     out = {"type": f"{args.family}{args.rank}"}
     sa = sorth.sigma_a(system)
     out["members"] = [list(m) for m in sa]

@@ -248,11 +248,6 @@ def enumerate_so_sets(sys):
     return [so_set(sys, rep) for rep in reps]
 
 
-def is_maximal_so(sys, members):
-    comp = so_complement(sys, members)
-    return len(comp) == 0
-
-
 def is_maximal_orthogonal(sys, members):
     """No root outside +/- the set is plainly orthogonal to all members; a
     non-root member raises NotARoot.  A root is not orthogonal to itself, so
@@ -275,7 +270,7 @@ def verify_anismax(sys):
     """Exhaustive check of the classification clauses for one system."""
     reps = enumerate_so_sets(sys)
     c1_free = [rep for rep in reps if satisfies_c1(sys, rep) is None]
-    c1_free_maximal = [rep for rep in c1_free if len(rep) > 0 and is_maximal_so(sys, rep)]
+    c1_free_maximal = [rep for rep in c1_free if len(rep) > 0 and not so_complement(sys, rep)]
     clauses = {}
     if tables.is_a2n(sys):
         clauses["every nonempty class satisfies (C1)"] = not any(len(rep) > 0 for rep in c1_free)

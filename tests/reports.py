@@ -4,7 +4,8 @@ Each entry holds a command's argv, its exit status, and the sha256 of its stdout
 its stderr and of its `verify --json` report (null for other commands, and where verify
 wrote none).  `PYTHONPATH=src python tests/reports.py` reruns every entry's argv and
 rewrites the manifest, so a change that moves report bytes shows as a diff of
-reports.json; `test_cli.py` checks every entry against a fresh run.
+reports.json; `test_cli.py` checks every entry against a fresh run.  `family_of` reads
+a check id's CHECKS family, for `test_cli.py` and `test_acceptance.py`.
 """
 
 import hashlib
@@ -14,7 +15,7 @@ import pathlib
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
-from steinberg_lab import cli
+from steinberg_lab import cli, suites
 
 MANIFEST = pathlib.Path(__file__).with_name("reports.json")
 
@@ -42,6 +43,13 @@ def run(argv):
 
 def load():
     return json.loads(MANIFEST.read_text(encoding="utf-8"))
+
+
+def family_of(check_id):
+    """The CHECKS family of a check id: the longest family that is the id, or the id's
+    stem before "-" and a tag; None when no family is."""
+    stems = [f for f in suites.CHECKS if check_id == f or check_id.startswith(f + "-")]
+    return max(stems, key=len, default=None)
 
 
 if __name__ == "__main__":

@@ -189,6 +189,14 @@ def test_is_prime_power_settles_a_large_power_at_once():
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("q, expected", [(5 * 3**5000, False), (2**4423 - 1, True)], ids=["5*3^5000", "M4423"])
+def test_is_prime_power_settles_a_large_q_at_once(q, expected):
+    # each took about 3 s when every base built its whole chain of s powers at any size
+    start = time.perf_counter()
+    assert cli._is_prime_power(q) == expected
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("table", ["--eic", "--sract", "--r1r2"])
 def test_tables_csv_rows_as_wide_as_header(table, main_cli):
     out = main_cli("tables", table, "--format", "csv")
@@ -433,13 +441,6 @@ CASE_IDS = {
 }
 
 
-def family_of(check_id):
-    """The CHECKS family of a check id: the longest family that is the id, or the id's
-    stem before "-" and a tag; None when no family is."""
-    stems = [f for f in suites.CHECKS if check_id == f or check_id.startswith(f + "-")]
-    return max(stems, key=len, default=None)
-
-
 @pytest.mark.parametrize("family", BREAKS, ids=lambda family: CASE_IDS.get(family, family))
 def test_every_check_family_can_fail(family, monkeypatch, tmp_path, main_cli):
     assert family in suites.CHECKS
@@ -448,12 +449,12 @@ def test_every_check_family_can_fail(family, monkeypatch, tmp_path, main_cli):
     path = tmp_path / "report.json"
     assert main_cli("verify", suite, "--json", str(path)).returncode == 1
     checks = json.loads(path.read_text())["reports"][0]["checks"]
-    assert "fail" in {c["status"] for c in checks if family_of(c["id"]) == family}
+    assert "fail" in {c["status"] for c in checks if reports.family_of(c["id"]) == family}
 
 
 def test_verify_all_runs_every_check_family_and_no_other(tmp_path, main_cli):
     path = tmp_path / "all.json"
     assert main_cli("verify", "all", "--json", str(path)).returncode == 0
     ids = [c["id"] for rep in json.loads(path.read_text())["reports"] for c in rep["checks"]]
-    assert [i for i in ids if family_of(i) is None] == []
-    assert sorted(set(suites.CHECKS) - {family_of(i) for i in ids}) == []
+    assert [i for i in ids if reports.family_of(i) is None] == []
+    assert sorted(set(suites.CHECKS) - {reports.family_of(i) for i in ids}) == []
